@@ -24,16 +24,12 @@ from .measures import (
     MeasureError,
     SubordinatorAlpha,
     gcd_normalize,
-    is_fully_symmetric,
     joint_from_config,
-    marginal,
     measure_from_config,
-    moment,
     subordinated,
     subordinated_increment_sampler,
     subordinator_pmf,
     subordinator_tail,
-    tail,
     uniform,
     wiener_hopf_log_tail,
 )
@@ -73,4 +69,4 @@ from .lattice_structure import (
     parity_group,
 )
 from . import diagnostics
-from .rng import child_seed, make_rng, spawn_rngs, splitmix64
+from .rng import child_seed, make_rng, splitmix64

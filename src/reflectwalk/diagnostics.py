@@ -33,7 +33,7 @@ from scipy.signal import fftconvolve
 
 from .measures import (JointMeasure, Measure1D, MeasureError, SubordinatorAlpha,
                        subordinator_tail)
-from .reflect_core import WalkSpec
+from .reflect_core import WalkSpec, _walk_states
 from .exact_1d import InvariantMeasure1D
 from .rng import make_rng
 
@@ -108,68 +108,46 @@ def categorize(budgets, counts, total_time_per_budget, escape_fraction,
 # shared vectorized walkers
 # ---------------------------------------------------------------------------
 
-def _sample_block(law: JointMeasure, rng, steps: int, replicas: int) -> np.ndarray:
-    """(steps, replicas, dim) block of i.i.d. increments."""
-    flat = law.sample(rng, steps * replicas)
-    return np.asarray(flat, dtype=float).reshape(steps, replicas, law.dim)
-
-
 def _run_return_experiment(spec: WalkSpec, start, in_target, budget: int,
-                           replicas: int, rng, track_occupation: bool = False,
-                           occupation_box: int = 0):
+                           replicas: int, rng):
     """Drive ``replicas`` coupled-by-nothing walkers and pool target visits.
 
-    ``in_target(X, Z)`` maps the current (replicas, r) reflected states and
-    (replicas, s) free states to a boolean vector.  Returns pooled counts at
-    the four nested budgets, per-replica post-burn-in visit flags, visit
-    times of replica 0, an occupation dict, and the maximum displacement.
+    ``in_target(X, Z)`` maps (steps, replicas, r) blocks of reflected states
+    and (steps, replicas, s) blocks of free states to a (steps, replicas)
+    boolean block.  Returns pooled counts at the four nested budgets, the
+    escape fraction (replicas with no visit after the burn-in), visit times
+    of replica 0, and the maximum displacement over every step.
     """
     rng = make_rng(rng)
     budget = int(budget)
     if budget < 1000:
         raise MeasureError("budgets below 1000 steps are refused as meaningless")
-    r, s = spec.r, spec.s
     start = spec.check_start(start)
-    x = np.tile(start[:r], (replicas, 1))
-    z = np.tile(start[r:], (replicas, 1))
-    budgets = [budget // 8, budget // 4, budget // 2, budget]
+    x = np.tile(start, (replicas, 1))
+    budgets = np.array([budget // 8, budget // 4, budget // 2, budget])
     burn = int(budget * THRESHOLDS["burn_in_fraction"])
     counts = np.zeros(len(budgets), dtype=np.int64)
     visited_after_burn = np.zeros(replicas, dtype=bool)
     times0: list[int] = []
-    occupation: dict = {}
     maxdisp = 0.0
     chunk = max(1, min(8192, (1 << 22) // max(replicas, 1)))
     k = 0
-    bi = 0
     while k < budget:
         b = min(chunk, budget - k)
-        draws = _sample_block(spec.law, rng, b, replicas)
-        for i in range(b):
-            x = np.abs(x - draws[i, :, :r])
-            if s:
-                z = z + draws[i, :, r:]
-            k += 1
-            hits = in_target(x, z)
-            nh = int(np.count_nonzero(hits))
-            if nh:
-                counts[bi:] += nh
-                if k > burn:
-                    visited_after_burn |= hits
-                if hits[0] and len(times0) < 100000:
-                    times0.append(k)
-            if track_occupation:
-                for row in np.nonzero((x <= occupation_box).all(axis=1))[0]:
-                    key = tuple(int(v) for v in x[row])
-                    occupation[key] = occupation.get(key, 0) + 1
-            if k == budgets[bi]:
-                bi = min(bi + 1, len(budgets) - 1)
-        maxdisp = max(maxdisp, float(np.abs(np.concatenate(
-            [x.ravel(), z.ravel() if s else np.empty(0)])).max()))
-    # counts are cumulative by construction: counts[j] collects hits up to
-    # budgets[j] because later budget bins also receive earlier hits
+        block = _walk_states(spec.law, spec.law.sample(rng, b * replicas).reshape(
+            b, replicas, spec.dim), x)
+        hits = in_target(block[:, :, :spec.r], block[:, :, spec.r:])
+        ks = np.arange(k + 1, k + b + 1)
+        # counts[j] collects the hits of every step up to budgets[j]
+        counts += (np.count_nonzero(hits, axis=1) * (ks <= budgets[:, None])).sum(axis=1)
+        visited_after_burn |= hits[ks > burn].any(axis=0)
+        times0.extend(ks[hits[:, 0]][:100000 - len(times0)].tolist())
+        maxdisp = max(maxdisp, float(block.max()), -float(block.min()))
+        x = block[-1].copy()
+        del block        # so the next draws do not coexist with this state block
+        k += b
     escape = float(np.mean(~visited_after_burn))
-    return counts.tolist(), escape, np.asarray(times0), occupation, maxdisp
+    return counts.tolist(), escape, np.asarray(times0), maxdisp
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +179,27 @@ def occupation_vs_invariant(spec: WalkSpec, exact, steps: int, burn_in: int,
     r = spec.r
     if spec.s:
         raise MeasureError("occupation comparison applies to reflected-only specs")
-    start = np.zeros(spec.dim)
     occ: dict = {}
-    x = [0.0] * r
+    x = np.zeros((1, r))
     chunk = 8192
     done = 0
     kept = 0
     while done < steps:
         b = min(chunk, steps - done)
-        draws = spec.law.sample(rng, b)
-        for i in range(b):
-            row = draws[i]
-            for c in range(r):
-                x[c] = abs(x[c] - row[c])
-            done += 1
-            if done > burn_in:
-                key = tuple(int(v) if v == int(v) else round(v, 9) for v in x)
-                occ[key] = occ.get(key, 0) + 1
-                if key in ref:
-                    kept += 1
+        block = _walk_states(spec.law, spec.law.sample(rng, b)[:, None, :], x)[:, 0]
+        x = block[-1:]
+        post = block[max(0, burn_in - done):]
+        done += b
+        # distinct states in order of first visit, with their visit counts; rows
+        # compare as raw bytes (fast), exact since states are never -0.0 or NaN
+        rows = np.ascontiguousarray(post).view(np.dtype((np.void, post.itemsize * r)))
+        _, first, counts = np.unique(rows.ravel(), return_index=True, return_counts=True)
+        order = np.argsort(first)
+        for row, c in zip(post[first[order]], counts[order].tolist()):
+            key = tuple(int(v) if v == int(v) else round(v, 9) for v in row)
+            occ[key] = occ.get(key, 0) + c
+            if key in ref:
+                kept += c
     total = sum(occ.values())
     if kept < 0.5 * total:
         raise MeasureError("walk escaped the reference support: occupation "
@@ -245,9 +225,9 @@ def return_time_stats(spec: WalkSpec, start, window, budget: int,
     center = np.atleast_1d(np.asarray(center, dtype=float))
 
     def in_target(x, z):
-        return (np.abs(x - center) <= radius).all(axis=1)
+        return (np.abs(x - center) <= radius).all(axis=-1)
 
-    counts, escape, times0, _, maxdisp = _run_return_experiment(
+    counts, escape, times0, maxdisp = _run_return_experiment(
         spec, start, in_target, budget, replicas, rng)
     budgets = [int(budget) // 8, int(budget) // 4, int(budget) // 2, int(budget)]
     totals = [b * replicas for b in budgets]
@@ -357,27 +337,21 @@ def cesaro_lower_bound(nu1: InvariantMeasure1D, nu2: InvariantMeasure1D,
         raise MeasureError("the product bound experiment runs on 2-D "
                            "reflected-only specs")
     steps = int(steps)
-    x = [0.0, 0.0]
-    hits = 0
-    batch_hits = []
+    x, hits, totals = np.zeros((1, 2)), 0, []     # totals: hits at each batch end
     per_batch = max(1, steps // 10)
-    cur = 0
     done = 0
     chunk = 8192
     while done < steps:
         b = min(chunk, steps - done)
-        draws = spec.law.sample(rng, b)
-        for i in range(b):
-            x[0] = abs(x[0] - draws[i][0])
-            x[1] = abs(x[1] - draws[i][1])
-            inside = int(x[0]) in s1 and int(x[1]) in s2 and \
-                x[0] == int(x[0]) and x[1] == int(x[1])
-            hits += inside
-            cur += inside
-            done += 1
-            if done % per_batch == 0:
-                batch_hits.append(cur / per_batch)
-                cur = 0
+        block = _walk_states(spec.law, spec.law.sample(rng, b)[:, None, :], x)[:, 0]
+        x = block[-1:]
+        inside = np.isin(block[:, 0], list(s1)) & np.isin(block[:, 1], list(s2))
+        running = hits + np.cumsum(inside)
+        ends = np.nonzero((np.arange(done + 1, done + b + 1) % per_batch) == 0)[0]
+        totals.extend(running[ends].tolist())
+        hits = int(running[-1])
+        done += b
+    batch_hits = (np.diff(np.concatenate([[0], totals])) / per_batch).tolist()
     avg = hits / steps
     ci = float(np.std(batch_hits, ddof=1) / math.sqrt(len(batch_hits))) \
         if len(batch_hits) > 1 else math.nan
@@ -416,11 +390,11 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
     xc = start[:r]
 
     def in_target(x, z):
-        okx = (np.abs(x - xc) <= x_window_radius).all(axis=1)
-        okz = (np.abs(z) <= free_radius).all(axis=1)
+        okx = (np.abs(x - xc) <= x_window_radius).all(axis=-1)
+        okz = (np.abs(z) <= free_radius).all(axis=-1)
         return okx & okz
 
-    counts, escape, times0, _, maxdisp = _run_return_experiment(
+    counts, escape, times0, maxdisp = _run_return_experiment(
         spec, start, in_target, budget, replicas, rng)
     budgets = [int(budget) // 8, int(budget) // 4, int(budget) // 2, int(budget)]
     totals = [b * replicas for b in budgets]
@@ -433,34 +407,25 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
 
 def _wald_cycle_check(spec: WalkSpec, cycles: int, drift: np.ndarray, rng):
     """Mean of Z over i.i.d. return cycles of X vs E(cycle) * E(V)."""
-    r, s = spec.r, spec.s
-    x0 = np.zeros(r)
-    x = x0.copy()
-    z = np.zeros(s)
-    gaps = np.empty(cycles)
-    zs = np.empty((cycles, s))
-    last_t = 0
-    last_z = np.zeros(s)
+    r = spec.r
+    state = np.zeros((1, spec.dim))
+    times = [np.zeros(1, dtype=np.int64)]     # return times of X to 0
+    zs = [state[:, r:]]                       # Z at those times
     got = 0
     k = 0
     chunk = 8192
-    guard = 0
     while got < cycles:
-        draws = spec.law.sample(rng, chunk)
-        for i in range(chunk):
-            x = np.abs(x - draws[i][:r])
-            z = z + draws[i][r:]
-            k += 1
-            if (x == x0).all():
-                gaps[got] = k - last_t
-                zs[got] = z - last_z
-                last_t, last_z = k, z.copy()
-                got += 1
-                if got == cycles:
-                    break
-        guard += chunk
-        if guard > 1 << 31:
+        if k > 1 << 31:
             raise MeasureError("start state not revisited within the guard budget")
+        block = _walk_states(spec.law, spec.law.sample(rng, chunk)[:, None], state)[:, 0]
+        state = block[-1:]
+        ret = np.nonzero((block[:, :r] == 0).all(axis=1))[0][:cycles - got]
+        times.append(k + 1 + ret)
+        zs.append(block[ret, r:])
+        got += ret.size
+        k += chunk
+    gaps = np.diff(np.concatenate(times)).astype(float)
+    zs = np.diff(np.concatenate(zs), axis=0)
     # per-cycle deviations D_k = Z_k - gap_k * E(V) are i.i.d. centred under
     # the identity; test the pooled mean against 3 SE componentwise
     dev = zs - gaps[:, None] * drift[None, :]
@@ -577,7 +542,8 @@ def _factor_return_indicators(m: Measure1D, y: int, ns: np.ndarray,
             prev = int(n)
         return out
     # general centred law: direct reflected simulation
-    x = np.zeros(replicas, dtype=np.int64)
+    law = JointMeasure.product((1, 0, 0, 0), [m])
+    x = np.zeros((replicas, 1), dtype=np.int64)
     prev = 0
     out = np.empty((len(ns), replicas), dtype=bool)
     for gi, n in enumerate(ns):
@@ -585,11 +551,9 @@ def _factor_return_indicators(m: Measure1D, y: int, ns: np.ndarray,
         done = 0
         while done < gap:
             b = min(4096, gap - done)
-            draws = m.sample(rng, (b, replicas))
-            for i in range(b):
-                x = np.abs(x - draws[i])
+            x = _walk_states(law, m.sample(rng, (b, replicas))[:, :, None], x)[-1]
             done += b
-        out[gi] = x == y
+        out[gi] = x[:, 0] == y
         prev = int(n)
     return out
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .measures import Measure1D, MeasureError
+from .measures import JointMeasure, Measure1D, MeasureError
 from .rng import make_rng
 
 __all__ = [
@@ -172,10 +172,10 @@ def classify_positive_recurrence(m: Measure1D, case: str) -> RecurrenceVerdict:
     mom = {"E(Y+)": eplus, "E(Y-)": eminus}
     if math.isinf(eplus) and math.isinf(eminus):
         return RecurrenceVerdict("undecided", mom, note="both drift moments infinite")
-    if eminus > eplus:
+    centred = math.isfinite(eplus) and abs(eplus - eminus) <= 1e-12 * max(1.0, eplus)
+    if eminus > eplus and not centred:
         return RecurrenceVerdict("transient_to_plus_infinity", mom,
                                  note="negative drift: finitely many reflections")
-    centred = math.isfinite(eplus) and abs(eplus - eminus) <= 1e-12 * max(1.0, eplus)
     if centred:
         if eplus == 0.0:
             raise MeasureError("degenerate law concentrated at 0")
@@ -581,33 +581,28 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
         raise MeasureError("law is not symmetric")
     if m.has_atoms and len(m.support) == 1 and m.support[0] == 0:
         raise MeasureError("degenerate law delta_0")
+    from .reflect_core import _walk_states  # reflect_core imports this module
     rng = make_rng(rng)
     horizon = int(horizon)
+    burn = horizon // 10
     stats = []
     for reflected in (False, True):
-        visits_half = np.zeros(replicas, dtype=np.int64)
-        visits_late = np.zeros(replicas, dtype=np.int64)
-        visits_after_burn = np.zeros(replicas, dtype=np.int64)
-        state = np.zeros(replicas, dtype=np.int64 if m.is_lattice else float)
-        burn = horizon // 10
-        chunk = 4096
+        lat = int(m.is_lattice)
+        law = JointMeasure.product((lat, 1 - lat, 0, 0) if reflected
+                                   else (0, 0, lat, 1 - lat), [m])
+        visits_half, visits_late, visits_after_burn = np.zeros((3, replicas), dtype=np.int64)
+        state = np.zeros((replicas, 1), dtype=np.int64 if m.is_lattice else float)
         done_steps = 0
         while done_steps < horizon:
-            b = min(chunk, horizon - done_steps)
+            b = min(4096, horizon - done_steps)
             draws = np.asarray(m.sample(rng, (b, replicas)))
-            for i in range(b):
-                if reflected:
-                    state = np.abs(state - draws[i])
-                else:
-                    state = state + draws[i]
-                k = done_steps + i + 1
-                inwin = np.abs(state) <= window
-                if k > burn:
-                    visits_after_burn += inwin
-                if k <= horizon // 2:
-                    visits_half += inwin
-                else:
-                    visits_late += inwin
+            block = _walk_states(law, draws[:, :, None], state)
+            state = block[-1]
+            inwin = np.abs(block[:, :, 0]) <= window
+            k = np.arange(done_steps + 1, done_steps + b + 1)
+            visits_after_burn += inwin[k > burn].sum(axis=0)
+            visits_half += inwin[k <= horizon // 2].sum(axis=0)
+            visits_late += inwin[k > horizon // 2].sum(axis=0)
             done_steps += b
         escape = float(np.mean(visits_after_burn == 0))
         if escape >= 0.9:

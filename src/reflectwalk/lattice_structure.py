@@ -608,9 +608,6 @@ class AttractorDescription:
             raise MeasureError("point enumeration needs a bounded lattice attractor")
         return np.arange(0, int(self.upper) + 1, dtype=np.int64)
 
-    def contains(self, x) -> bool:
-        return 0 <= x <= self.upper
-
 
 def attractor_1d(m: Measure1D) -> AttractorDescription:
     """``[0, N]`` when the support is nonnegative with supremum ``N``, else all

@@ -465,16 +465,6 @@ def gcd_normalize(m: Measure1D) -> tuple[Measure1D, int]:
     return Measure1D.lattice(atoms, name=m.name), g
 
 
-def tail(m: Measure1D, x) -> float:
-    """Mass strictly above ``x``."""
-    return m.tail(x)
-
-
-def moment(m: Measure1D, p: float, part: str = "full") -> float:
-    """See :meth:`Measure1D.moment`."""
-    return m.moment(p, part)
-
-
 # ---------------------------------------------------------------------------
 # subordinator increments tau_alpha and the subordinated walk law
 # ---------------------------------------------------------------------------
@@ -836,10 +826,6 @@ class JointMeasure:
     def n_reflected(self) -> int:
         return self.dims[0] + self.dims[1]
 
-    @property
-    def n_free(self) -> int:
-        return self.dims[2] + self.dims[3]
-
     def lattice_coords(self) -> list[int]:
         r1, r2, s1, s2 = self.dims
         return list(range(r1)) + list(range(r1 + r2, r1 + r2 + s1))
@@ -864,31 +850,6 @@ class JointMeasure:
         for x, p in zip(col, self.probs):
             acc[int(round(x))] = acc.get(int(round(x)), 0.0) + float(p)
         return Measure1D.lattice(acc)
-
-    def overall_marginal(self, coords: Sequence[int]) -> "JointMeasure":
-        """Joint law of a subset of coordinates (finite-support bodies only)."""
-        coords = list(coords)
-        dims = self._dims_of(coords)
-        if self.factors is not None:
-            return JointMeasure.product(dims, [self.factors[i] for i in coords])
-        acc: dict[tuple, float] = {}
-        for pt, p in zip(self.points, self.probs):
-            key = tuple(float(pt[i]) for i in coords)
-            acc[key] = acc.get(key, 0.0) + float(p)
-        return JointMeasure.finite(dims, [(np.array(k), v) for k, v in acc.items()])
-
-    def _dims_of(self, coords):
-        r1, r2, s1, s2 = self.dims
-        blocks = [r1, r2, s1, s2]
-        out = [0, 0, 0, 0]
-        for i in coords:
-            acc = 0
-            for b, width in enumerate(blocks):
-                if i < acc + width:
-                    out[b] += 1
-                    break
-                acc += width
-        return tuple(out)
 
     def sample(self, rng, size: int) -> np.ndarray:
         """``size`` i.i.d. increments as a ``(size, dim)`` array."""
@@ -931,15 +892,6 @@ class JointMeasure:
                 if abs(table.get(tuple(flipped), 0.0) - p) > ATOM_SUM_TOL:
                     return False
         return True
-
-
-def marginal(j: JointMeasure, i: int) -> Measure1D:
-    """Projection of a joint law onto coordinate ``i`` (0-based)."""
-    return j.marginal(i)
-
-
-def is_fully_symmetric(j: JointMeasure) -> bool:
-    return j.is_fully_symmetric()
 
 
 def joint_from_config(cfg) -> JointMeasure:

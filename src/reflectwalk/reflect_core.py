@@ -191,9 +191,6 @@ class Trajectory:
     seed: Optional[int]
     steps: int
 
-    def reflected(self, r: int) -> np.ndarray:
-        return self.states[:, :r]
-
     def to_csv(self, path):
         header = "step," + ",".join(f"x{i}" for i in range(self.states.shape[1]))
         steps = np.arange(self.states.shape[0])[:, None]
@@ -219,6 +216,114 @@ def reflect_step(x, y):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the walk engine: every walker steps its increment blocks through here
+# ---------------------------------------------------------------------------
+
+_TABLE_CELLS = 512   # table size x columns above which per-step stepping wins
+
+
+def _support_bounds(law: JointMeasure, i: int) -> Optional[tuple[int, int]]:
+    """Support bounds of a reflected lattice coordinate with finite support, else None."""
+    m = law.marginal(i) if i < law.dims[0] else None
+    if m is None or not m.has_atoms or m.has_analytic_tail:
+        return None
+    return int(m.min_support()), int(m.max_support())
+
+
+def _table_plan(steps: int, n_cols: int, lo: int, hi: int, top: int):
+    """``(sub-block length L, table size)`` of the table path, or None if slower.
+
+    Nonnegative support keeps a walk in ``[0, max(hi, start)]``, covered by
+    one table, with ``L = sqrt(T)``.  With negative letters a walk at
+    ``x >= L * hi`` cannot reflect within ``L`` steps: tables cover
+    ``[0, L * hi)`` and a sub-block translates ``x -> x - S`` above.
+    """
+    if lo >= 0:
+        size = max(hi, top) + 1
+        return (max(1, math.isqrt(steps)), size) if size * n_cols <= _TABLE_CELLS else None
+    sub = math.isqrt(8 * _TABLE_CELLS // (hi * n_cols))
+    return (sub, sub * hi) if sub >= 16 else None     # shorter ones do not pay
+
+
+def _walk_states(law: JointMeasure, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """State block of ``R`` walks driven by the increment block ``y``.
+
+    ``y`` has shape ``(T, R, k)`` and covers the first ``k`` coordinates of
+    ``law``; ``x`` is the ``(R, k)`` state carried in from the previous block.
+    Row ``t`` is the state after step ``t + 1``: ``|x - y|`` on reflected
+    coordinates (by :func:`_table_walk` where :func:`_table_plan` finds it
+    faster, else :func:`_step_walk`), the running sum on free ones, equal bit
+    for bit to the literal fold.
+    """
+    out = np.empty(y.shape, dtype=np.result_type(y, x))
+    r = min(law.n_reflected, y.shape[2])
+    bounds = [_support_bounds(law, i) for i in range(r)]
+    table = [i for i in range(r) if bounds[i] is not None]
+    plan = table and _table_plan(
+        y.shape[0], y.shape[1] * len(table), min(bounds[i][0] for i in table),
+        max(bounds[i][1] for i in table), int(x[:, table].max(initial=0)))
+    table = table if plan else []
+    step = [i for i in range(r) if i not in table]
+    if table:
+        cols = slice(0, r) if len(table) == r else table   # views, not copies
+        out[:, :, cols] = _table_walk(y[:, :, cols], x[:, cols], *plan)
+    if step:
+        cols = slice(0, r) if len(step) == r else step
+        out[:, :, cols] = _step_walk(y[:, :, cols], x[:, cols])
+    free = out[:, :, r:]       # one cumulative sum: float rounding stays sequential
+    free[:] = y[:, :, r:]
+    free[:1] += x[:, r:]
+    np.cumsum(free, axis=0, out=free)
+    return out
+
+
+def _step_walk(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``|x - y|`` one row at a time: two in-place ufuncs per step."""
+    out = np.empty(y.shape, dtype=np.result_type(y, x))
+    cur = x
+    for row, dest in zip(y, out):
+        np.subtract(cur, row, out=dest)
+        np.abs(dest, out=dest)
+        cur = dest
+    return out
+
+
+def _table_walk(y: np.ndarray, x: np.ndarray, sub: int, size: int) -> np.ndarray:
+    """Reflected lattice walks by composed sub-block maps.
+
+    The steps form ``nb`` sub-blocks of ``sub`` steps (the last padded with
+    the identity letter 0).  Each one's map, a table over ``{0..size-1}`` and
+    a translation above, is built for all at once; the sub-block starts are
+    chained through the maps and the sub-blocks replayed in parallel.
+    """
+    steps, n_cols = y.shape[0], y.shape[1] * y.shape[2]
+    nb = -(-steps // sub)
+    padded = np.zeros((nb * sub, n_cols), dtype=np.int32)
+    padded[:steps] = y.reshape(steps, n_cols)
+    letters = padded.reshape(nb, sub, n_cols)     # [sub-block, step, column]
+    shift = letters.sum(axis=1, dtype=np.int64)
+    maps = np.empty((nb, size, n_cols), dtype=np.int32)   # [sub-block, state, column]
+    maps[:] = np.arange(size)[:, None]
+    for j in range(sub):
+        np.subtract(maps, letters[:, j, None, :], out=maps)
+        np.abs(maps, out=maps)
+    flat = maps.reshape(nb, size * n_cols)
+    column = np.arange(n_cols)
+    states = np.empty((nb, sub, n_cols), dtype=np.int64)
+    cur = x.reshape(n_cols).astype(np.int64)
+    for b in range(nb):
+        states[b, 0] = cur                      # start of sub-block b, for now
+        cur = np.where(cur < size, flat[b, column + n_cols * np.minimum(cur, size - 1)],
+                       cur - shift[b])
+    cur = states[:, 0].copy()
+    for j in range(sub):
+        np.subtract(cur, letters[:, j], out=states[:, j])
+        np.abs(states[:, j], out=states[:, j])
+        cur = states[:, j]
+    return states.reshape(nb * sub, n_cols)[:steps].reshape(y.shape)
+
+
 def simulate(spec: WalkSpec, start, n: int, rng) -> Trajectory:
     """Run ``n`` steps of the reflected/free process from ``start``.
 
@@ -232,29 +337,20 @@ def simulate(spec: WalkSpec, start, n: int, rng) -> Trajectory:
     n = int(n)
     if n < 0:
         raise MeasureError("step count must be nonnegative")
-    r, s = spec.r, spec.s
     states = np.empty((n + 1, spec.dim))
     states[0] = start
     if n == 0:
         return Trajectory(start, states, seed, 0)
     draws = spec.law.sample(rng, n)
-    x = start[:r].copy()
-    refl = draws[:, :r]
-    for k in range(n):
-        x = np.abs(x - refl[k])
-        states[k + 1, :r] = x
-    if s:
-        states[1:, r:] = start[r:] + np.cumsum(draws[:, r:], axis=0)
+    carry = np.where(np.arange(spec.dim) < spec.r, start, 0.0)  # free sums: start + cumsum
+    states[1:] = _walk_states(spec.law, draws[:, None, :], carry[None, :])[:, 0]
+    states[1:, spec.r:] += start[spec.r:]
     return Trajectory(start, states, seed, n)
 
 
 # ---------------------------------------------------------------------------
 # parity-return subsampling
 # ---------------------------------------------------------------------------
-
-def _parity_of_rows(rows: np.ndarray, r1: int) -> np.ndarray:
-    return np.bitwise_and(np.asarray(np.round(rows[:, :r1]), dtype=np.int64), 1)
-
 
 def parity_return_times(spec: WalkSpec, start, count: int, rng,
                         max_steps: int = 1 << 26):
@@ -271,7 +367,7 @@ def parity_return_times(spec: WalkSpec, start, count: int, rng,
     rng = make_rng(rng)
     start = spec.check_start(start)
     r, r1 = spec.r, spec.r1
-    x = start[:r].copy()
+    x = start[None, :r]
     par = np.zeros(r1, dtype=np.int64)
     times = np.empty(int(count), dtype=np.int64)
     states = np.empty((int(count), r))
@@ -281,19 +377,14 @@ def parity_return_times(spec: WalkSpec, start, count: int, rng,
     while got < count:
         if k >= max_steps:
             raise MeasureError("parity returns exhausted the step budget")
-        draws = spec.law.sample(rng, chunk)
-        refl = draws[:, :r]
-        pars = _parity_of_rows(refl, r1)
-        for i in range(chunk):
-            x = np.abs(x - refl[i])
-            par ^= pars[i]
-            k += 1
-            if not par.any():
-                times[got] = k
-                states[got] = x
-                got += 1
-                if got == count:
-                    break
+        refl = spec.law.sample(rng, chunk)[:, :r]
+        block = _walk_states(spec.law, refl[:, None, :], x)[:, 0]
+        pars = (par + np.cumsum(np.round(refl[:, :r1]).astype(np.int64), axis=0)) & 1
+        hit = np.nonzero(~pars.any(axis=1))[0][:count - got]
+        times[got:got + hit.size] = k + 1 + hit
+        states[got:got + hit.size] = block[hit]
+        got += hit.size
+        x, par, k = block[-1:], pars[-1], k + chunk
     return times, states
 
 
@@ -329,14 +420,18 @@ class BackwardResult:
 
     ``values`` holds one reflected state per sample; ``converged[i]`` is
     False when the horizon ran out before the whole start window coalesced,
-    in which case ``values[i]`` is the window image under the partial
-    composition and must not be treated as a stationary draw.
+    when a block mapped the window out of itself (``escaped[i]``) or when the
+    window is not closed under the walk; ``values[i]`` is then the window
+    image under the partial composition and must not be treated as a
+    stationary draw.  ``guard_fired`` tells that the draw guard ended the run.
     """
 
     values: np.ndarray
     converged: np.ndarray
     blocks_used: np.ndarray
     parity: tuple
+    escaped: np.ndarray
+    guard_fired: bool = False
 
 
 def _require_positive_recurrent(spec: WalkSpec):
@@ -359,7 +454,10 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     A sample is emitted when the whole window has coalesced to a single
     point, which certifies the backward limit for every start in the window;
     after ``horizon`` blocks the sample is flagged unconverged instead of
-    being silently returned.
+    being silently returned.  A sample whose block maps a window point out of
+    the window is retired at once, unconverged.  Coalescence certifies only a
+    window closed under the walk (nonnegative support up to the window): in
+    any other the limit may lie outside it, so no sample counts as converged.
 
     Only purely lattice reflected parts are supported: certified coalescence
     needs the full finite window, and a continuous coordinate offers no such
@@ -382,17 +480,19 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         window = max(int(abs(m.max_support()) if math.isfinite(m.max_support())
                          else 0) for m in marginals)
         window = max(window, max(int(abs(m.min_support())) for m in marginals), 2)
+    closed = all(m.min_support() >= 0 and m.max_support() <= window for m in marginals)
     # per-coordinate grids restricted to the parity class
     grids = [np.arange(parity[i], window + 1, 2, dtype=np.int64) for i in range(r1)]
-    sizes = [len(g) for g in grids]
     # b[i][s, j] = value of the backward composition at grids[i][j]
     b = [np.tile(g, (n_samples, 1)) for g in grids]
     cur = [np.tile(g, (n_samples, 1)) for g in grids]  # partial block images
     par = np.zeros((n_samples, r1), dtype=np.int64)
     blocks = np.zeros(n_samples, dtype=np.int64)
     done = np.zeros(n_samples, dtype=bool)
+    escaped = np.zeros(n_samples, dtype=bool)
     active = ~done
     steps_guard = 0
+    guard_fired = False
     while active.any():
         idx = np.nonzero(active)[0]
         draws = spec.law.sample(rng, len(idx))[:, :r]
@@ -404,10 +504,13 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         finished = idx[~par[idx].any(axis=1)]
         if finished.size:
             blocks[finished] += 1
+            if not closed:   # a closed window keeps every image inside
+                left = np.any([(c[finished] > window).any(axis=1) for c in cur], axis=0)
+                escaped[finished[left]] = done[finished[left]] = True
+                finished = finished[~left]
             for i in range(r1):
                 # compose: new value at g = old value at (block image of g)
                 img_idx = (cur[i][finished] - parity[i]) // 2
-                img_idx = np.clip(img_idx, 0, sizes[i] - 1)
                 b[i][finished] = np.take_along_axis(b[i][finished], img_idx, axis=1)
                 cur[i][finished] = grids[i][None, :]
             coal = np.ones(finished.size, dtype=bool)
@@ -420,13 +523,14 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
             active = ~done
         steps_guard += 1
         if steps_guard > horizon * 64 * max(1, 2 ** r1):
+            guard_fired = True
             break
     values = np.column_stack([b[i][:, 0] for i in range(r1)]).astype(float)
-    converged = np.ones(n_samples, dtype=bool)
+    converged = ~escaped & closed
     for i in range(r1):
         converged &= (b[i] == b[i][:, :1]).all(axis=1)
-    return BackwardResult(values=values, converged=converged,
-                          blocks_used=blocks, parity=parity)
+    return BackwardResult(values=values, converged=converged, blocks_used=blocks,
+                          parity=parity, escaped=escaped, guard_fired=guard_fired)
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +548,10 @@ def contraction_distance_profile(spec: WalkSpec, x, y, n: int, rng) -> np.ndarra
     rng = make_rng(rng)
     xs = spec.check_start(x)[:spec.r]
     ys = spec.check_start(y)[:spec.r]
-    draws = spec.law.sample(rng, int(n))[:, :spec.r]
-    out = np.empty(int(n))
-    a, c = xs.copy(), ys.copy()
-    for k in range(int(n)):
-        a = np.abs(a - draws[k])
-        c = np.abs(c - draws[k])
-        out[k] = math.sqrt(float(np.sum((a - c) ** 2)))
-    return out
+    draws = spec.law.sample(rng, int(n))[:, None, :spec.r]
+    pair = _walk_states(spec.law, np.broadcast_to(draws, (int(n), 2, spec.r)),
+                        np.stack([xs, ys]))
+    return np.sqrt(np.sum((pair[:, 0] - pair[:, 1]) ** 2, axis=1))
 
 
 def coupled_coalescence_fraction(spec: WalkSpec, x, y, steps: int, runs: int,

@@ -36,7 +36,3 @@ def make_rng(seed) -> np.random.Generator:
         return seed
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
 
-
-def spawn_rngs(master_seed: int, n: int, offset: int = 0) -> list[np.random.Generator]:
-    """``n`` independent replica generators derived from ``master_seed``."""
-    return [make_rng(child_seed(master_seed, offset + i)) for i in range(n)]

@@ -86,6 +86,24 @@ def test_tiny_budget_refused():
         dg.return_time_stats(spec_of(M12), [0.0], ((0.0,), 0.0), 500, 4, 7)
 
 
+def test_max_displacement_covers_every_step():
+    # replay the experiment's increment stream (chunks of 8192 steps x 4
+    # replicas) through the literal fold and take the maximum over all steps
+    law = ms.JointMeasure.product((1, 0, 0, 0), [PM1])
+    stats, _ = dg.return_time_stats(rc.WalkSpec(law), [0.0], ((0.0,), 0.0),
+                                    20_000, 4, 3)
+    rng = np.random.default_rng(3)
+    x = np.zeros((4, 1))
+    peak = 0.0
+    for b in (8192, 8192, 3616):
+        draws = law.sample(rng, b * 4).reshape(b, 4, 1)
+        for t in range(b):
+            x = np.abs(x - draws[t])
+            peak = max(peak, float(x.max()))
+    assert stats.max_displacement == peak
+    assert peak == 172.0
+
+
 def test_evidence_deterministic_given_seed():
     a = dg.return_time_stats(spec_of(PM1), [0.0], ((0.0,), 0.0), 50_000, 8, 99)
     b = dg.return_time_stats(spec_of(PM1), [0.0], ((0.0,), 0.0), 50_000, 8, 99)

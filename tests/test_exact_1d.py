@@ -107,6 +107,20 @@ def test_classify_two_sided_cases():
         "transient_to_plus_infinity"
 
 
+def test_classify_centred_laws_with_rounded_means():
+    # centred laws on {-1, 0, 1, 2}: mu(-1) = mu(1) + 2 mu(2); the computed
+    # drift moments differ by rounding, sometimes with E(Y-) > E(Y+)
+    rng = np.random.default_rng(2024)
+    downward = 0
+    for _ in range(200):
+        w0, w1, w2 = rng.dirichlet(np.ones(3))
+        s = 1.0 / (w0 + 2 * w1 + 3 * w2)
+        m = lattice({-1: s * (w1 + 2 * w2), 0: s * w0, 1: s * w1, 2: s * w2})
+        downward += m.moment(1.0, "negative") > m.moment(1.0, "positive")
+        assert ex.classify_positive_recurrence(m, "two_sided").verdict == "null_recurrent"
+    assert downward > 0
+
+
 # ---------------------------------------------------------------------------
 # recurrence criteria chain
 # ---------------------------------------------------------------------------

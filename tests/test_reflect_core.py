@@ -8,6 +8,8 @@ from reflectwalk import exact_1d as ex
 from reflectwalk import measures as ms
 from reflectwalk import reflect_core as rc
 
+from family_helpers import random_nonneg_lattice
+
 
 def spec_1d(atoms):
     j = ms.JointMeasure.product((1, 0, 0, 0), [ms.Measure1D.lattice(atoms)])
@@ -77,6 +79,101 @@ def test_reflected_states_stay_nonnegative():
     j = ms.JointMeasure.finite((2, 0, 0, 0), [((-1, 3), 0.5), ((3, -1), 0.5)])
     traj = rc.simulate(rc.WalkSpec(j), [0.0, 1.0], 2000, 77)
     assert (traj.states[:, :2] >= 0).all()
+
+
+# ---------------------------------------------------------------------------
+# the walk engine against the literal fold and the kernel oracle
+# ---------------------------------------------------------------------------
+
+def fold(y, x):
+    """The recurrence ``x = |x - y|`` written out step by step."""
+    out = np.empty(y.shape, dtype=np.result_type(y, x))
+    for t in range(len(y)):
+        x = np.abs(x - y[t])
+        out[t] = x
+    return out
+
+
+@st.composite
+def lattice_laws(draw):
+    """Finite lattice law with mass on (0, inf): nonnegative or two-sided."""
+    lo = draw(st.sampled_from([0, -3]))
+    pts = draw(st.lists(st.integers(lo, 6), min_size=1, max_size=4, unique=True))
+    pts = sorted(set(pts) | {draw(st.integers(1, 6))})
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)))
+    return ms.Measure1D.lattice({x: w / sum(weights) for x, w in zip(pts, weights)})
+
+
+@given(st.lists(lattice_laws(), min_size=1, max_size=2), st.integers(0, 700),
+       st.integers(1, 4), st.integers(0, 15), st.integers(0, 2**32 - 1),
+       st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_literal_fold(laws, steps, replicas, top, seed, sub):
+    law = ms.JointMeasure.product((len(laws), 0, 0, 0), laws)
+    rng = np.random.default_rng(seed)
+    y = law.sample(rng, steps * replicas).reshape(steps, replicas, len(laws))
+    x = rng.integers(0, top + 1, size=(replicas, len(laws))).astype(float)  # may start above the support
+    want = fold(y, x)
+    got = rc._walk_states(law, y, x)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the table path itself, at any sub-block length (rarely a divisor of steps)
+    lo = min(int(m.min_support()) for m in laws)
+    hi = max(int(m.max_support()) for m in laws)
+    size = max(hi, top) + 1 if lo >= 0 else sub * hi
+    assert np.array_equal(rc._table_walk(y, x, sub, size), want)
+
+
+def test_engine_free_coordinates_are_sequential_sums():
+    law = ms.JointMeasure.product((1, 0, 0, 1), [ms.Measure1D.lattice({1: .5, 2: .5}),
+                                                 ms.uniform(-1.0, 1.3)])
+    rng = np.random.default_rng(4)
+    y = law.sample(rng, 3000).reshape(1000, 3, 2)
+    x = np.array([[1.0, 0.25], [0.0, -3.5], [2.0, 1e-3]])
+    got = rc._walk_states(law, y, x)
+    z = x[:, 1].copy()
+    for t in range(len(y)):
+        z = z + y[t, :, 1]
+        assert np.array_equal(got[t, :, 1], z)
+    assert np.array_equal(got[:, :, :1], fold(y[:, :, :1], x[:, :1]))
+
+
+@pytest.mark.parametrize("atoms, x0", [({1: .5, 2: .5}, 0), ({0: .2, 1: .3, 3: .5}, 3),
+                                        ({2: .7, 5: .3}, 4)])
+def test_engine_exact_laws_of_small_horizons(atoms, x0):
+    # every increment word of length n as one replica, weighted by its
+    # probability: the end states must carry row x0 of K^n
+    m = ms.Measure1D.lattice(atoms)
+    law = ms.JointMeasure.product((1, 0, 0, 0), [m])
+    kernel = ex.reflected_kernel_matrix(m)
+    pts = np.array(list(atoms), dtype=float)
+    probs = np.array(list(atoms.values()))
+    for n in range(1, 5):
+        words = np.array(np.meshgrid(*[np.arange(len(pts))] * n, indexing="ij")).reshape(n, -1)
+        y = pts[words][:, :, None]
+        ends = rc._walk_states(law, y, np.full((words.shape[1], 1), float(x0)))[-1, :, 0]
+        weight = probs[words].prod(axis=0)
+        law_n = np.bincount(ends.astype(np.int64), weights=weight, minlength=len(kernel))
+        assert np.allclose(law_n, np.linalg.matrix_power(kernel, n)[x0], rtol=0, atol=1e-12)
+
+
+def test_engine_exact_two_dimensional_laws():
+    a = ms.Measure1D.lattice({0: .3, 2: .7})
+    b = ms.Measure1D.lattice({1: .4, 3: .6})
+    law = ms.JointMeasure.product((2, 0, 0, 0), [a, b])
+    pts = law.support_points()
+    probs = np.array([a.prob(p[0]) * b.prob(p[1]) for p in pts])
+    ka = ex.reflected_kernel_matrix(a, 4)
+    kb = ex.reflected_kernel_matrix(b, 4)
+    start = (1, 3)
+    for n in range(1, 5):
+        words = np.array(np.meshgrid(*[np.arange(len(pts))] * n, indexing="ij")).reshape(n, -1)
+        ends = rc._walk_states(law, pts[words], np.tile(start, (words.shape[1], 1)).astype(float))[-1]
+        weight = probs[words].prod(axis=0)
+        joint = np.zeros((4, 4))
+        np.add.at(joint, (ends[:, 0].astype(int), ends[:, 1].astype(int)), weight)
+        want = np.outer(np.linalg.matrix_power(ka, n)[start[0]],
+                        np.linalg.matrix_power(kb, n)[start[1]])
+        assert np.allclose(joint, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +349,44 @@ def test_backward_two_dimensional_support():
     got = {tuple(map(int, v)) for v in res.values}
     # even-even states of the essential class of this law
     assert got == {(0, 2), (2, 0), (2, 2)}
+
+
+def test_backward_two_sided_default_window_certifies_nothing():
+    # {-1: .3, 2: .7} is positive recurrent; blocks such as (-1, -1) map 2 to
+    # 4, out of the default window [0, 2], and the even-class stationary law
+    # puts several percent of its mass above 2, which no sample confined to
+    # the window can carry
+    spec = spec_1d({-1: 0.3, 2: 0.7})
+    res = rc.backward_sample(spec, [0], horizon=2000, rng=11, n_samples=5000)
+    assert res.escaped.any()
+    assert not res.converged.any()
+    states = rc.simulate(spec, [0], 200_000, 12).states[1000:, 0]
+    even = states[states % 2 == 0]
+    assert np.mean(even > 2) > 0.03
+
+
+def test_backward_random_nonneg_laws_match_exact_invariant_law():
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        m = random_nonneg_lattice(rng, max_top=8)
+        res = rc.backward_sample(rc.WalkSpec(ms.JointMeasure.product((1, 0, 0, 0), [m])),
+                                 [0], horizon=500, rng=rng, n_samples=20_000)
+        assert res.converged.all() and not res.escaped.any() and not res.guard_fired
+        nu = {x: v for x, v in ex.invariant_measure_nonneg(m).as_dict().items()
+              if x % 2 == 0}
+        vals, counts = np.unique(res.values[:, 0].astype(np.int64), return_counts=True)
+        emp = dict(zip(vals.tolist(), (counts / counts.sum()).tolist()))
+        total = sum(nu.values())
+        tv = 0.5 * sum(abs(emp.get(x, 0.0) - v / total) for x, v in nu.items())
+        assert set(emp) <= set(nu) and tv < 0.02
+
+
+def test_backward_guard_shows_in_result():
+    # long odd-started blocks exhaust the draw guard of a one-block horizon
+    res = rc.backward_sample(spec_1d({1: 0.01, 2: 0.99}), [0], horizon=1, rng=0,
+                             n_samples=2000)
+    assert res.guard_fired
+    assert not res.converged.all()
 
 
 def test_word_text_roundtrip():
