@@ -23,7 +23,6 @@ deterministic given the master seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -33,7 +32,7 @@ from scipy.signal import fftconvolve
 
 from .measures import (JointMeasure, Measure1D, MeasureError, SubordinatorAlpha,
                        subordinator_tail)
-from .reflect_core import WalkSpec, _walk_states
+from .reflect_core import WalkSpec, _walk_blocks
 from .exact_1d import InvariantMeasure1D
 from .rng import make_rng
 
@@ -56,7 +55,6 @@ class TrajectoryStats:
 
     target: str
     return_times: np.ndarray          # visit times, first replica (capped)
-    occupation: dict                  # state -> visits within the window box
     max_displacement: float
     budget: int
     replicas: int
@@ -108,10 +106,11 @@ def categorize(budgets, counts, total_time_per_budget, escape_fraction,
 # shared vectorized walkers
 # ---------------------------------------------------------------------------
 
-def _run_return_experiment(spec: WalkSpec, start, in_target, budget: int,
-                           replicas: int, rng):
+def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
+                           budget: int, replicas: int, rng):
     """Drive ``replicas`` coupled-by-nothing walkers and pool target visits.
 
+    ``start`` is a checked start of a walk with increment law ``law``.
     ``in_target(X, Z)`` maps (steps, replicas, r) blocks of reflected states
     and (steps, replicas, s) blocks of free states to a (steps, replicas)
     boolean block.  Returns pooled counts at the four nested budgets, the
@@ -122,30 +121,22 @@ def _run_return_experiment(spec: WalkSpec, start, in_target, budget: int,
     budget = int(budget)
     if budget < 1000:
         raise MeasureError("budgets below 1000 steps are refused as meaningless")
-    start = spec.check_start(start)
-    x = np.tile(start, (replicas, 1))
+    r = law.n_reflected
     budgets = np.array([budget // 8, budget // 4, budget // 2, budget])
     burn = int(budget * THRESHOLDS["burn_in_fraction"])
     counts = np.zeros(len(budgets), dtype=np.int64)
     visited_after_burn = np.zeros(replicas, dtype=bool)
     times0: list[int] = []
     maxdisp = 0.0
-    chunk = max(1, min(8192, (1 << 22) // max(replicas, 1)))
-    k = 0
-    while k < budget:
-        b = min(chunk, budget - k)
-        block = _walk_states(spec.law, spec.law.sample(rng, b * replicas).reshape(
-            b, replicas, spec.dim), x)
-        hits = in_target(block[:, :, :spec.r], block[:, :, spec.r:])
-        ks = np.arange(k + 1, k + b + 1)
+    for k, y, block in _walk_blocks(law, np.tile(start, (replicas, 1)), rng, budget):
+        hits = in_target(block[:, :, :r], block[:, :, r:])
+        ks = np.arange(k + 1, k + len(block) + 1)
         # counts[j] collects the hits of every step up to budgets[j]
         counts += (np.count_nonzero(hits, axis=1) * (ks <= budgets[:, None])).sum(axis=1)
         visited_after_burn |= hits[ks > burn].any(axis=0)
         times0.extend(ks[hits[:, 0]][:100000 - len(times0)].tolist())
         maxdisp = max(maxdisp, float(block.max()), -float(block.min()))
-        x = block[-1].copy()
-        del block        # so the next draws do not coexist with this state block
-        k += b
+        del y, block     # so the next draws do not coexist with this block
     escape = float(np.mean(~visited_after_burn))
     return counts.tolist(), escape, np.asarray(times0), maxdisp
 
@@ -180,16 +171,9 @@ def occupation_vs_invariant(spec: WalkSpec, exact, steps: int, burn_in: int,
     if spec.s:
         raise MeasureError("occupation comparison applies to reflected-only specs")
     occ: dict = {}
-    x = np.zeros((1, r))
-    chunk = 8192
-    done = 0
     kept = 0
-    while done < steps:
-        b = min(chunk, steps - done)
-        block = _walk_states(spec.law, spec.law.sample(rng, b)[:, None, :], x)[:, 0]
-        x = block[-1:]
-        post = block[max(0, burn_in - done):]
-        done += b
+    for done, _, block in _walk_blocks(spec.law, np.zeros((1, r)), rng, steps):
+        post = block[max(0, burn_in - done):, 0]
         # distinct states in order of first visit, with their visit counts; rows
         # compare as raw bytes (fast), exact since states are never -0.0 or NaN
         rows = np.ascontiguousarray(post).view(np.dtype((np.void, post.itemsize * r)))
@@ -228,13 +212,13 @@ def return_time_stats(spec: WalkSpec, start, window, budget: int,
         return (np.abs(x - center) <= radius).all(axis=-1)
 
     counts, escape, times0, maxdisp = _run_return_experiment(
-        spec, start, in_target, budget, replicas, rng)
+        spec.law, spec.check_start(start), in_target, budget, replicas, rng)
     budgets = [int(budget) // 8, int(budget) // 4, int(budget) // 2, int(budget)]
     totals = [b * replicas for b in budgets]
     ev = categorize(budgets, counts, totals, escape, replicas)
     stats = TrajectoryStats(
         target=f"sup-ball(center={center.tolist()}, radius={radius})",
-        return_times=times0, occupation={}, max_displacement=maxdisp,
+        return_times=times0, max_displacement=maxdisp,
         budget=int(budget), replicas=int(replicas),
         counts_per_budget=counts, budgets=budgets)
     return stats, ev
@@ -262,54 +246,30 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
     if n == 0:
         return 0.0
     if mode == "exact_enumeration":
-        if not j.is_finite:
-            # product law: enumerate the support grid with exact probabilities
-            pts = j.support_points()
-            probs = np.ones(len(pts))
-            for i in range(d):
-                table = j.factors[i].atoms_dict()
-                probs *= np.array([table[int(p[i])] for p in pts])
-        else:
-            pts, probs = j.points, j.probs
+        pts = j.support_points()
+        probs = j.probs if j.is_finite else np.prod(np.meshgrid(
+            *[f.probs for f in j.factors], indexing="ij"), axis=0).ravel()
         if len(pts) ** n > 2_000_000:
             raise MeasureError("enumeration too large; use monte_carlo mode")
-        refl: dict = {}
-        free: dict = {}
-        absx = np.abs(x)
-        for word in itertools.product(range(len(pts)), repeat=n):
-            p = float(np.prod(probs[list(word)]))
-            xr = absx.copy()
-            s = x.copy()
-            for wi in word:
-                xr = np.abs(xr - pts[wi])
-                s = s + pts[wi]
-            kr = tuple(np.round(xr, 9))
-            kf = tuple(np.round(np.abs(s), 9))
-            refl[kr] = refl.get(kr, 0.0) + p
-            free[kf] = free.get(kf, 0.0) + p
-        states = set(refl) | set(free)
-        return max(abs(refl.get(st, 0.0) - free.get(st, 0.0)) for st in states)
-    if mode != "monte_carlo":
+        words = np.indices((len(pts),) * n, dtype=np.int32).reshape(n, -1)  # [step, word]
+        steps, weights = (pts[w] for w in words), np.prod(probs[words], axis=0)
+    elif mode == "monte_carlo":
+        steps = j.sample(make_rng(rng), samples * n).reshape(samples, n, d).swapaxes(0, 1)
+        weights = np.full(samples, 1.0 / samples)
+    else:
         raise MeasureError(f"unknown mode {mode!r}")
-    rng = make_rng(rng)
-    refl_counts: dict = {}
-    free_counts: dict = {}
-    draws = j.sample(rng, samples * n).reshape(samples, n, d)
-    xr = np.tile(np.abs(x), (samples, 1))
-    s = np.tile(x, (samples, 1))
-    for k in range(n):
-        xr = np.abs(xr - draws[:, k, :])
-        s = s + draws[:, k, :]
-    s = np.abs(s)
-    for arr, acc in ((xr, refl_counts), (s, free_counts)):
-        vals, cnts = np.unique(np.round(arr, 9), axis=0, return_counts=True)
-        for v, c in zip(vals, cnts):
-            acc[tuple(v)] = acc.get(tuple(v), 0) + int(c)
-    states = set(refl_counts) | set(free_counts)
-    tv = 0.5 * sum(abs(refl_counts.get(st, 0) - free_counts.get(st, 0)) / samples
-                   for st in states)
-    se = math.sqrt(len(states) / (4.0 * samples))
-    return tv, se
+    refl, free = np.abs(x), x
+    for y in steps:
+        refl, free = np.abs(refl - y), free + y
+    # one weighted histogram: reflected mass minus folded free mass per state;
+    # rows compare as raw bytes (fast), exact since states are never -0.0 or NaN
+    rows = np.round(np.concatenate([refl, np.abs(free)]), 9)
+    _, state = np.unique(rows.view(np.dtype((np.void, rows.itemsize * d))).ravel(),
+                         return_inverse=True)
+    diff = np.abs(np.bincount(state, np.concatenate([weights, -weights])))
+    if mode == "exact_enumeration":
+        return float(diff.max())
+    return float(0.5 * diff.sum()), math.sqrt(len(diff) / (4.0 * samples))
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +297,14 @@ def cesaro_lower_bound(nu1: InvariantMeasure1D, nu2: InvariantMeasure1D,
         raise MeasureError("the product bound experiment runs on 2-D "
                            "reflected-only specs")
     steps = int(steps)
-    x, hits, totals = np.zeros((1, 2)), 0, []     # totals: hits at each batch end
+    hits, totals = 0, []     # totals: hits at each batch end
     per_batch = max(1, steps // 10)
-    done = 0
-    chunk = 8192
-    while done < steps:
-        b = min(chunk, steps - done)
-        block = _walk_states(spec.law, spec.law.sample(rng, b)[:, None, :], x)[:, 0]
-        x = block[-1:]
-        inside = np.isin(block[:, 0], list(s1)) & np.isin(block[:, 1], list(s2))
+    for done, _, block in _walk_blocks(spec.law, np.zeros((1, 2)), rng, steps):
+        inside = np.isin(block[:, 0, 0], list(s1)) & np.isin(block[:, 0, 1], list(s2))
         running = hits + np.cumsum(inside)
-        ends = np.nonzero((np.arange(done + 1, done + b + 1) % per_batch) == 0)[0]
+        ends = np.nonzero((np.arange(done + 1, done + len(block) + 1) % per_batch) == 0)[0]
         totals.extend(running[ends].tolist())
         hits = int(running[-1])
-        done += b
     batch_hits = (np.diff(np.concatenate([[0], totals])) / per_batch).tolist()
     avg = hits / steps
     ci = float(np.std(batch_hits, ddof=1) / math.sqrt(len(batch_hits))) \
@@ -367,8 +321,7 @@ def cesaro_lower_bound(nu1: InvariantMeasure1D, nu2: InvariantMeasure1D,
 # ---------------------------------------------------------------------------
 
 def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
-                                   rng, x_window_radius: float = 0.0,
-                                   wald_cycles: int = 100_000):
+                                   rng, wald_cycles: int = 100_000):
     """Joint returns of ``(X, Z)`` plus the stopped-sum mean identity check.
 
     Counts joint visits to (start reflected state, origin) -- exact hits on
@@ -390,12 +343,10 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
     xc = start[:r]
 
     def in_target(x, z):
-        okx = (np.abs(x - xc) <= x_window_radius).all(axis=-1)
-        okz = (np.abs(z) <= free_radius).all(axis=-1)
-        return okx & okz
+        return (x == xc).all(axis=-1) & (np.abs(z) <= free_radius).all(axis=-1)
 
     counts, escape, times0, maxdisp = _run_return_experiment(
-        spec, start, in_target, budget, replicas, rng)
+        spec.law, start, in_target, budget, replicas, rng)
     budgets = [int(budget) // 8, int(budget) // 4, int(budget) // 2, int(budget)]
     totals = [b * replicas for b in budgets]
     ev = categorize(budgets, counts, totals, escape, replicas)
@@ -408,22 +359,19 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
 def _wald_cycle_check(spec: WalkSpec, cycles: int, drift: np.ndarray, rng):
     """Mean of Z over i.i.d. return cycles of X vs E(cycle) * E(V)."""
     r = spec.r
-    state = np.zeros((1, spec.dim))
+    blocks = _walk_blocks(spec.law, np.zeros((1, spec.dim)), rng)
     times = [np.zeros(1, dtype=np.int64)]     # return times of X to 0
-    zs = [state[:, r:]]                       # Z at those times
+    zs = [np.zeros((1, spec.s))]              # Z at those times
     got = 0
-    k = 0
-    chunk = 8192
     while got < cycles:
+        k, _, block = next(blocks)
         if k > 1 << 31:
             raise MeasureError("start state not revisited within the guard budget")
-        block = _walk_states(spec.law, spec.law.sample(rng, chunk)[:, None], state)[:, 0]
-        state = block[-1:]
+        block = block[:, 0]
         ret = np.nonzero((block[:, :r] == 0).all(axis=1))[0][:cycles - got]
         times.append(k + 1 + ret)
         zs.append(block[ret, r:])
         got += ret.size
-        k += chunk
     gaps = np.diff(np.concatenate(times)).astype(float)
     zs = np.diff(np.concatenate(zs), axis=0)
     # per-cycle deviations D_k = Z_k - gap_k * E(V) are i.i.d. centred under
@@ -527,7 +475,7 @@ def _factor_return_indicators(m: Measure1D, y: int, ns: np.ndarray,
             prev = int(n)
         return out
     if m.is_symmetric():
-        # folded free walk, stepwise
+        # folded free walk: only the sums are needed, in draws of at most 2**22
         s = np.zeros(replicas, dtype=np.int64)
         prev = 0
         out = np.empty((len(ns), replicas), dtype=bool)
@@ -535,26 +483,18 @@ def _factor_return_indicators(m: Measure1D, y: int, ns: np.ndarray,
             gap = int(n - prev)
             done = 0
             while done < gap:
-                b = min(4096, gap - done)
+                b = min(max(1, (1 << 22) // replicas), gap - done)
                 s += m.sample(rng, (b, replicas)).sum(axis=0)
                 done += b
             out[gi] = np.abs(s) == y
             prev = int(n)
         return out
-    # general centred law: direct reflected simulation
+    # general centred law: the reflected walk, read at the grid times
     law = JointMeasure.product((1, 0, 0, 0), [m])
-    x = np.zeros((replicas, 1), dtype=np.int64)
-    prev = 0
-    out = np.empty((len(ns), replicas), dtype=bool)
-    for gi, n in enumerate(ns):
-        gap = int(n - prev)
-        done = 0
-        while done < gap:
-            b = min(4096, gap - done)
-            x = _walk_states(law, m.sample(rng, (b, replicas))[:, :, None], x)[-1]
-            done += b
-        out[gi] = x[:, 0] == y
-        prev = int(n)
+    out = np.full((len(ns), replicas), y == 0)
+    for k, _, block in _walk_blocks(law, np.zeros((replicas, 1)), rng, int(ns[-1])):
+        at = (ns > k) & (ns <= k + len(block))
+        out[at] = block[ns[at] - k - 1, :, 0] == y
     return out
 
 
@@ -643,7 +583,7 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
 class SubordinatorSumSampler:
     """Exact sampler of sums of many tau_alpha increments.
 
-    Splits each increment at ``head_cut``: the number of large increments in
+    Splits each increment at ``HEAD_CUT``: the number of large increments in
     a sum of ``m`` is binomial, large values come from exact conditional-tail
     inversion, and the sum of the bounded remainder is drawn from
     precomputed distributions of ``2^j``-fold convolutions (FFT, trimmed at
@@ -652,18 +592,20 @@ class SubordinatorSumSampler:
     variables in a handful of vectorized operations.
     """
 
-    def __init__(self, alpha: float, head_cut: int = 4096, max_log2: int = 16):
+    HEAD_CUT = 4096      # increments above this come from the exact tail
+    MAX_LOG2 = 16        # tables for sums of up to 2^17 - 1 increments
+
+    def __init__(self, alpha: float):
         self.alpha = float(alpha)
-        self.head_cut = int(head_cut)
         self.sub = SubordinatorAlpha(alpha, table_size=1 << 20)
-        self.q_tail = float(subordinator_tail(alpha, self.head_cut))
-        pmf = np.asarray(self.sub.pmf(np.arange(1, self.head_cut + 1)),
+        self.q_tail = float(subordinator_tail(alpha, self.HEAD_CUT))
+        pmf = np.asarray(self.sub.pmf(np.arange(1, self.HEAD_CUT + 1)),
                          dtype=float)
         pmf = pmf / pmf.sum()
         self._levels: list[tuple[int, np.ndarray]] = []  # (offset, cdf)
         cur = pmf
         offset = 1
-        for _ in range(max_log2 + 1):
+        for _ in range(self.MAX_LOG2 + 1):
             self._levels.append((offset, np.cumsum(cur)))
             nxt = fftconvolve(cur, cur)
             np.maximum(nxt, 0.0, out=nxt)
@@ -696,7 +638,7 @@ class SubordinatorSumSampler:
         total = self.sample_bounded_sum(m - n_large, rng)
         cnt = int(n_large.sum())
         if cnt:
-            draws = self.sub.conditional_tail_sample(rng, cnt, self.head_cut)
+            draws = self.sub.conditional_tail_sample(rng, cnt, self.HEAD_CUT)
             cs = np.concatenate([[0], np.cumsum(draws)])
             ends = np.cumsum(n_large)
             total = total + (cs[ends] - cs[ends - n_large])

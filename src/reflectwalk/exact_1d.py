@@ -575,47 +575,36 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
     recurrent walks park a fifth of their paths away from 0 on any finite
     budget, by the arcsine law) and the late half of the budget still
     collects at least one visit per replica on average; else
-    ``inconclusive``.
+    ``inconclusive``.  Horizons below 1000 steps are refused.
     """
     if not m.is_symmetric():
         raise MeasureError("law is not symmetric")
     if m.has_atoms and len(m.support) == 1 and m.support[0] == 0:
         raise MeasureError("degenerate law delta_0")
-    from .reflect_core import _walk_states  # reflect_core imports this module
+    from .diagnostics import _run_return_experiment  # diagnostics imports this module
     rng = make_rng(rng)
     horizon = int(horizon)
-    burn = horizon // 10
+    lat = int(m.is_lattice)
+
+    def in_window(x, z):       # the one coordinate, reflected or free
+        return np.abs(np.concatenate([x, z], axis=-1))[..., 0] <= window
+
     stats = []
-    for reflected in (False, True):
-        lat = int(m.is_lattice)
-        law = JointMeasure.product((lat, 1 - lat, 0, 0) if reflected
-                                   else (0, 0, lat, 1 - lat), [m])
-        visits_half, visits_late, visits_after_burn = np.zeros((3, replicas), dtype=np.int64)
-        state = np.zeros((replicas, 1), dtype=np.int64 if m.is_lattice else float)
-        done_steps = 0
-        while done_steps < horizon:
-            b = min(4096, horizon - done_steps)
-            draws = np.asarray(m.sample(rng, (b, replicas)))
-            block = _walk_states(law, draws[:, :, None], state)
-            state = block[-1]
-            inwin = np.abs(block[:, :, 0]) <= window
-            k = np.arange(done_steps + 1, done_steps + b + 1)
-            visits_after_burn += inwin[k > burn].sum(axis=0)
-            visits_half += inwin[k <= horizon // 2].sum(axis=0)
-            visits_late += inwin[k > horizon // 2].sum(axis=0)
-            done_steps += b
-        escape = float(np.mean(visits_after_burn == 0))
+    for dims in ((0, 0, lat, 1 - lat), (lat, 1 - lat, 0, 0)):   # free, then reflected
+        counts, escape, _, _ = _run_return_experiment(
+            JointMeasure.product(dims, [m]), np.zeros(1), in_window, horizon,
+            replicas, rng)
+        visits = [counts[2], counts[3] - counts[2]]     # first and late half
         if escape >= 0.9:
             cat = "transient_evidence"
-        elif escape <= 0.5 and visits_late.sum() >= replicas:
+        elif escape <= 0.5 and visits[1] >= replicas:
             cat = "recurrent_evidence"
         else:
             cat = "inconclusive"
-        stats.append((cat, visits_half, visits_late, escape))
-    (fcat, fh, fl, fe), (rcat, rh, rl, re_) = stats
+        stats.append((cat, visits, escape))
+    (fcat, fv, fe), (rcat, rv, re_) = stats
     return SymmetricEquivalenceReport(
         free_category=fcat, reflected_category=rcat, agree=(fcat == rcat),
-        free_visits=[int(fh.sum()), int(fl.sum())],
-        reflected_visits=[int(rh.sum()), int(rl.sum())],
+        free_visits=fv, reflected_visits=rv,
         free_escape_fraction=fe, reflected_escape_fraction=re_,
         horizon=horizon, replicas=replicas, window=float(window))

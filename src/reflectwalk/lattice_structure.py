@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .measures import JointMeasure, Measure1D, MeasureError
 from .reflect_core import ContractionWord
@@ -216,54 +218,6 @@ class EssentialClassReport:
         return {tuple(m) for m in self.members}
 
 
-def _scc_iterative(n_nodes: int, edges_from) -> np.ndarray:
-    """Tarjan strongly-connected components, iterative; returns labels."""
-    index = np.full(n_nodes, -1, dtype=np.int64)
-    low = np.zeros(n_nodes, dtype=np.int64)
-    onstack = np.zeros(n_nodes, dtype=bool)
-    label = np.full(n_nodes, -1, dtype=np.int64)
-    stack: list[int] = []
-    counter = 0
-    n_comp = 0
-    for root in range(n_nodes):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            succ = edges_from(v)
-            for k in range(pi, len(succ)):
-                w = succ[k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    label[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return label
-
-
 def essential_classes(j: JointMeasure, window: int, margin: Optional[int] = None
                       ) -> list[EssentialClassReport]:
     """Closed communicating classes of the lattice reflected walk.
@@ -364,109 +318,37 @@ def _essential_classes_fixed(j: JointMeasure, window: int, margin: int
         flat = img @ strides
         succs[a] = np.where(ok, flat, -1)
 
-    def edges_from(v: int):
-        col = succs[:, v]
-        return [int(w) for w in col if w >= 0]
-
-    labels = _scc_iterative(n_nodes, edges_from)
-    n_comp = int(labels.max()) + 1
-    comp_nodes: list[list[int]] = [[] for _ in range(n_comp)]
-    for v in range(n_nodes):
-        comp_nodes[labels[v]].append(v)
+    edge = succs >= 0                                  # [support row, node]
+    graph = csr_matrix((np.ones(edge.sum()), (np.nonzero(edge)[1], succs[edge])),
+                       shape=(n_nodes, n_nodes))
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
 
     # closure is asserted for the certified region only: every core member's
     # one-step image must stay in its component (margin members may leak,
     # that is what the windowed certificate concedes)
     in_core = (coords <= core_limit).all(axis=1)
+    leaks = in_core & ((succs < 0) | (labels[succs] != labels)).any(axis=0)
     closed = np.ones(n_comp, dtype=bool)
-    for v in range(n_nodes):
-        if not in_core[v]:
-            continue
-        for a in range(len(supp)):
-            w = succs[a, v]
-            if w < 0 or labels[w] != labels[v]:
-                closed[labels[v]] = False
-                break
+    closed[labels[leaks]] = False
 
-    class_of = np.full(n_nodes, -1, dtype=np.int64)
-    essential_ids = [c for c in range(n_comp) if closed[c] and
-                     any(in_core[v] for v in comp_nodes[c])]
-    for c in essential_ids:
-        for v in comp_nodes[c]:
-            class_of[v] = c
-    if not exact:
-        # Mutual reachability with a closed component certifies membership in
-        # its communicating class even when the window is too tight for the
-        # component itself to absorb the point: reach paths may climb through
-        # the margin, return paths descend within it.
-        for c in essential_ids:
-            seed = np.zeros(n_nodes, dtype=bool)
-            seed[comp_nodes[c]] = True
-            fwd = _reachable(succs, seed, forward=True)
-            bwd = _reachable(succs, seed, forward=False)
-            join = fwd & bwd & (class_of == -1)
-            class_of[join] = c
-
-    def coset_of_node(v: int) -> int:
-        return dec.coset_of(coords[v][:r1] & 1)
-
+    # core members of each component, in node (= lexicographic) order
+    core = np.nonzero(in_core)[0]
+    core = core[np.argsort(labels[core], kind="stable")]
     reports = []
     transient_by_coset: dict[int, list] = {}
-    for c in essential_ids:
-        members = [tuple(int(x) for x in coords[v])
-                   for v in np.nonzero(class_of == c)[0] if in_core[v]]
-        if not members:
-            continue
-        reports.append(EssentialClassReport(
-            coset_index=coset_of_node(comp_nodes[c][0]), window=window,
-            members=sorted(members), certificate=certificate,
-            margin=(0 if exact else margin)))
-    for c in range(n_comp):
-        if c in essential_ids:
-            continue
-        members = [tuple(int(x) for x in coords[v])
-                   for v in comp_nodes[c] if in_core[v] and class_of[v] == -1]
-        if members:
-            cid = coset_of_node(comp_nodes[c][0])
-            transient_by_coset.setdefault(cid, []).append(sorted(members))
+    for group in np.split(core, np.nonzero(np.diff(labels[core]))[0] + 1):
+        members = list(map(tuple, coords[group].tolist()))
+        cid = dec.coset_of(coords[group[0]][:r1] & 1)     # no edge leaves a coset
+        if closed[labels[group[0]]]:
+            reports.append(EssentialClassReport(
+                coset_index=cid, window=window, members=members,
+                certificate=certificate, margin=(0 if exact else margin)))
+        else:
+            transient_by_coset.setdefault(cid, []).append(members)
     for rep in reports:
-        rep.transient_classes = transient_by_coset.get(rep.coset_index, [])
-    reports.sort(key=lambda rep: (rep.coset_index, -len(rep.members)))
+        rep.transient_classes = sorted(transient_by_coset.get(rep.coset_index, []))
+    reports.sort(key=lambda rep: (rep.coset_index, -len(rep.members), rep.members))
     return reports
-
-
-def _reachable(succs: np.ndarray, seed: np.ndarray, forward: bool) -> np.ndarray:
-    """Nodes reachable from (or reaching) the seed set along window edges."""
-    n_nodes = succs.shape[1]
-    reached = seed.copy()
-    if forward:
-        frontier = seed.copy()
-        while frontier.any():
-            nxt = np.zeros(n_nodes, dtype=bool)
-            for a in range(succs.shape[0]):
-                t = succs[a][frontier]
-                t = t[t >= 0]
-                nxt[t] = True
-            frontier = nxt & ~reached
-            reached |= frontier
-    else:
-        # backward search: precompute predecessor structure once per call
-        preds: list[list[int]] = [[] for _ in range(n_nodes)]
-        for a in range(succs.shape[0]):
-            col = succs[a]
-            for v in range(n_nodes):
-                if col[v] >= 0:
-                    preds[col[v]].append(v)
-        frontier = list(np.nonzero(seed)[0])
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for v in preds[w]:
-                    if not reached[v]:
-                        reached[v] = True
-                        nxt.append(v)
-            frontier = nxt
-    return reached
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,6 @@ class ContractionWord:
             raise ValueError("power needs k >= 1")
         return ContractionWord(np.vstack([self.letters] * k))
 
-    def coordinate(self, i: int) -> "ContractionWord":
-        return ContractionWord(self.letters[:, i])
-
     def to_text(self) -> str:
         """Whitespace-separated increments, one line per letter if multi-d."""
         if self.width == 1:
@@ -324,6 +321,29 @@ def _table_walk(y: np.ndarray, x: np.ndarray, sub: int, size: int) -> np.ndarray
     return states.reshape(nb * sub, n_cols)[:steps].reshape(y.shape)
 
 
+def _walk_blocks(law: JointMeasure, x: np.ndarray, rng, steps: Optional[int] = None):
+    """State blocks of the ``R`` walks carried in ``x``: ``steps`` steps, or forever.
+
+    The one chunk loop of the package: each block draws ``T * R`` increments
+    in one time-major ``law.sample`` call, ``T = min(8192, 2**22 // R)``, and
+    steps them through :func:`_walk_states`.  Yields ``(k, y, states)``: ``k``
+    steps precede the block, ``y`` and ``states`` have shape ``(T, R, dim)``
+    (the last block may be shorter) and row ``t`` is the state after step
+    ``k + t + 1``.
+    """
+    n_rep = x.shape[0]
+    chunk = max(1, min(8192, (1 << 22) // n_rep))
+    k = 0
+    while steps is None or k < steps:
+        b = chunk if steps is None else min(chunk, steps - k)
+        y = law.sample(rng, b * n_rep).reshape(b, n_rep, law.dim)
+        states = _walk_states(law, y, x)
+        x = states[-1].copy()
+        yield k, y, states
+        del y, states        # so the next draws do not coexist with this block
+        k += b
+
+
 def simulate(spec: WalkSpec, start, n: int, rng) -> Trajectory:
     """Run ``n`` steps of the reflected/free process from ``start``.
 
@@ -365,26 +385,21 @@ def parity_return_times(spec: WalkSpec, start, count: int, rng,
         raise MeasureError("parity returns need at least one lattice "
                            "reflecting coordinate")
     rng = make_rng(rng)
-    start = spec.check_start(start)
-    r, r1 = spec.r, spec.r1
-    x = start[None, :r]
-    par = np.zeros(r1, dtype=np.int64)
+    blocks = _walk_blocks(spec.law, spec.check_start(start)[None, :], rng)
+    par = np.zeros(spec.r1, dtype=np.int64)
     times = np.empty(int(count), dtype=np.int64)
-    states = np.empty((int(count), r))
+    states = np.empty((int(count), spec.r))
     got = 0
-    k = 0
-    chunk = 4096
     while got < count:
+        k, y, block = next(blocks)
         if k >= max_steps:
             raise MeasureError("parity returns exhausted the step budget")
-        refl = spec.law.sample(rng, chunk)[:, :r]
-        block = _walk_states(spec.law, refl[:, None, :], x)[:, 0]
-        pars = (par + np.cumsum(np.round(refl[:, :r1]).astype(np.int64), axis=0)) & 1
+        pars = (par + np.cumsum(np.round(y[:, 0, :spec.r1]).astype(np.int64), axis=0)) & 1
         hit = np.nonzero(~pars.any(axis=1))[0][:count - got]
         times[got:got + hit.size] = k + 1 + hit
-        states[got:got + hit.size] = block[hit]
+        states[got:got + hit.size] = block[hit, 0, :spec.r]
         got += hit.size
-        x, par, k = block[-1:], pars[-1], k + chunk
+        par = pars[-1]
     return times, states
 
 
@@ -419,18 +434,16 @@ class BackwardResult:
     """Backward-iteration samples of the per-class stationary law.
 
     ``values`` holds one reflected state per sample; ``converged[i]`` is
-    False when the horizon ran out before the whole start window coalesced,
-    when a block mapped the window out of itself (``escaped[i]``) or when the
-    window is not closed under the walk; ``values[i]`` is then the window
-    image under the partial composition and must not be treated as a
-    stationary draw.  ``guard_fired`` tells that the draw guard ended the run.
+    False when the horizon ran out before the whole start window coalesced;
+    ``values[i]`` is then the window image under the partial composition and
+    must not be treated as a stationary draw.  ``guard_fired`` tells that the
+    draw guard ended the run.
     """
 
     values: np.ndarray
     converged: np.ndarray
     blocks_used: np.ndarray
     parity: tuple
-    escaped: np.ndarray
     guard_fired: bool = False
 
 
@@ -446,22 +459,20 @@ def _require_positive_recurrent(spec: WalkSpec):
 
 
 def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
-                    n_samples: int = 1, window: Optional[int] = None) -> BackwardResult:
+                    n_samples: int = 1) -> BackwardResult:
     """Sample the stationary law of one parity class by backward iteration.
 
     Composes induced blocks in reverse order, tracking the image of every
-    lattice point of the parity class inside ``[0, window]`` per coordinate.
-    A sample is emitted when the whole window has coalesced to a single
-    point, which certifies the backward limit for every start in the window;
-    after ``horizon`` blocks the sample is flagged unconverged instead of
-    being silently returned.  A sample whose block maps a window point out of
-    the window is retired at once, unconverged.  Coalescence certifies only a
-    window closed under the walk (nonnegative support up to the window): in
-    any other the limit may lie outside it, so no sample counts as converged.
+    lattice point of the parity class inside the window ``[0, max(N, 2)]``
+    per coordinate, ``N`` the top of the supports.  A sample is emitted when
+    the whole window has coalesced to a single point, which certifies the
+    backward limit for every start in the window; after ``horizon`` blocks
+    the sample is flagged unconverged instead of being silently returned.
 
-    Only purely lattice reflected parts are supported: certified coalescence
-    needs the full finite window, and a continuous coordinate offers no such
-    finite certificate.
+    Only nonnegative bounded lattice reflected parts are supported: certified
+    coalescence needs a finite window closed under the walk.  A negative
+    letter maps ``x`` to ``x + |y|`` and a continuous coordinate has no
+    finite window, so no sample of such a walk could be certified.
     """
     r1, r2, s1, s2 = spec.law.dims
     if r2 != 0:
@@ -473,14 +484,14 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     parity = tuple(int(p) & 1 for p in np.atleast_1d(parity))
     if len(parity) != r1:
         raise MeasureError(f"parity vector needs {r1} entries")
+    marginals = spec.reflected_marginals()
+    if any(m.min_support() < 0 or not math.isfinite(m.max_support()) for m in marginals):
+        raise MeasureError("backward sampling needs nonnegative bounded supports: "
+                           "no window is closed under this walk, so no sample "
+                           "could be certified")
+    window = max(2, *(int(m.max_support()) for m in marginals))
     r = spec.r
     n_samples = int(n_samples)
-    marginals = spec.reflected_marginals()
-    if window is None:
-        window = max(int(abs(m.max_support()) if math.isfinite(m.max_support())
-                         else 0) for m in marginals)
-        window = max(window, max(int(abs(m.min_support())) for m in marginals), 2)
-    closed = all(m.min_support() >= 0 and m.max_support() <= window for m in marginals)
     # per-coordinate grids restricted to the parity class
     grids = [np.arange(parity[i], window + 1, 2, dtype=np.int64) for i in range(r1)]
     # b[i][s, j] = value of the backward composition at grids[i][j]
@@ -489,7 +500,6 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     par = np.zeros((n_samples, r1), dtype=np.int64)
     blocks = np.zeros(n_samples, dtype=np.int64)
     done = np.zeros(n_samples, dtype=bool)
-    escaped = np.zeros(n_samples, dtype=bool)
     active = ~done
     steps_guard = 0
     guard_fired = False
@@ -504,10 +514,6 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         finished = idx[~par[idx].any(axis=1)]
         if finished.size:
             blocks[finished] += 1
-            if not closed:   # a closed window keeps every image inside
-                left = np.any([(c[finished] > window).any(axis=1) for c in cur], axis=0)
-                escaped[finished[left]] = done[finished[left]] = True
-                finished = finished[~left]
             for i in range(r1):
                 # compose: new value at g = old value at (block image of g)
                 img_idx = (cur[i][finished] - parity[i]) // 2
@@ -526,11 +532,11 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
             guard_fired = True
             break
     values = np.column_stack([b[i][:, 0] for i in range(r1)]).astype(float)
-    converged = ~escaped & closed
+    converged = np.ones(n_samples, dtype=bool)
     for i in range(r1):
         converged &= (b[i] == b[i][:, :1]).all(axis=1)
     return BackwardResult(values=values, converged=converged, blocks_used=blocks,
-                          parity=parity, escaped=escaped, guard_fired=guard_fired)
+                          parity=parity, guard_fired=guard_fired)
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +564,12 @@ def coupled_coalescence_fraction(spec: WalkSpec, x, y, steps: int, runs: int,
                                  rng) -> float:
     """Fraction of synchronous couplings that coalesce within ``steps``."""
     rng = make_rng(rng)
-    xs = spec.check_start(x)[:spec.r]
-    ys = spec.check_start(y)[:spec.r]
-    runs = int(runs)
-    a = np.tile(xs, (runs, 1))
-    c = np.tile(ys, (runs, 1))
-    alive = np.ones(runs, dtype=bool)
-    for _ in range(int(steps)):
-        if not alive.any():
+    runs, r = int(runs), spec.r
+    a = np.tile(spec.check_start(x), (runs, 1))
+    c = np.tile(spec.check_start(y), (runs, 1))
+    # the second copy steps the same increments; coupled walks stay together
+    for _, inc, block in _walk_blocks(spec.law, a, rng, int(steps)):
+        a, c = block[-1], _walk_states(spec.law, inc, c)[-1]
+        if (a[:, :r] == c[:, :r]).all():
             break
-        idx = np.nonzero(alive)[0]
-        draws = spec.law.sample(rng, len(idx))[:, :spec.r]
-        a[idx] = np.abs(a[idx] - draws)
-        c[idx] = np.abs(c[idx] - draws)
-        alive[idx] = (a[idx] != c[idx]).any(axis=1)
-    return float(1.0 - alive.mean())
+    return float(np.mean((a[:, :r] == c[:, :r]).all(axis=1)))

@@ -235,6 +235,14 @@ def test_null_probe_general_symmetric_law():
     assert -0.8 < out["factors"][0]["slope"] < -0.25
 
 
+def test_null_probe_general_centred_law():
+    # centred but not symmetric: the reflected walk itself is simulated
+    m = ms.Measure1D.lattice({-1: 2 / 3, 2: 1 / 3})
+    out = dg.product_null_recurrence_probe(
+        [m], [0], [2 ** k for k in range(6, 11)], 20_000, rng=5)
+    assert -0.8 < out["factors"][0]["slope"] < -0.25
+
+
 def test_null_probe_rejects_drift():
     m = ms.Measure1D.lattice({-1: 0.4, 1: 0.6})
     with pytest.raises(ms.MeasureError):

@@ -104,6 +104,11 @@ def test_essential_classes_bounded_support():
         [[(0, 0), (2, 3), (3, 2)], [(3, 3)]]
 
 
+def test_essential_classes_transient_classes_sorted():
+    r = ls.essential_classes(LAW_A, window=20)[0]
+    assert r.transient_classes == [[(0, 0), (2, 3), (3, 2)], [(3, 3)]]
+
+
 def test_essential_classes_unbounded_support():
     reports = ls.essential_classes(LAW_B, window=20)
     assert len(reports) == 1

@@ -1,5 +1,7 @@
 """Tests for the simulation core, contraction words and backward sampling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +123,29 @@ def test_engine_matches_literal_fold(laws, steps, replicas, top, seed, sub):
     hi = max(int(m.max_support()) for m in laws)
     size = max(hi, top) + 1 if lo >= 0 else sub * hi
     assert np.array_equal(rc._table_walk(y, x, sub, size), want)
+
+
+@given(st.lists(lattice_laws(), min_size=1, max_size=2), st.sampled_from([1, 3]),
+       st.integers(8193, 20_000), st.integers(0, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_walk_blocks_match_literal_fold(laws, replicas, steps, top, seed):
+    law = ms.JointMeasure.product((len(laws), 0, 0, 0), laws)
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, top + 1, size=(replicas, len(laws))).astype(float)
+    blocks = list(rc._walk_blocks(law, x, rng, steps))
+    lengths = [len(y) for _, y, _ in blocks]
+    assert len(blocks) >= 2 and sum(lengths) == steps
+    assert [k for k, _, _ in blocks] == np.cumsum([0] + lengths[:-1]).tolist()
+    y = np.concatenate([y for _, y, _ in blocks])
+    assert np.array_equal(np.concatenate([s for _, _, s in blocks]), fold(y, x))
+
+
+def test_only_the_core_steps_walks():
+    # walkers read blocks from _walk_blocks; none may grow its own chunk loop
+    package = Path(rc.__file__).parent
+    users = [p.name for p in sorted(package.glob("*.py"))
+             if p.name != "reflect_core.py" and "_walk_states" in p.read_text()]
+    assert users == []
 
 
 def test_engine_free_coordinates_are_sequential_sums():
@@ -300,6 +325,13 @@ def test_even_coupling_coalesces():
     assert frac > 0.99
 
 
+def test_odd_coupling_never_coalesces():
+    # the parity of the start difference is conserved, so no coupling meets
+    frac = rc.coupled_coalescence_fraction(SPEC_12, [0.0], [1.0], steps=300,
+                                           runs=2000, rng=4)
+    assert frac == 0.0
+
+
 # ---------------------------------------------------------------------------
 # backward sampling
 # ---------------------------------------------------------------------------
@@ -353,13 +385,12 @@ def test_backward_two_dimensional_support():
 
 def test_backward_two_sided_default_window_certifies_nothing():
     # {-1: .3, 2: .7} is positive recurrent; blocks such as (-1, -1) map 2 to
-    # 4, out of the default window [0, 2], and the even-class stationary law
-    # puts several percent of its mass above 2, which no sample confined to
-    # the window can carry
+    # 4, out of the window [0, 2], and the even-class stationary law puts
+    # several percent of its mass above 2, which no sample confined to the
+    # window can carry: no window is closed, so the sampler refuses
     spec = spec_1d({-1: 0.3, 2: 0.7})
-    res = rc.backward_sample(spec, [0], horizon=2000, rng=11, n_samples=5000)
-    assert res.escaped.any()
-    assert not res.converged.any()
+    with pytest.raises(ms.MeasureError, match="no window is closed"):
+        rc.backward_sample(spec, [0], horizon=2000, rng=11, n_samples=5000)
     states = rc.simulate(spec, [0], 200_000, 12).states[1000:, 0]
     even = states[states % 2 == 0]
     assert np.mean(even > 2) > 0.03
@@ -371,7 +402,7 @@ def test_backward_random_nonneg_laws_match_exact_invariant_law():
         m = random_nonneg_lattice(rng, max_top=8)
         res = rc.backward_sample(rc.WalkSpec(ms.JointMeasure.product((1, 0, 0, 0), [m])),
                                  [0], horizon=500, rng=rng, n_samples=20_000)
-        assert res.converged.all() and not res.escaped.any() and not res.guard_fired
+        assert res.converged.all() and not res.guard_fired
         nu = {x: v for x, v in ex.invariant_measure_nonneg(m).as_dict().items()
               if x % 2 == 0}
         vals, counts = np.unique(res.values[:, 0].astype(np.int64), return_counts=True)
