@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .measures import (JointMeasure, Measure1D, MeasureError, SubordinatorAlpha,
-                       subordinator_tail)
+from .measures import (JointMeasure, LatticeSumSampler, Measure1D, MeasureError,
+                       SubordinatorAlpha, subordinator_tail)
 from .reflect_core import WalkSpec, _walk_blocks
 from .exact_1d import InvariantMeasure1D
 from .rng import make_rng
@@ -421,8 +420,8 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
     probabilities decay like ``n^(-1/2)``; the probe estimates them on a
     geometric grid and regresses log-probability on log-time.  Fully
     symmetric factors are simulated through the sign-flip identity (the
-    reflected law at a fixed time equals the folded free-walk law), which for
-    fair +-1 factors reduces to exact binomial jumps between grid points.
+    reflected law at a fixed time equals the folded free-walk law): the free
+    walk jumps between grid points by exact sums of the gap's increments.
 
     Returns a dict with per-factor slopes, the joint slope, and standard
     errors.
@@ -460,35 +459,12 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
 def _factor_return_indicators(m: Measure1D, y: int, ns: np.ndarray,
                               replicas: int, rng) -> np.ndarray:
     """Indicator matrix ``[grid point, replica]`` of ``X_n = y``."""
-    atoms = m.atoms_dict()
-    fair_pm1 = set(atoms) == {-1, 1} and abs(atoms[1] - 0.5) < 1e-12
-    if fair_pm1:
-        # folded free walk; exact binomial jumps between grid points
-        s = np.zeros(replicas, dtype=np.int64)
-        prev = 0
-        out = np.empty((len(ns), replicas), dtype=bool)
-        for gi, n in enumerate(ns):
-            gap = int(n - prev)
-            ups = rng.binomial(gap, 0.5, size=replicas)
-            s += 2 * ups - gap
-            out[gi] = np.abs(s) == y
-            prev = int(n)
-        return out
     if m.is_symmetric():
-        # folded free walk: only the sums are needed, in draws of at most 2**22
-        s = np.zeros(replicas, dtype=np.int64)
-        prev = 0
-        out = np.empty((len(ns), replicas), dtype=bool)
-        for gi, n in enumerate(ns):
-            gap = int(n - prev)
-            done = 0
-            while done < gap:
-                b = min(max(1, (1 << 22) // replicas), gap - done)
-                s += m.sample(rng, (b, replicas)).sum(axis=0)
-                done += b
-            out[gi] = np.abs(s) == y
-            prev = int(n)
-        return out
+        # folded free walk: one exact jump of the partial sum per grid gap
+        jumps = LatticeSumSampler(m)
+        s = np.cumsum([jumps.sample(np.full(replicas, gap), rng)
+                       for gap in np.diff(ns, prepend=0)], axis=0)
+        return np.abs(s) == y
     # general centred law: the reflected walk, read at the grid times
     law = JointMeasure.product((1, 0, 0, 0), [m])
     out = np.full((len(ns), replicas), y == 0)
@@ -536,6 +512,8 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
     """
     if not j.is_fully_symmetric():
         raise MeasureError("dimension probe needs a fully symmetric law")
+    if j.dims[1] + j.dims[3] > 0:
+        raise MeasureError("dimension probe needs lattice coordinates only")
     rng = make_rng(rng)
     d = j.dim
     budget = int(budget)
@@ -552,8 +530,7 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
         if fair:
             draws = _fair_sign_block(rng, (b, replicas, d))
         else:
-            draws = np.asarray(np.round(j.sample(rng, b * replicas)),
-                               dtype=np.int64).reshape(b, replicas, d)
+            draws = j.sample(rng, b * replicas).astype(np.int64).reshape(b, replicas, d)
         cum = np.cumsum(draws, axis=0, dtype=np.int64)
         block = s[None, :, :] + cum
         k0 = k
@@ -585,57 +562,26 @@ class SubordinatorSumSampler:
 
     Splits each increment at ``HEAD_CUT``: the number of large increments in
     a sum of ``m`` is binomial, large values come from exact conditional-tail
-    inversion, and the sum of the bounded remainder is drawn from
-    precomputed distributions of ``2^j``-fold convolutions (FFT, trimmed at
-    mass 1e-15 per side) combined along the binary digits of the count.
-    This gives per-replica exact samples of a sum of ``2^15`` heavy-tailed
-    variables in a handful of vectorized operations.
+    inversion, and the sum of the bounded remainder comes from a
+    :class:`LatticeSumSampler` of the head law.  This gives per-replica exact
+    samples of a sum of ``2^15`` heavy-tailed variables in a handful of
+    vectorized operations.
     """
 
     HEAD_CUT = 4096      # increments above this come from the exact tail
-    MAX_LOG2 = 16        # tables for sums of up to 2^17 - 1 increments
 
     def __init__(self, alpha: float):
         self.alpha = float(alpha)
         self.sub = SubordinatorAlpha(alpha, table_size=1 << 20)
         self.q_tail = float(subordinator_tail(alpha, self.HEAD_CUT))
-        pmf = np.asarray(self.sub.pmf(np.arange(1, self.HEAD_CUT + 1)),
-                         dtype=float)
-        pmf = pmf / pmf.sum()
-        self._levels: list[tuple[int, np.ndarray]] = []  # (offset, cdf)
-        cur = pmf
-        offset = 1
-        for _ in range(self.MAX_LOG2 + 1):
-            self._levels.append((offset, np.cumsum(cur)))
-            nxt = fftconvolve(cur, cur)
-            np.maximum(nxt, 0.0, out=nxt)
-            offset *= 2
-            cs = np.cumsum(nxt)
-            lo = int(np.searchsorted(cs, 1e-15))
-            hi = int(np.searchsorted(cs, cs[-1] - 1e-15)) + 1
-            offset += lo
-            cur = nxt[lo:hi]
-
-    def sample_bounded_sum(self, counts: np.ndarray, rng) -> np.ndarray:
-        """Sum of ``counts[i]`` i.i.d. head-conditioned increments per row."""
-        out = np.zeros(len(counts), dtype=np.int64)
-        for j, (offset, cdf) in enumerate(self._levels):
-            mask = (counts >> j) & 1 == 1
-            nsel = int(mask.sum())
-            if nsel == 0:
-                continue
-            u = rng.random(nsel) * cdf[-1]
-            idx = np.searchsorted(cdf, u, side="right")
-            idx = np.minimum(idx, len(cdf) - 1)
-            out[mask] += offset + idx
-        return out
+        ks = np.arange(1, self.HEAD_CUT + 1)
+        pmf = np.asarray(self.sub.pmf(ks), dtype=float)
+        self.head = LatticeSumSampler(Measure1D.lattice_arrays(ks, pmf / pmf.sum()))
 
     def sample_sum(self, m: int, replicas: int, rng) -> np.ndarray:
         """``replicas`` independent samples of a sum of ``m`` increments."""
-        if m >= (1 << len(self._levels)):
-            raise MeasureError("sum length exceeds the precomputed tables")
         n_large = rng.binomial(int(m), self.q_tail, size=replicas)
-        total = self.sample_bounded_sum(m - n_large, rng)
+        total = self.head.sample(m - n_large, rng)
         cnt = int(n_large.sum())
         if cnt:
             draws = self.sub.conditional_tail_sample(rng, cnt, self.HEAD_CUT)

@@ -378,66 +378,64 @@ def ladder_monte_carlo(m: Measure1D, samples: int, rng,
     """Empirical law of the first weak-ascending record height.
 
     Each excursion runs the walk from 0 until ``S_n >= 0`` (ties count as
-    records).  Excursions exceeding ``step_cap`` steps are reported as capped
-    and excluded from the height law; a large capped fraction aborts with a
-    drift diagnostic.
+    records).  Excursions still running after ``step_cap`` steps are reported
+    as capped and excluded from the height law; a large capped fraction
+    aborts with a drift diagnostic.
     """
-    rng = make_rng(rng)
-    samples = int(samples)
+    if not m.is_lattice:
+        raise MeasureError("Monte Carlo ladder needs a lattice law")
     try:
-        mean = m.mean()
-        if mean < -1e-9:
-            raise MeasureError(f"drift {mean:.4g} < 0: weak records dry up "
-                               "and excursions do not terminate")
-    except MeasureError as e:
-        if "drift" in str(e):
+        drift = m.mean()
+    except MeasureError:
+        if m.has_atoms:
             raise
-        mean = None  # sampler-backed laws: detect drift from capping instead
-    lattice = m.is_lattice
-    heights: list = []
-    state = np.zeros(samples, dtype=np.int64 if lattice else float)
-    steps_used = np.zeros(samples, dtype=np.int64)
-    active = np.arange(samples)
-    block = 16
-    capped = 0
-    while active.size:
-        nact = active.size
-        b = min(block, max(1, (1 << 24) // max(nact, 1)))
-        draws = m.sample(rng, (nact, b))
-        paths = state[active][:, None] + np.cumsum(
-            np.asarray(draws, dtype=np.int64 if lattice else float), axis=1)
-        hit = paths >= 0
-        first = np.argmax(hit, axis=1)
-        any_hit = hit.any(axis=1)
-        done_rows = np.nonzero(any_hit)[0]
-        if done_rows.size:
-            heights.extend(paths[done_rows, first[done_rows]].tolist())
-        cont_rows = np.nonzero(~any_hit)[0]
-        idx_cont = active[cont_rows]
-        state[idx_cont] = paths[cont_rows, -1]
-        steps_used[idx_cont] += b
-        over = steps_used[idx_cont] >= step_cap
-        capped += int(over.sum())
-        active = idx_cont[~over]
-        block = min(block * 2, 1 << 20)
-        if capped > 0.5 * samples:
-            raise MeasureError("more than half the excursions hit the step cap: "
-                               "drift to -infinity suspected")
+        drift = 0.0  # sampler-backed law: a drift shows as capped excursions
+    if drift < -1e-9:
+        raise MeasureError(f"drift {drift:.4g} < 0: weak records dry up "
+                           "and excursions do not terminate")
+    samples = int(samples)
+    heights = [np.zeros(0, dtype=np.int64)]
+    for _, paths, first in _first_records(m, samples, make_rng(rng), step_cap):
+        done = np.nonzero(first < paths.shape[1])[0]
+        heights.append(paths[done, first[done]])
+    heights = np.concatenate(heights)
+    capped = samples - len(heights)
+    if capped > 0.5 * samples:
+        raise MeasureError("more than half the excursions hit the step cap: "
+                           "drift to -infinity suspected")
     n_ok = len(heights)
-    if n_ok == 0:
-        raise MeasureError("all excursions capped")
-    if lattice:
-        vals, counts = np.unique(np.asarray(heights, dtype=np.int64),
-                                 return_counts=True)
-        probs = counts / n_ok
-        ladder = Measure1D.lattice_arrays(vals, probs)
-        ses = {int(v): float(math.sqrt(p * (1 - p) / n_ok))
-               for v, p in zip(vals, probs)}
-    else:
-        raise MeasureError("Monte Carlo ladder currently supports lattice laws")
-    return LadderDecomposition(m, ladder, "monte_carlo", samples=n_ok,
-                               std_errors=ses, capped_excursions=capped,
+    vals, counts = np.unique(heights, return_counts=True)
+    probs = counts / n_ok
+    ses = {int(v): float(math.sqrt(p * (1 - p) / n_ok)) for v, p in zip(vals, probs)}
+    return LadderDecomposition(m, Measure1D.lattice_arrays(vals, probs), "monte_carlo",
+                               samples=n_ok, std_errors=ses, capped_excursions=capped,
                                step_cap=step_cap)
+
+
+def _first_records(m: Measure1D, n: int, rng, step_cap: int):
+    """Free walks ``S_k`` from 0, run in doubling blocks until ``S_k >= 0``.
+
+    Yields ``(rows, paths, first)`` per block: the excursions still running,
+    their partial sums over the block as a ``(rows, b)`` array, and the block
+    index of each row's first weak record (``b`` when there is none).  Every
+    live excursion has run the same number of steps, so the walks stop all at
+    once, after the first block that reaches ``step_cap`` steps; callers count
+    the excursions left without a record.
+    """
+    rows = np.arange(n)
+    last = np.zeros(n, dtype=np.int64)      # S_k at the end of the last block
+    steps, block = 0, 16
+    while rows.size and steps < step_cap:
+        b = min(block, max(1, (1 << 24) // rows.size))
+        paths = last[:, None] + np.cumsum(
+            np.asarray(m.sample(rng, (rows.size, b)), dtype=np.int64), axis=1)
+        rec = paths >= 0
+        first = np.where(rec.any(axis=1), np.argmax(rec, axis=1), b)
+        yield rows, paths, first
+        live = first == b
+        rows, last = rows[live], paths[live, -1]
+        steps += b
+        block = min(block * 2, 1 << 20)
 
 
 def wiener_hopf_construct(mbar: Measure1D) -> Measure1D:
@@ -483,46 +481,36 @@ def lifted_invariant_measure(m: Measure1D, ladder: LadderDecomposition,
     pre-record path is the free walk ``x - S_k``.  Requires upward drift
     (records then have finite expected waiting time).
 
-    Returns ``(estimate, standard_error)``.
+    Returns ``(estimate, standard_error)``.  Raises when any excursion has
+    no record within ``step_cap`` steps: its visits would be cut short.
     """
-    rng = make_rng(rng)
+    if not m.is_lattice:
+        raise MeasureError("lifting needs a lattice law")
     if nu_bar.kind != "lattice":
         raise MeasureError("lifting currently needs a lattice embedded measure")
     if not (math.isfinite(nu_bar.total_mass) and nu_bar.total_mass > 0):
         raise MeasureError("embedded invariant measure must have finite mass")
-    mean = m.mean()
-    if mean <= 1e-12:
+    if m.mean() <= 1e-12:
         raise MeasureError("lifting requires strictly positive drift "
                            "(positive recurrent two-sided case)")
+    rng = make_rng(rng)
     pred = _query_predicate(query)
     n = int(samples)
     probs = nu_bar.normalized_probabilities()
     starts = nu_bar.support[
         np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
     ].astype(np.int64)
-    counts = np.zeros(n, dtype=float)
-    counts += pred(starts.astype(float))  # k = 0 term
-    state = starts.astype(np.int64)       # current x - S_k
-    walk = np.zeros(n, dtype=np.int64)    # S_k
-    active = np.arange(n)
-    steps = 0
-    block = 16
-    while active.size and steps < step_cap:
-        nact = active.size
-        b = min(block, max(1, (1 << 23) // max(nact, 1)))
-        draws = np.asarray(m.sample(rng, (nact, b)), dtype=np.int64)
-        s_paths = walk[active][:, None] + np.cumsum(draws, axis=1)
-        rec = s_paths >= 0
-        first = np.where(rec.any(axis=1), np.argmax(rec, axis=1), b)
-        before = np.arange(b)[None, :] < first[:, None]
-        x_paths = state[active][:, None] - s_paths
-        counts[active] += np.sum(pred(x_paths.astype(float)) & before, axis=1)
-        done = rec.any(axis=1)
-        cont = ~done
-        walk[active[cont]] = s_paths[cont, -1]
-        active = active[cont]
-        steps += b
-        block = min(block * 2, 1 << 18)
+    counts = pred(starts.astype(float)).astype(float)  # k = 0 term
+    finished = 0
+    for rows, paths, first in _first_records(m, n, rng, step_cap):
+        # visits of the pre-record path x - S_k, the record step excluded
+        before = np.arange(paths.shape[1]) < first[:, None]
+        x_paths = starts[rows, None] - paths
+        counts[rows] += np.sum(pred(x_paths.astype(float)) & before, axis=1)
+        finished += int(np.count_nonzero(first < paths.shape[1]))
+    if finished < n:
+        raise MeasureError(f"{n - finished} of {n} excursions had no weak record "
+                           f"within step_cap={step_cap} steps")
     estimate = float(nu_bar.total_mass * counts.mean())
     se = float(nu_bar.total_mass * counts.std(ddof=1) / math.sqrt(n))
     return estimate, se

@@ -18,12 +18,14 @@ families).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate
+from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
 from .rng import make_rng
@@ -465,6 +467,51 @@ def gcd_normalize(m: Measure1D) -> tuple[Measure1D, int]:
     return Measure1D.lattice(atoms, name=m.name), g
 
 
+class LatticeSumSampler:
+    """Sums of many i.i.d. draws from a finite lattice law.
+
+    Level ``j`` holds the law of a sum of ``2^j`` draws as an offset and a
+    cdf: an FFT convolution square of level ``j - 1``, trimmed at mass 1e-15
+    per side.  A sum of ``c`` draws takes one table draw per binary digit of
+    ``c``.  Levels are built on demand, up to the largest count asked for, so
+    a sampler belongs to its caller rather than to the shared measure.
+    """
+
+    def __init__(self, m: Measure1D):
+        if not (m.is_lattice and m.has_atoms and not m.has_analytic_tail):
+            raise MeasureError("sum sampler needs a finite lattice law")
+        lo = int(m.support[0])
+        pmf = np.zeros(int(m.support[-1]) - lo + 1)
+        pmf[m.support - lo] = m.probs
+        self._top = pmf                       # pmf of the last level
+        self._levels = [(lo, np.cumsum(pmf))]  # (offset, cdf) per level
+
+    def _grow(self):
+        nxt = fftconvolve(self._top, self._top)
+        np.maximum(nxt, 0.0, out=nxt)
+        cs = np.cumsum(nxt)
+        lo = int(np.searchsorted(cs, 1e-15))
+        hi = int(np.searchsorted(cs, cs[-1] - 1e-15)) + 1
+        self._top = nxt[lo:hi]
+        self._levels.append((2 * self._levels[-1][0] + lo, np.cumsum(self._top)))
+
+    def sample(self, counts, rng) -> np.ndarray:
+        """Sum of ``counts[i]`` i.i.d. draws for each row ``i``."""
+        counts = np.asarray(counts, dtype=np.int64)
+        while int(counts.max(initial=0)) >> len(self._levels):
+            self._grow()
+        out = np.zeros(len(counts), dtype=np.int64)
+        for j, (offset, cdf) in enumerate(self._levels):
+            mask = (counts >> j) & 1 == 1
+            nsel = int(mask.sum())
+            if nsel == 0:
+                continue
+            u = rng.random(nsel) * cdf[-1]
+            idx = np.searchsorted(cdf, u, side="right")
+            out[mask] += offset + np.minimum(idx, len(cdf) - 1)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # subordinator increments tau_alpha and the subordinated walk law
 # ---------------------------------------------------------------------------
@@ -510,13 +557,17 @@ class SubordinatorAlpha:
     Sampling inverts the exact cdf on a prefix table and falls back to exact
     tail inversion (asymptotic seed refined by the ratio recurrence
     ``tail(k+1)/tail(k) = (k + 1 - alpha)/(k + 1)``) beyond it.  Draws are
-    capped at ``cap`` to keep downstream integer arithmetic exact; the capped
-    mass is tiny and callers can count clipped draws.
+    clipped at ``CAP`` to keep downstream integer arithmetic exact; the
+    clipped mass ``tail(CAP) < CAP^(-alpha)`` is below ``2^(-62 alpha)`` per
+    draw (2.5e-6 at ``alpha = 0.3``).  The clip sits far beyond any reachable
+    walk scale: clipping the time law inside that range would give the
+    increments finite variance and turn a transient heavy-tailed walk into a
+    diffusive recurrent one.
     """
 
     alpha: float
     table_size: int = 1 << 16
-    cap: int = 1 << 55
+    CAP = 1 << 62
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -533,10 +584,9 @@ class SubordinatorAlpha:
     def tail(self, k):
         return subordinator_tail(self.alpha, k)
 
-    def sample(self, rng, size, cap=None) -> np.ndarray:
+    def sample(self, rng, size) -> np.ndarray:
         """Exact inversion sampling of tau_alpha increments."""
         rng = make_rng(rng)
-        cap = self.cap if cap is None else int(cap)
         n = int(size)
         v = 1.0 - rng.random(n)  # in (0, 1]; T = min{k >= 1 : tail(k) <= v}
         out = np.empty(n, dtype=np.int64)
@@ -549,7 +599,6 @@ class SubordinatorAlpha:
         nbig = int((~small).sum())
         if nbig:
             out[~small] = self._invert_tail(v[~small])
-        np.minimum(out, cap, out=out)
         np.maximum(out, 1, out=out)
         return out
 
@@ -582,7 +631,7 @@ class SubordinatorAlpha:
             lq = np.where(u, lq + np.log1p(-a / (ks + 1.0)), lq)
             ks = np.where(u, ks + 1.0, ks)
             k[sel], logq[sel] = ks, lq
-        return np.minimum(k, 2.0 ** 62).astype(np.int64)
+        return np.minimum(k, float(self.CAP)).astype(np.int64)
 
     def conditional_tail_sample(self, rng, size, threshold: int) -> np.ndarray:
         """Draw ``T`` conditioned on ``T > threshold`` (exact inversion)."""
@@ -605,27 +654,20 @@ class SubordinatorAlpha:
 
 
 def subordinated_increment_sampler(alpha: float, rng, size=None,
-                                   subordinator: Optional[SubordinatorAlpha] = None,
-                                   cap: int = 1 << 62):
+                                   subordinator: Optional[SubordinatorAlpha] = None):
     """One increment of the subordinated +-1 walk.
 
     Draws ``T`` from the tau_alpha law and returns the sum of ``T``
     independent fair +-1 steps (realised exactly as ``2 Binomial(T, 1/2) - T``,
     which has the same distribution).  The output parity equals the parity
-    of ``T``.
-
-    ``cap`` truncates ``T`` to keep integer arithmetic exact; at the default
-    ``2^62`` the clipped mass is below ``2^(-18 alpha)`` per draw and the
-    increment magnitude stays around ``sqrt(T) ~ 2^31``, far beyond any
-    reachable walk scale.  Do not lower the cap into the reachable range:
-    truncating the time law gives the increments finite variance and turns a
-    genuinely transient heavy-tailed walk into a diffusive recurrent one.
+    of ``T``.  ``T`` is clipped at :attr:`SubordinatorAlpha.CAP`, where the
+    increment magnitude stays around ``sqrt(T) ~ 2^31``.
     """
     rng = make_rng(rng)
     sub = subordinator or SubordinatorAlpha(alpha)
     scalar = size is None
     n = 1 if scalar else int(np.prod(size))
-    t = sub.sample(rng, n, cap=cap)
+    t = sub.sample(rng, n)
     steps_up = rng.binomial(t, 0.5)
     out = 2 * steps_up - t
     if scalar:
@@ -685,22 +727,20 @@ def wiener_hopf_log_tail(cutoff: int = 1_000_000) -> Measure1D:
         meta={"normalizing_constant": c, "cutoff": cutoff})
 
 
-def subordinated(alpha: float, cap: int = 1 << 62,
-                 table_size: int = 1 << 16) -> Measure1D:
+def subordinated(alpha: float) -> Measure1D:
     """Law of one subordinated-walk increment (symmetric, heavy-tailed).
 
     Sampler-backed: atoms are not tabulated.  Symmetric by construction and
     centred whenever the first absolute moment is finite (``alpha > 1/2``).
     """
-    sub = SubordinatorAlpha(alpha, table_size=table_size, cap=cap)
+    sub = SubordinatorAlpha(alpha)
 
     def sampler(rng, size):
-        return subordinated_increment_sampler(alpha, rng, size,
-                                              subordinator=sub, cap=cap)
+        return subordinated_increment_sampler(alpha, rng, size, subordinator=sub)
 
     return Measure1D.lattice_sampler(
         sampler, symmetric=True, mean=0.0, name=f"subordinated(alpha={alpha})",
-        meta={"alpha": alpha, "cap": cap, "subordinator": sub})
+        meta={"alpha": alpha, "subordinator": sub})
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Measure1D:
@@ -751,6 +791,9 @@ def measure_from_config(cfg) -> Measure1D:
         if name not in BUILTIN_FAMILIES:
             raise MeasureError(f"unknown builtin family {name!r}")
         kwargs = {k: v for k, v in cfg.items() if k != "family"}
+        unknown = set(kwargs) - set(inspect.signature(BUILTIN_FAMILIES[name]).parameters)
+        if unknown:
+            raise MeasureError(f"unknown keys {sorted(unknown)} for family {name!r}")
         return BUILTIN_FAMILIES[name](**kwargs)
     raise MeasureError("measure config needs 'atoms' or 'family'")
 

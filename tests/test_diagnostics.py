@@ -274,6 +274,12 @@ def test_dimension_probe_rejects_asymmetric():
         dg.dimension_transience_probe(j, 10_000, 8, 1)
 
 
+def test_dimension_probe_refuses_continuous_coordinates():
+    j = ms.JointMeasure.product((1, 1, 0, 0), [PM1, ms.uniform(-1.0, 1.0)])
+    with pytest.raises(ms.MeasureError):
+        dg.dimension_transience_probe(j, 10_000, 8, 1)
+
+
 # ---------------------------------------------------------------------------
 # subordinated machinery
 # ---------------------------------------------------------------------------
@@ -296,6 +302,19 @@ def test_sum_sampler_minimum_value():
     ss = dg.SubordinatorSumSampler(0.5)
     vals = ss.sample_sum(32, 1000, np.random.default_rng(1))
     assert vals.min() >= 32  # every increment is at least 1
+
+
+def test_sum_sampler_sums_beyond_two_to_the_sixteen():
+    # a sum of 2^17 increments has the law of two independent sums of 2^16
+    ss = dg.SubordinatorSumSampler(0.7)
+    rng = np.random.default_rng(12)
+    n = 20_000
+    whole = ss.sample_sum(1 << 17, n, rng)
+    halves = ss.sample_sum(1 << 16, n, rng) + ss.sample_sum(1 << 16, n, rng)
+    assert whole.min() >= 1 << 17
+    for t in np.quantile(halves, [0.1, 0.5, 0.9, 0.99]):
+        pw, ph = (whole > t).mean(), (halves > t).mean()
+        assert abs(pw - ph) < 5 * math.sqrt(2 * ph * (1 - ph) / n), (t, pw, ph)
 
 
 def test_subordinated_exponent_probe_small_scale():

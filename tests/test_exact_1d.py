@@ -237,6 +237,14 @@ def test_mc_ladder_refuses_negative_drift():
                               np.random.default_rng(1))
 
 
+def test_mc_ladder_refuses_continuous_law_before_sampling():
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ms.MeasureError):
+        ex.ladder_monte_carlo(ms.uniform(-1.0, 1.5), 200_000, rng)
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # ladder-law construction
 # ---------------------------------------------------------------------------
@@ -294,6 +302,25 @@ def test_lifted_measure_reproducible_across_seeds():
     e2, s2 = ex.lifted_invariant_measure(m, lad, nub, {0}, 20_000,
                                          np.random.default_rng(8))
     assert abs(e1 - e2) < 3 * math.hypot(s1, s2)
+
+
+def test_lifted_measure_refuses_continuous_law():
+    m = lattice({1: 1.0})
+    lad = ex.ladder_exact_skip_free(m)
+    nub = ex.invariant_measure_nonneg(lad.ladder)
+    with pytest.raises(ms.MeasureError):
+        ex.lifted_invariant_measure(ms.uniform(-1.0, 2.0), lad, nub, (0, 1), 500,
+                                    np.random.default_rng(3))
+
+
+def test_lifted_measure_refuses_unfinished_excursions():
+    # slight upward drift: some excursions outlast 64 steps
+    m = lattice({-1: 0.49, 1: 0.51})
+    lad = ex.ladder_exact_skip_free(lattice({1: 1.0}))
+    nub = ex.invariant_measure_nonneg(lad.ladder)
+    with pytest.raises(ms.MeasureError, match="excursions had no weak record"):
+        ex.lifted_invariant_measure(m, lad, nub, (0, 10 ** 9), 2000,
+                                    np.random.default_rng(3), step_cap=64)
 
 
 # ---------------------------------------------------------------------------

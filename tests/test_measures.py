@@ -278,6 +278,58 @@ def test_subordinator_sampler_matches_exact_law():
         assert abs(emp - exact) < 5 * se
 
 
+def _random_law(seed, lo, hi):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.choice(np.arange(lo, hi + 1), size=4, replace=False))
+    return ms.Measure1D.lattice_arrays(xs, rng.dirichlet(np.ones(4)))
+
+
+def _kfold_pmfs(m, counts):
+    """Exact law of a sum of ``c`` draws for each ``c``, by repeated np.convolve."""
+    lo, base = int(m.support[0]), np.zeros(int(m.support[-1] - m.support[0]) + 1)
+    base[m.support - lo] = m.probs
+    pmfs, cur = {}, np.ones(1)
+    for c in range(max(counts) + 1):
+        if c in counts:
+            pmfs[c] = {c * lo + i: p for i, p in enumerate(cur)}
+        cur = np.convolve(cur, base)
+    return pmfs
+
+
+@pytest.mark.parametrize("law", [_random_law(1, 0, 6), _random_law(2, -4, 5),
+                                 _random_law(3, -9, -1),
+                                 ms.Measure1D.lattice({-3: .5, 5: .5})],
+                         ids=["one_sided", "two_sided", "negative", "sparse"])
+def test_lattice_sum_sampler_matches_convolution_powers(law):
+    counts = (0, 1, 7, 64, 1000)
+    n = 20_000
+    rng = np.random.default_rng(8)
+    rows = rng.permutation(np.repeat(counts, n))      # mixed counts per row
+    sums = ms.LatticeSumSampler(law).sample(rows, rng)
+    oracle = _kfold_pmfs(law, counts)
+    for c in counts:
+        got = sums[rows == c]
+        assert c * law.support[0] <= got.min() and got.max() <= c * law.support[-1]
+        vals, hits = np.unique(got, return_counts=True)
+        freq = dict(zip(vals.tolist(), (hits / n).tolist()))
+        keys = sorted(set(freq) | set(oracle[c]))
+        p = np.array([oracle[c].get(v, 0.0) for v in keys])
+        f = np.array([freq.get(v, 0.0) for v in keys])
+        assert not f[p == 0].any(), c                  # no impossible sum
+        # atoms expected fewer than 10 times are pooled into one bin
+        common = p * n >= 10
+        p = np.append(p[common], p[~common].sum())
+        f = np.append(f[common], f[~common].sum())
+        assert np.all(np.abs(f - p) <= 5 * np.sqrt(p * (1 - p) / n)), c
+
+
+def test_lattice_sum_sampler_refuses_infinite_support():
+    with pytest.raises(ms.MeasureError):
+        ms.LatticeSumSampler(ms.subordinated(0.5))
+    with pytest.raises(ms.MeasureError):
+        ms.LatticeSumSampler(ms.uniform(-1.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # builtin families and config loading
 # ---------------------------------------------------------------------------
@@ -311,6 +363,13 @@ def test_measure_from_config_forms():
         ms.measure_from_config({"family": "nope"})
     with pytest.raises(ms.MeasureError):
         ms.measure_from_config({})
+
+
+def test_measure_from_config_refuses_unknown_family_keys():
+    with pytest.raises(ms.MeasureError):
+        ms.measure_from_config({"family": "uniform", "c": 1})
+    with pytest.raises(ms.MeasureError):
+        ms.measure_from_config({"family": "subordinated", "alpha": 0.5, "cap": 1048576})
 
 
 def test_joint_from_config_roundtrip():

@@ -148,6 +148,14 @@ def test_only_the_core_steps_walks():
     assert users == []
 
 
+def test_only_measures_convolves():
+    # convolution powers live in measures.LatticeSumSampler alone
+    package = Path(rc.__file__).parent
+    users = [p.name for p in sorted(package.glob("*.py"))
+             if p.name != "measures.py" and "fftconvolve" in p.read_text()]
+    assert users == []
+
+
 def test_engine_free_coordinates_are_sequential_sums():
     law = ms.JointMeasure.product((1, 0, 0, 1), [ms.Measure1D.lattice({1: .5, 2: .5}),
                                                  ms.uniform(-1.0, 1.3)])
