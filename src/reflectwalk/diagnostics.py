@@ -474,26 +474,6 @@ def _factor_return_indicators(m: Measure1D, y: int, ns: np.ndarray,
     return out
 
 
-def _fair_sign_block(rng, shape) -> np.ndarray:
-    """Fair +-1 array drawn from raw random bits (fast path)."""
-    n = int(np.prod(shape))
-    nbytes = (n + 7) // 8
-    bits = np.unpackbits(np.frombuffer(rng.bytes(nbytes), dtype=np.uint8))[:n]
-    return (2 * bits.astype(np.int8) - 1).reshape(shape)
-
-
-def _is_fair_pm1_product(j: JointMeasure) -> bool:
-    if j.factors is None:
-        return False
-    for f in j.factors:
-        if not (f.has_atoms and not f.has_analytic_tail):
-            return False
-        a = f.atoms_dict()
-        if set(a) != {-1, 1} or abs(a[1] - 0.5) > 1e-12:
-            return False
-    return True
-
-
 def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
                                rng, window_radius: float = 2.0,
                                burn_in: Optional[int] = None):
@@ -509,47 +489,66 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
     fixed window on a log time scale (the chance of a visit in ``(b, B]``
     behaves like ``1 - log b / log B``), so a 10% burn-in would label them
     escaping and erase the dimension contrast the probe exists to show.
+
+    The walk skips ahead exactly.  The sup distance ``D`` moves by at most
+    ``reach = max |y|`` per step, so a replica at ``D`` whose next
+    ``(D - lim) // reach`` positions all stay at or beyond
+    ``lim = max(floor(r) + 1, running minimum)`` can neither enter the window
+    nor lower its minimum there: it jumps over them and the next step in one
+    draw, observed at the end.  A jump of ``k`` steps is the exact law of ``k``
+    increments, ``multinomial(k, probs) @ atoms`` (once per factor of a
+    product law, once for a finite joint law); the burn-in is one jump and no
+    jump runs past the budget.  ``jumps`` counts the replica jumps drawn,
+    against ``budget * replicas`` single steps.  Laws with unbounded support
+    are refused.
     """
     if not j.is_fully_symmetric():
         raise MeasureError("dimension probe needs a fully symmetric law")
     if j.dims[1] + j.dims[3] > 0:
         raise MeasureError("dimension probe needs lattice coordinates only")
     rng = make_rng(rng)
-    d = j.dim
+    if j.is_finite:
+        parts = [(j.probs, j.points.astype(np.int64))]
+    elif all(f.has_atoms and not f.has_analytic_tail for f in j.factors):
+        eye = np.eye(j.dim, dtype=np.int64)
+        parts = [(f.probs, f.support[:, None] * eye[i]) for i, f in enumerate(j.factors)]
+    else:
+        raise MeasureError("dimension probe needs laws with bounded support")
+    reach = max(1, max(int(np.abs(atoms).max()) for _, atoms in parts))
+
+    def jump(k):
+        return sum(rng.multinomial(k, probs) @ atoms for probs, atoms in parts)
+
     budget = int(budget)
     burn = max(1000, budget // 1000) if burn_in is None else int(burn_in)
     replicas = int(replicas)
-    fair = _is_fair_pm1_product(j)
-    s = np.zeros((replicas, d), dtype=np.int64)
-    visited = np.zeros(replicas, dtype=bool)
+    free = math.floor(window_radius) + 1       # the least distance outside the window
     mindist = np.full(replicas, np.inf)
-    chunk = max(1, min(4096, (1 << 22) // max(replicas * d, 1)))
-    k = 0
-    while k < budget:
-        b = min(chunk, budget - k)
-        if fair:
-            draws = _fair_sign_block(rng, (b, replicas, d))
-        else:
-            draws = j.sample(rng, b * replicas).astype(np.int64).reshape(b, replicas, d)
-        cum = np.cumsum(draws, axis=0, dtype=np.int64)
-        block = s[None, :, :] + cum
-        k0 = k
-        k += b
-        dist = np.abs(block).max(axis=2)          # (b, replicas) sup norm
-        after = np.arange(k0 + 1, k + 1) > burn
-        if after.any():
-            sel = dist[after]
-            visited |= (sel <= window_radius).any(axis=0)
-            mindist = np.minimum(mindist, sel.min(axis=0))
-        s = block[-1]
+    live = np.arange(replicas) if burn < budget else np.arange(0)
+    pos = jump(np.full(live.size, burn))
+    t = np.full(live.size, burn)
+    dist = np.abs(pos).max(axis=1, initial=0)
+    jumps = live.size if burn > 0 else 0
+    while live.size:
+        # an infinite minimum (nothing observed yet) allows one step
+        lim = np.maximum(free, mindist[live])
+        k = np.minimum(np.maximum(dist - lim, 0) // reach + 1, budget - t).astype(np.int64)
+        pos += jump(k)
+        t += k
+        jumps += live.size
+        dist = np.abs(pos).max(axis=1)
+        mindist[live] = np.minimum(mindist[live], dist)
+        going = t < budget
+        live, pos, t, dist = live[going], pos[going], t[going], dist[going]
     return {
-        "dimension": d,
-        "escape_fraction": float(np.mean(~visited)),
+        "dimension": j.dim,
+        "escape_fraction": float(np.mean(mindist > window_radius)),
         "min_distance_after_burn_in": mindist.tolist(),
         "budget": budget,
         "burn_in": burn,
         "replicas": replicas,
         "window_radius": float(window_radius),
+        "jumps": int(jumps),
     }
 
 

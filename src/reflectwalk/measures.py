@@ -467,14 +467,56 @@ def gcd_normalize(m: Measure1D) -> tuple[Measure1D, int]:
     return Measure1D.lattice(atoms, name=m.name), g
 
 
+class GuideTable:
+    """``np.searchsorted(cdf, u, side="right")`` by indexed search.
+
+    Chen and Asau's guide table (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, section III.2.4): ``[cdf[0], cdf[-1]]`` is cut into
+    ``len(cdf)`` equal buckets, and bucket ``b`` stores the number of
+    entries whose own bucket lies below ``b``.  The bucket map is monotone in
+    floating point too, so every such entry is below every ``u`` in bucket
+    ``b``: the stored count is a lower bound of the answer, whatever the
+    rounding, and a search steps forward from it.  Values not settled after
+    ``STEPS`` steps (buckets holding many entries) fall back to
+    ``np.searchsorted``, so the result equals it bit for bit for every ``u``.
+    ``cdf`` is any nondecreasing array.
+    """
+
+    STEPS = 4
+
+    def __init__(self, cdf):
+        padded = np.append(np.asarray(cdf, dtype=float), np.inf)
+        self.cdf = padded[:-1]
+        self._padded = padded                  # the sentinel stops every step
+        span = self.cdf[-1] - self.cdf[0]
+        self._scale = len(self.cdf) / span if span > 0 else 0.0
+        self._guide = np.searchsorted(self._bucket(self.cdf), np.arange(len(self.cdf)))
+
+    def _bucket(self, u):
+        return np.clip((u - self.cdf[0]) * self._scale, 0, len(self.cdf) - 1).astype(np.intp)
+
+    def search(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        i = self._guide[self._bucket(u)]
+        todo = np.nonzero(self._padded[i] <= u)[0]
+        for _ in range(self.STEPS):
+            if todo.size == 0:
+                return i
+            i[todo] += 1
+            todo = todo[self._padded[i[todo]] <= u[todo]]
+        i[todo] = np.searchsorted(self.cdf, u[todo], side="right")
+        return i
+
+
 class LatticeSumSampler:
     """Sums of many i.i.d. draws from a finite lattice law.
 
     Level ``j`` holds the law of a sum of ``2^j`` draws as an offset and a
     cdf: an FFT convolution square of level ``j - 1``, trimmed at mass 1e-15
     per side.  A sum of ``c`` draws takes one table draw per binary digit of
-    ``c``.  Levels are built on demand, up to the largest count asked for, so
-    a sampler belongs to its caller rather than to the shared measure.
+    ``c``, inverted through the level's :class:`GuideTable`.  Levels are
+    built on demand, up to the largest count asked for, so a sampler belongs
+    to its caller rather than to the shared measure.
     """
 
     def __init__(self, m: Measure1D):
@@ -484,7 +526,7 @@ class LatticeSumSampler:
         pmf = np.zeros(int(m.support[-1]) - lo + 1)
         pmf[m.support - lo] = m.probs
         self._top = pmf                       # pmf of the last level
-        self._levels = [(lo, np.cumsum(pmf))]  # (offset, cdf) per level
+        self._levels = [(lo, GuideTable(np.cumsum(pmf)))]  # (offset, table) per level
 
     def _grow(self):
         nxt = fftconvolve(self._top, self._top)
@@ -493,7 +535,8 @@ class LatticeSumSampler:
         lo = int(np.searchsorted(cs, 1e-15))
         hi = int(np.searchsorted(cs, cs[-1] - 1e-15)) + 1
         self._top = nxt[lo:hi]
-        self._levels.append((2 * self._levels[-1][0] + lo, np.cumsum(self._top)))
+        self._levels.append((2 * self._levels[-1][0] + lo,
+                             GuideTable(np.cumsum(self._top))))
 
     def sample(self, counts, rng) -> np.ndarray:
         """Sum of ``counts[i]`` i.i.d. draws for each row ``i``."""
@@ -501,14 +544,13 @@ class LatticeSumSampler:
         while int(counts.max(initial=0)) >> len(self._levels):
             self._grow()
         out = np.zeros(len(counts), dtype=np.int64)
-        for j, (offset, cdf) in enumerate(self._levels):
+        for j, (offset, table) in enumerate(self._levels):
             mask = (counts >> j) & 1 == 1
             nsel = int(mask.sum())
             if nsel == 0:
                 continue
-            u = rng.random(nsel) * cdf[-1]
-            idx = np.searchsorted(cdf, u, side="right")
-            out[mask] += offset + np.minimum(idx, len(cdf) - 1)
+            idx = table.search(rng.random(nsel) * table.cdf[-1])
+            out[mask] += offset + np.minimum(idx, len(table.cdf) - 1)
         return out
 
 
@@ -516,20 +558,61 @@ class LatticeSumSampler:
 # subordinator increments tau_alpha and the subordinated walk law
 # ---------------------------------------------------------------------------
 
+# Stirling-series coefficients B_2n / (2n (2n - 1)), highest order first
+_STIRLING = (1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+
+def _stirling_sum(z):
+    """``sum_n B_2n / (2n (2n - 1) z^(2n - 1))`` for ``z >= 15``, to 1e-16."""
+    t = 1.0 / (z * z)
+    acc = _STIRLING[0] * t
+    for c in _STIRLING[1:-1]:
+        acc += c
+        acc *= t
+    acc += _STIRLING[-1]
+    acc /= z
+    return acc
+
+
+def _log_tail(alpha: float, k) -> np.ndarray:
+    """``log P[T > k] = lgamma(k + 1 - alpha) - lgamma(k + 1) - lgamma(1 - alpha)``.
+
+    The difference of the two large log-gammas is formed from Stirling's
+    series with the leading terms cancelled analytically, so the absolute
+    error stays near 1e-14 for every ``k`` up to ``2^62`` (against mpmath).
+    Subtracting ``gammaln`` values, or scipy's ``betaln`` below ``k = 1e6``,
+    loses up to 1e-9 at ``k = 1e6``, and ``gammaln`` alone 25 nats at
+    ``k = 4e18``.  Small ``k`` take the plain ``gammaln`` difference, which is
+    exact to rounding there.
+    """
+    x = np.array(k, dtype=float, ndmin=1) + 1.0
+    z = np.maximum(x, 16.0)
+    out = np.log1p(-alpha / z)
+    out *= z - alpha - 0.5
+    out -= alpha * np.log(z)
+    out += _stirling_sum(z - alpha)
+    out -= _stirling_sum(z)
+    out += alpha - math.lgamma(1.0 - alpha)
+    small = x < 16.0
+    if small.any():
+        xs = x[small]
+        out[small] = gammaln(xs - alpha) - gammaln(xs) - math.lgamma(1.0 - alpha)
+    return out.reshape(np.shape(k))
+
+
 def subordinator_pmf(alpha: float, k) -> float | np.ndarray:
     """Probability that a tau_alpha increment equals ``k`` (``k >= 1``).
 
     The mass is ``alpha * Gamma(k - alpha) / (k! * Gamma(1 - alpha))``,
-    evaluated through log-gamma; it behaves like
-    ``alpha / (Gamma(1 - alpha) * k^(1 + alpha))`` for large ``k``.
+    evaluated as ``(alpha / k) P[T > k - 1]`` through the log tail; it behaves
+    like ``alpha / (Gamma(1 - alpha) * k^(1 + alpha))`` for large ``k``.
     """
     if not 0.0 < alpha < 1.0:
         raise MeasureError("alpha must lie in (0, 1)")
     karr = np.asarray(k, dtype=float)
     if np.any(karr < 1):
         raise MeasureError("k must be >= 1")
-    out = alpha * np.exp(gammaln(karr - alpha) - gammaln(karr + 1.0)
-                         - gammaln(1.0 - alpha))
+    out = alpha / karr * np.exp(_log_tail(alpha, karr - 1.0))
     if np.isscalar(k):
         return float(out)
     return out
@@ -541,9 +624,7 @@ def subordinator_tail(alpha: float, k) -> float | np.ndarray:
     Telescoping the pmf gives the closed form
     ``Gamma(k + 1 - alpha) / (k! * Gamma(1 - alpha))``.
     """
-    karr = np.asarray(k, dtype=float)
-    out = np.exp(gammaln(karr + 1.0 - alpha) - gammaln(karr + 1.0)
-                 - gammaln(1.0 - alpha))
+    out = np.exp(_log_tail(alpha, k))
     if np.isscalar(k):
         return float(out)
     return out
@@ -554,9 +635,9 @@ class SubordinatorAlpha:
     """The heavy-tailed renewal-time law driving subordinated walks.
 
     ``pmf(k) = alpha Gamma(k - alpha) / (k! Gamma(1 - alpha))`` for ``k >= 1``.
-    Sampling inverts the exact cdf on a prefix table and falls back to exact
-    tail inversion (asymptotic seed refined by the ratio recurrence
-    ``tail(k+1)/tail(k) = (k + 1 - alpha)/(k + 1)``) beyond it.  Draws are
+    Sampling inverts the exact cdf: by a :class:`GuideTable` search of the
+    log-tail table up to ``table_size``, and beyond it by Newton steps on the
+    log tail with an integer fix (:meth:`_invert_tail`).  Draws are
     clipped at ``CAP`` to keep downstream integer arithmetic exact; the
     clipped mass ``tail(CAP) < CAP^(-alpha)`` is below ``2^(-62 alpha)`` per
     draw (2.5e-6 at ``alpha = 0.3``).  The clip sits far beyond any reachable
@@ -572,11 +653,10 @@ class SubordinatorAlpha:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise MeasureError("alpha must lie in (0, 1)")
-        ks = np.arange(0, self.table_size + 1, dtype=float)
-        self._tail_table = np.exp(gammaln(ks + 1.0 - self.alpha) - gammaln(ks + 1.0)
-                                  - gammaln(1.0 - self.alpha))  # P[T > k]
-        self._tail_ascending = self._tail_table[::-1].copy()
-        self._g1ma = math.gamma(1.0 - self.alpha)
+        # log tails, ascending: buckets even in log v keep the heavy tail's
+        # dense entries (large k, tiny v) a few per bucket
+        ks = np.arange(self.table_size, -1, -1, dtype=float)
+        self._log_tails = GuideTable(_log_tail(self.alpha, ks))
 
     def pmf(self, k):
         return subordinator_pmf(self.alpha, k)
@@ -587,70 +667,57 @@ class SubordinatorAlpha:
     def sample(self, rng, size) -> np.ndarray:
         """Exact inversion sampling of tau_alpha increments."""
         rng = make_rng(rng)
-        n = int(size)
-        v = 1.0 - rng.random(n)  # in (0, 1]; T = min{k >= 1 : tail(k) <= v}
-        out = np.empty(n, dtype=np.int64)
-        qK = self._tail_table[-1]
-        small = v >= qK
-        if small.any():
-            # tail table is decreasing; count entries above v
-            pos = np.searchsorted(self._tail_ascending, v[small], side="right")
-            out[small] = self.table_size + 1 - pos  # first k with tail(k) <= v
-        nbig = int((~small).sum())
-        if nbig:
-            out[~small] = self._invert_tail(v[~small])
-        np.maximum(out, 1, out=out)
-        return out
-
-    def _invert_tail(self, v: np.ndarray) -> np.ndarray:
-        """Smallest ``k`` with ``tail(k) <= v`` for ``v`` below the table floor.
-
-        Seeds from the first-order tail asymptotics, then corrects with the
-        exact one-step ratios ``tail(k)/tail(k-1) = (k - alpha)/k``.
-        """
-        a = self.alpha
-        k = (v * self._g1ma) ** (-1.0 / a)
-        k = k * np.exp(-(1.0 - a) / (2.0 * np.maximum(k, 4.0)))  # first-order bias fix
-        k = np.maximum(np.floor(k), self.table_size + 1).astype(np.float64)
-        logv = np.log(v)
-        logq = (gammaln(k + 1.0 - a) - gammaln(k + 1.0) - math.lgamma(1.0 - a))
-        idx = np.arange(len(v))
-        for _ in range(512):
-            # down while tail(k-1) <= v and k above the table, up while tail(k) > v
-            down = (logq - np.log1p(-a / k) <= logv) & (k > self.table_size + 1)
-            up = logq > logv
-            act = down | up
-            if not act.any():
-                break
-            sel = np.nonzero(act)[0]
-            ks, lq = k[sel], logq[sel]
-            d = down[sel]
-            lq = np.where(d, lq - np.log1p(-a / ks), lq)
-            ks = np.where(d, ks - 1.0, ks)
-            u = up[sel]
-            lq = np.where(u, lq + np.log1p(-a / (ks + 1.0)), lq)
-            ks = np.where(u, ks + 1.0, ks)
-            k[sel], logq[sel] = ks, lq
-        return np.minimum(k, float(self.CAP)).astype(np.int64)
+        return self._invert(np.log(1.0 - rng.random(int(size))))   # v in (0, 1]
 
     def conditional_tail_sample(self, rng, size, threshold: int) -> np.ndarray:
         """Draw ``T`` conditioned on ``T > threshold`` (exact inversion)."""
         rng = make_rng(rng)
-        qt = float(self.tail(threshold))
-        v = rng.random(int(size)) * qt
-        v = np.maximum(v, 1e-300)
-        out = np.empty(int(size), dtype=np.int64)
-        if threshold < self.table_size:
-            qK = self._tail_table[-1]
-            small = v >= qK
-            if small.any():
-                pos = np.searchsorted(self._tail_ascending, v[small], side="right")
-                out[small] = self.table_size + 1 - pos
-            if (~small).any():
-                out[~small] = self._invert_tail(v[~small])
-        else:
-            out = self._invert_tail(v)
-        return np.maximum(out, threshold + 1)
+        v = rng.random(int(size)) * float(self.tail(threshold))
+        return np.maximum(self._invert(np.log(np.maximum(v, 1e-300))), threshold + 1)
+
+    def _invert(self, logv: np.ndarray) -> np.ndarray:
+        """``T = min{k >= 1 : tail(k) <= v}`` for each ``log v`` in ``(-inf, 0]``."""
+        out = np.empty(len(logv), dtype=np.int64)
+        table = self._log_tails
+        in_table = logv >= table.cdf[0]         # at or above tail(table_size)
+        # the table holds log tail(table_size), ..., log tail(0): counting the
+        # entries at or below log v gives the first k with tail(k) <= v
+        out[in_table] = self.table_size + 1 - table.search(logv[in_table])
+        if not in_table.all():
+            out[~in_table] = self._invert_tail(logv[~in_table])
+        return np.maximum(out, 1)
+
+    def _invert_tail(self, logv: np.ndarray) -> np.ndarray:
+        """Smallest ``k`` with ``tail(k) <= v`` for ``v`` below the table floor.
+
+        Three Newton steps on ``_log_tail(k) = log v`` from the first-order
+        seed ``(v Gamma(1 - alpha))^(-1/alpha)``, with the slope
+        ``-alpha / (k + (1 - alpha) / 2)`` (the digamma difference to
+        ``O(k^-3)``), then an integer fix against the same log tail.  One
+        integer step moves the log tail by about ``alpha / k``; float64
+        resolves that step only while ``alpha / k >= 1e-13``, so beyond
+        (``k > 1e12`` at ``alpha = 0.1``) the Newton root is rounded up and
+        is exact to a relative 1e-13.  Raises if the fix does not settle.
+        """
+        a = self.alpha
+        lo, hi = float(self.table_size + 1), float(self.CAP)
+        k = np.exp(np.clip(-(logv + math.lgamma(1.0 - a)) / a, math.log(lo), math.log(hi)))
+        for _ in range(3):
+            step = (_log_tail(a, k) - logv) * (k + 0.5 * (1.0 - a)) / a
+            k = np.clip(k + step, lo, hi)
+        k = np.ceil(k)
+        todo = np.nonzero(a / k >= 1e-13)[0]
+        for _ in range(8):
+            ks, lv = k[todo], logv[todo]
+            up = _log_tail(a, ks) > lv
+            down = (ks > lo) & (_log_tail(a, ks - 1.0) <= lv)
+            moved = up | down
+            if not moved.any():
+                return k.astype(np.int64)
+            todo = todo[moved]
+            k[todo] += np.where(up[moved], 1.0, -1.0)
+        raise MeasureError(f"tail inversion did not settle for {todo.size} draws "
+                           f"(alpha={a})")
 
 
 def subordinated_increment_sampler(alpha: float, rng, size=None,

@@ -280,6 +280,77 @@ def test_dimension_probe_refuses_continuous_coordinates():
         dg.dimension_transience_probe(j, 10_000, 8, 1)
 
 
+def test_dimension_probe_refuses_unbounded_laws():
+    j = ms.JointMeasure.product((2, 0, 0, 0), [PM1, ms.subordinated(0.6)])
+    with pytest.raises(ms.MeasureError):
+        dg.dimension_transience_probe(j, 10_000, 8, 1)
+
+
+def _exact_min_distance_law(j: ms.JointMeasure, budget, burn):
+    """Law of the least post-burn-in sup distance of the free walk from 0.
+
+    Dynamic programming over (position, running minimum), the minimum taken
+    over the positions after steps ``burn + 1 .. budget``.  Entry ``m`` of
+    the result is ``P[min = m]``; the last entry is "never observed".
+    """
+    pts = j.support_points().astype(int)
+    probs = j.probs if j.is_finite else np.prod(np.meshgrid(
+        *[f.probs for f in j.factors], indexing="ij"), axis=0).ravel()
+    top = budget * int(np.abs(pts).max())       # no walk leaves [-top, top]^d
+    grid = (2 * top + 1,) * j.dim
+    dist = np.abs(np.indices(grid) - top).max(axis=0)
+    law = np.zeros(grid + (top + 2,))
+    law[(top,) * j.dim + (top + 1,)] = 1.0
+    cells = np.arange(dist.size).reshape(grid)[..., None] * (top + 2)
+    for step in range(1, budget + 1):
+        law = sum(p * np.roll(law, tuple(pt), axis=tuple(range(j.dim)))
+                  for pt, p in zip(pts, probs))
+        if step > burn:
+            m = np.minimum(np.arange(top + 2), dist[..., None])
+            law = np.bincount((cells + m).ravel(), law.ravel(),
+                              minlength=law.size).reshape(law.shape)
+    return law.reshape(-1, top + 2).sum(axis=0)
+
+
+# mostly +-2: a jump rule that took the reach for 1 lands inside the window
+PM12 = ms.Measure1D.lattice({-2: 0.4, -1: 0.1, 1: 0.1, 2: 0.4})
+
+
+@pytest.mark.parametrize("j", [
+    ms.JointMeasure.product((1, 0, 0, 0), [PM1]),
+    ms.JointMeasure.product((2, 0, 0, 0), [PM1, PM1]),
+    ms.JointMeasure.product((1, 0, 0, 0), [PM12]),
+    ms.JointMeasure.finite((2, 0, 0, 0), [((1, 1), .05), ((1, -1), .05), ((-1, 1), .05),
+                                          ((-1, -1), .05), ((2, 0), .2), ((-2, 0), .2),
+                                          ((0, 2), .2), ((0, -2), .2)]),
+], ids=["pm1_1d", "pm1_2d", "reach2_1d", "joint_2d"])
+def test_dimension_probe_matches_exact_law(j):
+    budget, burn, radius, n = 14, 3, 1.0, 20_000
+    res = dg.dimension_transience_probe(j, budget, n, 99, window_radius=radius,
+                                        burn_in=burn)
+    p = _exact_min_distance_law(j, budget, burn)
+    mins = np.asarray(res["min_distance_after_burn_in"])
+    assert np.isfinite(mins).all()
+    f = np.bincount(mins.astype(int), minlength=len(p)) / n
+    assert len(f) == len(p) and not f[p == 0].any()      # no impossible minimum
+    # minima expected fewer than 10 times are pooled into one bin
+    common = p * n >= 10
+    p = np.append(p[common], p[~common].sum())
+    f = np.append(f[common], f[~common].sum())
+    assert np.all(np.abs(f - p) <= 5 * np.sqrt(p * (1 - p) / n))
+    assert res["escape_fraction"] == np.mean(mins > radius)
+    # the walk skipped steps: fewer draws than one burn-in jump plus single steps
+    assert res["jumps"] < n * (1 + budget - burn)
+
+
+def test_dimension_probe_burn_in_past_budget_observes_nothing():
+    j = ms.JointMeasure.product((2, 0, 0, 0), [PM1, PM1])
+    for burn in (50, 60):
+        res = dg.dimension_transience_probe(j, 50, 16, 3, burn_in=burn)
+        assert res["escape_fraction"] == 1.0 and res["jumps"] == 0
+        assert res["min_distance_after_burn_in"] == [math.inf] * 16
+
+
 # ---------------------------------------------------------------------------
 # subordinated machinery
 # ---------------------------------------------------------------------------

@@ -242,6 +242,41 @@ def test_subordinator_tail_telescopes():
     assert np.max(np.abs(recon - tails)) < 1e-12
 
 
+def _mp_log_tail(mp, alpha, k):
+    a, k = mp.mpf(alpha), mp.mpf(k)
+    return mp.loggamma(k + 1 - a) - mp.loggamma(k + 1) - mp.loggamma(1 - a)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.8, 0.95])
+def test_subordinator_tail_and_pmf_match_mpmath(alpha):
+    mp = pytest.importorskip("mpmath")
+    ks = [10 ** e for e in range(3, 19)] + [3 * 10 ** e for e in range(3, 18)] + [1 << 62]
+    with mp.workdps(50):
+        for k in ks:
+            tail = mp.exp(_mp_log_tail(mp, alpha, k))
+            pmf = mp.exp(_mp_log_tail(mp, alpha, k - 1)) * alpha / k
+            assert abs(ms.subordinator_tail(alpha, float(k)) / tail - 1) < 2e-14, k
+            assert abs(ms.subordinator_pmf(alpha, float(k)) / pmf - 1) < 2e-14, k
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.8])
+def test_tail_inversion_beyond_the_table_matches_mpmath(alpha):
+    # T = min{k : tail(k) <= v}, checked at 50 digits for 150 draws beyond 2^20
+    mp = pytest.importorskip("mpmath")
+    sub = ms.SubordinatorAlpha(alpha, table_size=1 << 20)
+    v = np.random.default_rng(7).random(150) * ms.subordinator_tail(alpha, 1 << 20)
+    ks = sub._invert_tail(np.log(v))
+    assert (ks > 1 << 20).all()
+    with mp.workdps(50):
+        for vi, k in zip(v.tolist(), ks.tolist()):
+            logv = mp.log(mp.mpf(vi))
+            if alpha / k >= 1e-13:
+                assert _mp_log_tail(mp, alpha, k) <= logv < _mp_log_tail(mp, alpha, k - 1)
+            else:    # float64 cannot resolve one step: exact to a relative 1e-12
+                assert _mp_log_tail(mp, alpha, k * (1 + 1e-12)) <= logv
+                assert logv < _mp_log_tail(mp, alpha, k * (1 - 1e-12))
+
+
 def test_subordinated_sampler_parity_and_mean():
     rng = np.random.default_rng(17)
     sub = ms.SubordinatorAlpha(0.6)
@@ -321,6 +356,47 @@ def test_lattice_sum_sampler_matches_convolution_powers(law):
         p = np.append(p[common], p[~common].sum())
         f = np.append(f[common], f[~common].sum())
         assert np.all(np.abs(f - p) <= 5 * np.sqrt(p * (1 - p) / n)), c
+
+
+@given(st.integers(1, 100_000), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 0.5, 0.99]), st.booleans(), st.sampled_from([0.0, -9.0, 1e3]))
+@settings(max_examples=60, deadline=None)
+def test_guide_table_equals_searchsorted(n, seed, zero_frac, heavy, shift):
+    rng = np.random.default_rng(seed)
+    w = rng.pareto(0.3, n) if heavy else rng.random(n)
+    w[rng.random(n) < zero_frac] = 0.0          # flat runs: zero-mass atoms
+    w[rng.integers(n)] += 1e-3
+    cdf = shift + np.cumsum(w)
+    edges = cdf[0] + np.arange(n) * ((cdf[-1] - cdf[0]) / n)     # the bucket edges
+    u = np.concatenate([cdf[0] + rng.random(2000) * (cdf[-1] - cdf[0]), cdf, edges,
+                        np.nextafter(cdf, -np.inf), np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf), [shift, cdf[-1] + 1.0]])
+    got = ms.GuideTable(cdf).search(u)
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+def test_guide_table_on_the_subordinator_tail_table():
+    # heavy-tailed: 2^20 log tails, the densest entries at the lowest values
+    sub = ms.SubordinatorAlpha(0.3, table_size=1 << 20)
+    table = sub._log_tails
+    u = np.concatenate([np.log(np.random.default_rng(2).random(200_000)), table.cdf[::97]])
+    assert np.array_equal(table.search(u), np.searchsorted(table.cdf, u, side="right"))
+
+
+def test_lattice_sum_sampler_draws_equal_searchsorted_inversion():
+    # the reference is the plain inversion of each level's cdf from one stream
+    law = _random_law(2, -4, 5)
+    counts = np.random.default_rng(0).integers(0, 5000, 3000)
+    sampler = ms.LatticeSumSampler(law)
+    got = sampler.sample(counts, np.random.default_rng(9))
+    rng, want = np.random.default_rng(9), np.zeros(len(counts), dtype=np.int64)
+    for j, (offset, table) in enumerate(sampler._levels):
+        mask = (counts >> j) & 1 == 1
+        if mask.any():
+            idx = np.searchsorted(table.cdf, rng.random(int(mask.sum())) * table.cdf[-1],
+                                  side="right")
+            want[mask] += offset + np.minimum(idx, len(table.cdf) - 1)
+    assert np.array_equal(got, want)
 
 
 def test_lattice_sum_sampler_refuses_infinite_support():
