@@ -615,13 +615,11 @@ def subordinated_return_exponent(alpha: float, rng, n_max: int = 1 << 14,
     replicas = int(replicas)
     while done < replicas:
         b = min(chunk, replicas - done)
-        tau = np.zeros(b, dtype=np.int64)
         s = np.zeros(b, dtype=np.int64)
         prev = 0
         for gi, nn in enumerate(ns):
             m = int(2 * nn - 2 * prev)
             dt = sampler.sample_sum(m, b, rng)
-            tau += dt
             ups = rng.binomial(dt, 0.5)
             s += 2 * ups - dt
             hits[gi] += int(np.count_nonzero(s == 0))

@@ -218,6 +218,9 @@ def recurrence_criteria(m: Measure1D, truncation: int = 1 << 22) -> CriteriaRepo
     Each condition implies the next, and each is sufficient for recurrence of
     the reflected walk on its attractor.  Verdicts are post-processed so the
     reported triple never violates the implication chain.
+
+    For lattice laws every block of ``tail(x)^2``, ``tail(x)`` and the moment
+    is an exact sum over its integers (:meth:`Measure1D.tail_block_sums`).
     """
     if m.min_support() < 0:
         raise MeasureError("criteria apply to nonnegative support only")
@@ -245,20 +248,11 @@ def _tail_square_verdict(m: Measure1D, k: int):
         val, _ = integrate.quad(lambda x: m.tail(x) ** 2, 0.0, hi, limit=200)
         return "holds", float(val)
     if not m.has_analytic_tail:
-        xs = np.arange(0, int(m.support[-1]) + 1)
-        return "holds", float(np.sum(m.tail_many(xs) ** 2))
-    # dyadic blocks of tail(x)^2
+        return "holds", sum(m.tail_block_sums([0, int(m.support[-1]) + 1], 2))
+    # dyadic blocks [0, 2), [2, 4), [4, 8), ... of tail(x)^2
+    edges = [0] + [1 << e for e in range(1, 65)]
     total, prev, run = 0.0, None, 0
-    lo = 0
-    enum_cap = min(k, 1 << 21)
-    for mexp in range(0, 64):
-        hi = 1 << (mexp + 1)
-        if hi <= lo:
-            continue
-        if hi <= enum_cap:
-            block = float(np.sum(m.tail_many(np.arange(lo, hi, dtype=np.int64)) ** 2))
-        else:
-            block, _ = integrate.quad(lambda t: m.tail(t) ** 2, lo, hi, limit=100)
+    for hi, block in zip(edges[1:], m.tail_block_sums(edges, 2)):
         if prev is not None and prev > 0:
             run = run + 1 if block / prev > 0.95 else 0
             if run >= 20:
@@ -267,10 +261,9 @@ def _tail_square_verdict(m: Measure1D, k: int):
         if block < 1e-16 * max(total, 1e-300):
             return "holds", total
         prev = block
-        lo = hi
-        if lo >= k and run == 0 and prev is not None and block / max(total, 1e-300) < 1e-6:
+        if hi >= k and run == 0 and block / max(total, 1e-300) < 1e-6:
             return "holds", total
-        if lo >= max(k, 1 << 40):
+        if hi >= max(k, 1 << 40):
             break
     # no clear decision inside the budget
     return ("fails" if run >= 10 else "undecided"), total
@@ -279,12 +272,14 @@ def _tail_square_verdict(m: Measure1D, k: int):
 def _tail_product_verdict(m: Measure1D, k: int):
     """Sequence ``a_y = tail(y) * sum_{x=0}^{y-1} (tail(x) - tail(y))`` at dyadic y."""
     ys = [1 << e for e in range(2, int(math.log2(max(k, 16))) + 1)]
+    edges = [0] + ys
+    if m.kind == "continuous":
+        sums = [integrate.quad(m.tail, lo, hi, limit=200)[0]
+                for lo, hi in zip(edges[:-1], edges[1:])]
+    else:
+        sums = list(m.tail_block_sums(edges, 1))
     seq = []
-    prefix = 0.0
-    x_done = 0
-    for y in ys:
-        prefix += _tail_prefix_sum(m, x_done, y)
-        x_done = y
+    for y, prefix in zip(ys, np.cumsum(sums)):
         ty = m.tail(float(y)) if m.kind == "continuous" else m.tail(int(y))
         seq.append(float(ty * (prefix - y * ty)))
     arr = np.array(seq)
@@ -302,17 +297,6 @@ def _tail_product_verdict(m: Measure1D, k: int):
     if slope > 0.02 or last >= 0.5 * amax:
         return "fails", seq
     return "undecided", seq
-
-
-def _tail_prefix_sum(m: Measure1D, lo: int, hi: int) -> float:
-    """``sum_{x=lo}^{hi-1} tail(x)`` (integral for continuous laws)."""
-    if m.kind == "continuous":
-        val, _ = integrate.quad(m.tail, lo, hi, limit=200)
-        return float(val)
-    if hi - lo <= 1 << 21:
-        return float(np.sum(m.tail_many(np.arange(lo, hi, dtype=np.int64))))
-    val, _ = integrate.quad(lambda t: m.tail(t), lo, hi, limit=100)
-    return float(val)
 
 
 # ---------------------------------------------------------------------------

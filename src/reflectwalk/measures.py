@@ -38,7 +38,7 @@ TAILED_SUM_TOL = 1e-9
 # the decay threshold.
 DIVERGENCE_BLOCKS = 20
 DIVERGENCE_DECAY = 0.95
-_ENUM_MAX = 1 << 21  # blocks below this bound are summed term by term
+_TERMWISE_MAX = 1 << 12  # blocks up to this many points are summed term by term
 _MAX_BLOCK_EXP = 64
 
 
@@ -247,27 +247,6 @@ class Measure1D:
         extra = float(self._tail_fn(int(self.support[-1]))) if self.has_analytic_tail else 0.0
         return base + extra
 
-    def tail_many(self, xs) -> np.ndarray:
-        """Vectorized :meth:`tail` over an array of query points."""
-        xs = np.asarray(xs)
-        if self.kind == "continuous":
-            return np.array([float(self._tail_fn(x)) for x in xs.ravel()]
-                            ).reshape(xs.shape)
-        if not self.has_atoms:
-            raise MeasureError("sampler-backed law has no tail function")
-        extra = float(self._tail_fn(int(self.support[-1]))) if self.has_analytic_tail else 0.0
-        idx = np.searchsorted(self.support, xs, side="right")
-        base = np.where(idx >= 1,
-                        self._suffix[np.maximum(idx - 1, 0)],
-                        float(self.probs.sum()))
-        out = base + extra
-        if self.has_analytic_tail:
-            beyond = xs >= self.support[-1]
-            if np.any(beyond):
-                out = np.asarray(out, dtype=float)
-                out[beyond] = self._tail_fn(np.asarray(xs)[beyond])
-        return out
-
     def is_symmetric(self) -> bool:
         """Invariance under ``y -> -y`` (exact for atom tables, declared otherwise)."""
         if self._symmetric is not None:
@@ -364,40 +343,57 @@ class Measure1D:
         if self._pmf_fn is None:
             raise MeasureError("analytic-tail family lacks a pmf function")
         start = int(self.support[-1]) + 1
-        blocks = []
-        lo = start
-        m = max(1, int(math.ceil(math.log2(max(lo, 1)))))
-        fail_run = 0
-        prev = None
-        total = 0.0
-        while m <= _MAX_BLOCK_EXP:
-            hi = 1 << m
-            if hi <= lo:
-                m += 1
-                continue
-            blocks.append(self._block_sum(p, lo, hi))
-            b = blocks[-1]
+        # [start, 2^m), [2^m, 2^(m+1)), ... up to 2^_MAX_BLOCK_EXP, with 2^m > start
+        edges = [start] + [1 << e for e in range(max(start, 1).bit_length(),
+                                                 _MAX_BLOCK_EXP + 1)]
+        total, prev, fail_run = 0.0, None, 0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            b = _series_block_sum(lambda x: x ** p * self._pmf_fn(x), lo, hi)
             if prev is not None and prev > 0:
-                ratio = b / prev
-                fail_run = fail_run + 1 if ratio > DIVERGENCE_DECAY else 0
+                fail_run = fail_run + 1 if b / prev > DIVERGENCE_DECAY else 0
                 if fail_run >= DIVERGENCE_BLOCKS:
                     return math.inf
             total += b
-            if b > 0 and b < 1e-16 * max(total, 1e-300):
+            if 0 < b < 1e-16 * max(total, 1e-300):
                 break
             prev = b
-            lo = hi
-            m += 1
         return total
 
-    def _block_sum(self, p: float, lo: int, hi: int) -> float:
-        """``sum_{x=lo}^{hi-1} x^p pmf(x)`` term by term or via quadrature."""
-        if hi - lo <= _ENUM_MAX:
-            xs = np.arange(lo, hi, dtype=float)
-            return float(np.dot(xs ** p, self._pmf_fn(xs)))
-        val, _ = integrate.quad(lambda t: t ** p * float(self._pmf_fn(np.array([t]))[0]),
-                                lo, hi, limit=200)
-        return float(val)
+    def tail_block_sums(self, edges, power: int):
+        """Yield ``sum_{x=e_j}^{e_(j+1)-1} tail(x)**power`` for consecutive ``edges``.
+
+        Every block is an exact sum.  The tail is constant between atoms, so
+        one pass over the atom table gives every block's table part: each
+        piece adds ``length * value**power`` to its block, with no running
+        sums.  Beyond the table of an analytic-tail family a block goes through
+        :func:`_series_block_sum` only when the caller asks for it.
+        """
+        if not self.has_atoms:
+            raise MeasureError("tail block sums need an atom table")
+        s = self.support
+        top = int(s[-1])
+        extra = float(self._tail_fn(top)) if self.has_analytic_tail else 0.0
+        # tail on [s[i-1], s[i]) is values[i]; values[0] holds below s[0]
+        values = np.concatenate([[float(self.probs.sum())], self._suffix]) + extra
+        cut = np.array([min(int(e), top) for e in edges], dtype=np.int64)
+        i0 = int(np.searchsorted(s, cut[0], side="right"))
+        i1 = int(np.searchsorted(s, cut[-1], side="left"))
+        inner = s[i0:i1]
+        # merge the sorted atoms and edges by slot; an edge goes after an equal atom
+        atom_at = np.arange(len(inner)) + np.searchsorted(cut, inner)
+        edge_at = np.arange(len(cut)) + np.searchsorted(inner, cut, side="right")
+        points = np.empty(len(inner) + len(cut), dtype=np.int64)
+        level = np.empty(len(points))
+        points[atom_at], level[atom_at] = inner, values[i0 + 1:i1 + 1]
+        points[edge_at], level[edge_at] = cut, values[np.searchsorted(s, cut, "right")]
+        table = np.add.reduceat(np.diff(points) * level[:-1] ** power, edge_at[:-1])
+
+        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            total = float(table[j])
+            if self.has_analytic_tail and hi > top:
+                total += _series_block_sum(lambda x: self._tail_fn(x) ** power,
+                                           max(int(lo), top), int(hi))
+            yield total
 
     def _moment_continuous(self, p: float, part: str) -> float:
         lo = self.min_support()
@@ -437,6 +433,28 @@ class Measure1D:
             return "Measure1D({%s})" % ", ".join(
                 f"{int(x)}: {p:g}" for x, p in zip(self.support, self.probs))
         return f"Measure1D(kind={self.kind})"
+
+
+def _series_block_sum(g, lo: int, hi: int) -> float:
+    """``sum_{x=lo}^{hi-1} g(x)`` for a smooth ``g`` mapping float arrays to arrays.
+
+    Short blocks, and any part below ``_TERMWISE_MAX``, are summed term by
+    term; the rest by Euler-Maclaurin: the integral (``quad`` to 1e-13
+    relative) plus ``(g(lo) - g(hi))/2 + (g'(hi) - g'(lo))/12``, ``g'`` by
+    central differences.  With ``lo >= _TERMWISE_MAX`` the first omitted term
+    is of relative order ``lo**-4`` for the power-like tails summed here.
+    """
+    if hi - lo <= _TERMWISE_MAX:
+        return float(np.sum(g(np.arange(lo, hi, dtype=float))))
+    if lo < _TERMWISE_MAX:
+        return (_series_block_sum(g, lo, _TERMWISE_MAX)
+                + _series_block_sum(g, _TERMWISE_MAX, hi))
+    integral, _ = integrate.quad(lambda t: float(g(np.array([t]))[0]), lo, hi,
+                                 epsabs=0.0, epsrel=1e-13, limit=200)
+    at_lo, at_hi, lo_minus, lo_plus, hi_minus, hi_plus = g(np.array(
+        [lo, hi, lo - 0.5, lo + 0.5, hi - 0.5, hi + 0.5], dtype=float))
+    slope_change = (hi_plus - hi_minus) - (lo_plus - lo_minus)
+    return float(integral + (at_lo - at_hi) / 2.0 + slope_change / 12.0)
 
 
 # ---------------------------------------------------------------------------

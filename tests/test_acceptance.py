@@ -164,6 +164,7 @@ def test_criterion_07_ladder_consistency():
 def test_criterion_08_criteria_chain():
     """Verdicts never break the implication chain; log-tail family fails (i)."""
     rng = np.random.default_rng(314159)
+    t0 = time.monotonic()
     rank = {"fails": 0, "undecided": 1, "holds": 2}
     for i in range(100):
         if i % 2 == 0:
@@ -175,7 +176,10 @@ def test_criterion_08_criteria_chain():
     wh = ms.wiener_hopf_log_tail(cutoff=1_000_000)
     rep = ex.recurrence_criteria(wh)
     assert rep.cond_sqrt_moment == "fails"
-    _report(8, "chain holds over 100 laws; log-tail family fails (i)")
+    elapsed = time.monotonic() - t0
+    assert elapsed < 3.0, elapsed
+    _report(8, f"chain holds over 100 laws; log-tail family fails (i) "
+               f"in {elapsed:.2f}s")
 
 
 def test_criterion_09_subordinated_exponent():

@@ -1,6 +1,7 @@
 """Tests for invariant measures, recurrence classification and ladders."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ def test_criteria_chain_at_decay_boundaries():
     weak = ex.recurrence_criteria(power_tail_family(1.2, cutoff=50_000),
                                   truncation=1 << 20)
     assert weak.cond_sqrt_moment == "fails"
+
+
+def test_criteria_widely_spaced_atoms():
+    # the tail is constant between atoms: the sums cost O(atoms), not O(span)
+    t0 = time.monotonic()
+    rep = ex.recurrence_criteria(lattice({1: 0.5, 10 ** 9: 0.5}))
+    elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, elapsed
+    assert rep.details["tail_square_sum"] == pytest.approx(
+        1.0 + 0.25 * (10 ** 9 - 1), rel=1e-12, abs=0.0)
+    assert rep.as_tuple() == ("holds", "holds", "holds")
 
 
 def test_criteria_reject_negative_support():

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from reflectwalk import measures as ms
 
+from family_helpers import power_tail_family
+
 
 def lattice(d):
     return ms.Measure1D.lattice(d)
@@ -127,6 +129,53 @@ def test_divergent_moment_flagged():
     wh = ms.wiener_hopf_log_tail(cutoff=100_000)
     assert math.isinf(wh.moment(0.5))
     assert math.isinf(wh.moment(1.0))
+
+
+# blocks inside the table, straddling its end, and longer than 2^12 beyond it
+# (the last case has a long block that starts below 2^12)
+_BLOCK_SUM_CASES = [
+    ("finite_with_gaps", lambda: lattice({2: 0.3, 9000: 0.5, 12345: 0.2}),
+     [0, 1, 3, 4096, 8999, 9000, 9001, 12345, 20000, 40000]),
+    ("power_tail_cutoff_5000", lambda: power_tail_family(1.3, cutoff=5000),
+     [0, 7, 4096, 4999, 5000, 5003, 8192, 1 << 14, 1 << 15, (1 << 16) + 5, 1 << 18]),
+    ("log_tail_cutoff_1e4", lambda: ms.wiener_hopf_log_tail(cutoff=10_000),
+     [0, 3, 8192, 12_000, 1 << 14, 1 << 17, (1 << 19) + 3]),
+    ("power_tail_cutoff_100", lambda: power_tail_family(2.5, cutoff=100),
+     [0, 50, 99, 20_000, 70_000]),
+]
+
+
+def _brute_tail(m, lo, hi):
+    """``tail(x)`` for ``lo <= x < hi``: point by point over the atom table."""
+    top = int(m.support[-1])
+    xs = np.arange(lo, hi)
+    inside = [m.tail(int(x)) for x in xs[xs < top]]
+    beyond = (m._tail_fn(xs[xs >= top].astype(float)) if m.has_analytic_tail
+              else np.zeros(np.count_nonzero(xs >= top)))
+    return np.concatenate([inside, beyond])
+
+
+@pytest.mark.parametrize("name,make,edges", _BLOCK_SUM_CASES,
+                         ids=[c[0] for c in _BLOCK_SUM_CASES])
+def test_tail_block_sums_match_brute_force(name, make, edges):
+    m = make()
+    for power in (1, 2):
+        got = list(m.tail_block_sums(edges, power))
+        want = [float(np.sum(_brute_tail(m, lo, hi) ** power))
+                for lo, hi in zip(edges[:-1], edges[1:])]
+        # 1e-12 also checks the Euler-Maclaurin slope term (1e-10 here)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, power)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_moment_of_power_tail_matches_brute_force(p):
+    # pmf ~ x^-4: the terms beyond 2^22 add under 1e-12 of the moment
+    m = power_tail_family(4.0, cutoff=5000)
+    want = float(np.dot(m.support.astype(float) ** p, m.probs))
+    for lo in range(5000, 1 << 22, 1 << 20):
+        xs = np.arange(lo, min(lo + (1 << 20), 1 << 22), dtype=float)
+        want += float(np.sum(xs ** p * m._pmf_fn(xs)))
+    assert m.moment(p) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
