@@ -234,16 +234,22 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
     For fully symmetric increment laws the reflected walk started at ``|x|``
     has, at every fixed time, the law of the componentwise absolute value of
     the free walk started at ``x``.  Exact mode enumerates all increment
-    words (finite-support laws); Monte Carlo mode estimates the
-    total-variation distance with a standard error.
+    words (finite-support laws) and returns the largest state discrepancy;
+    Monte Carlo mode returns ``(tv, se)``, the estimated total-variation
+    distance and its standard error.  At ``n = 0`` both laws are the point
+    mass at ``|x|``, so the result is 0.
     """
+    if mode not in ("exact_enumeration", "monte_carlo"):
+        raise MeasureError(f"unknown mode {mode!r}")
+    n = int(n)
+    if n < 0:
+        raise MeasureError("horizon n must be >= 0")
     if not j.is_fully_symmetric():
         raise MeasureError("symmetrization needs a fully symmetric law")
+    if n == 0:
+        return 0.0 if mode == "exact_enumeration" else (0.0, 0.0)
     d = j.dim
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = int(n)
-    if n == 0:
-        return 0.0
     if mode == "exact_enumeration":
         pts = j.support_points()
         probs = j.probs if j.is_finite else np.prod(np.meshgrid(
@@ -255,8 +261,6 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
     elif mode == "monte_carlo":
         steps = j.sample(make_rng(rng), samples * n).reshape(samples, n, d).swapaxes(0, 1)
         weights = np.full(samples, 1.0 / samples)
-    else:
-        raise MeasureError(f"unknown mode {mode!r}")
     refl, free = np.abs(x), x
     for y in steps:
         refl, free = np.abs(refl - y), free + y
@@ -560,18 +564,18 @@ class SubordinatorSumSampler:
     """Exact sampler of sums of many tau_alpha increments.
 
     Splits each increment at ``HEAD_CUT``: the number of large increments in
-    a sum of ``m`` is binomial, large values come from exact conditional-tail
-    inversion, and the sum of the bounded remainder comes from a
-    :class:`LatticeSumSampler` of the head law.  This gives per-replica exact
-    samples of a sum of ``2^15`` heavy-tailed variables in a handful of
-    vectorized operations.
+    a sum of ``m`` is binomial, large values come from the exact conditional
+    tail (:meth:`SubordinatorAlpha.conditional_tail_sample`), and the sum of
+    the bounded remainder comes from a :class:`LatticeSumSampler` of the head
+    law.  This gives per-replica exact samples of a sum of ``2^15``
+    heavy-tailed variables in a handful of vectorized operations.
     """
 
     HEAD_CUT = 4096      # increments above this come from the exact tail
 
     def __init__(self, alpha: float):
         self.alpha = float(alpha)
-        self.sub = SubordinatorAlpha(alpha, table_size=1 << 20)
+        self.sub = SubordinatorAlpha(alpha)
         self.q_tail = float(subordinator_tail(alpha, self.HEAD_CUT))
         ks = np.arange(1, self.HEAD_CUT + 1)
         pmf = np.asarray(self.sub.pmf(ks), dtype=float)

@@ -18,6 +18,7 @@ families).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import integrate
 from scipy.signal import fftconvolve
-from scipy.special import gammaln
+from scipy.special import gammaln, lambertw
 
 from .rng import make_rng
 
@@ -652,29 +653,25 @@ def subordinator_tail(alpha: float, k) -> float | np.ndarray:
 class SubordinatorAlpha:
     """The heavy-tailed renewal-time law driving subordinated walks.
 
-    ``pmf(k) = alpha Gamma(k - alpha) / (k! Gamma(1 - alpha))`` for ``k >= 1``.
-    Sampling inverts the exact cdf: by a :class:`GuideTable` search of the
-    log-tail table up to ``table_size``, and beyond it by Newton steps on the
-    log tail with an integer fix (:meth:`_invert_tail`).  Draws are
-    clipped at ``CAP`` to keep downstream integer arithmetic exact; the
-    clipped mass ``tail(CAP) < CAP^(-alpha)`` is below ``2^(-62 alpha)`` per
-    draw (2.5e-6 at ``alpha = 0.3``).  The clip sits far beyond any reachable
-    walk scale: clipping the time law inside that range would give the
-    increments finite variance and turn a transient heavy-tailed walk into a
-    diffusive recurrent one.
+    ``pmf(k) = alpha Gamma(k - alpha) / (k! Gamma(1 - alpha))`` for ``k >= 1``
+    (Sibuya's law), a Beta-mixed geometric: ``P[T > k] = E (1 - B)^k`` with
+    ``B ~ Beta(alpha, 1 - alpha)``, and given ``T > h``, ``T - h`` is
+    geometric given ``B' ~ Beta(alpha, 1 - alpha + h)``.  So every draw is
+    exact: one Beta and one geometric draw.  ``B`` is floored at ``1 / CAP``
+    (a Beta draw can be 0.0) and draws are clipped at ``CAP`` to keep
+    downstream integer arithmetic exact; the affected mass is of order
+    ``CAP^(-alpha) = 2^(-62 alpha)`` per draw (2.5e-6 at ``alpha = 0.3``).
+    The clip sits far beyond any reachable walk scale: clipping inside that
+    range would give the increments finite variance and turn a transient
+    heavy-tailed walk into a diffusive recurrent one.
     """
 
     alpha: float
-    table_size: int = 1 << 16
     CAP = 1 << 62
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise MeasureError("alpha must lie in (0, 1)")
-        # log tails, ascending: buckets even in log v keep the heavy tail's
-        # dense entries (large k, tiny v) a few per bucket
-        ks = np.arange(self.table_size, -1, -1, dtype=float)
-        self._log_tails = GuideTable(_log_tail(self.alpha, ks))
 
     def pmf(self, k):
         return subordinator_pmf(self.alpha, k)
@@ -682,79 +679,40 @@ class SubordinatorAlpha:
     def tail(self, k):
         return subordinator_tail(self.alpha, k)
 
+    def _mixing(self, rng, size, threshold: int = 0) -> np.ndarray:
+        """Success probabilities ``B ~ Beta(alpha, 1 - alpha + threshold)``."""
+        b = rng.beta(self.alpha, 1.0 - self.alpha + threshold, int(size))
+        return np.maximum(b, 1.0 / self.CAP)
+
     def sample(self, rng, size) -> np.ndarray:
-        """Exact inversion sampling of tau_alpha increments."""
+        """Exact tau_alpha increments, one Beta and one geometric draw each."""
         rng = make_rng(rng)
-        return self._invert(np.log(1.0 - rng.random(int(size))))   # v in (0, 1]
+        return np.minimum(rng.geometric(self._mixing(rng, size)), self.CAP)
 
     def conditional_tail_sample(self, rng, size, threshold: int) -> np.ndarray:
-        """Draw ``T`` conditioned on ``T > threshold`` (exact inversion)."""
+        """Draw ``T`` conditioned on ``T > threshold``, exactly."""
         rng = make_rng(rng)
-        v = rng.random(int(size)) * float(self.tail(threshold))
-        return np.maximum(self._invert(np.log(np.maximum(v, 1e-300))), threshold + 1)
-
-    def _invert(self, logv: np.ndarray) -> np.ndarray:
-        """``T = min{k >= 1 : tail(k) <= v}`` for each ``log v`` in ``(-inf, 0]``."""
-        out = np.empty(len(logv), dtype=np.int64)
-        table = self._log_tails
-        in_table = logv >= table.cdf[0]         # at or above tail(table_size)
-        # the table holds log tail(table_size), ..., log tail(0): counting the
-        # entries at or below log v gives the first k with tail(k) <= v
-        out[in_table] = self.table_size + 1 - table.search(logv[in_table])
-        if not in_table.all():
-            out[~in_table] = self._invert_tail(logv[~in_table])
-        return np.maximum(out, 1)
-
-    def _invert_tail(self, logv: np.ndarray) -> np.ndarray:
-        """Smallest ``k`` with ``tail(k) <= v`` for ``v`` below the table floor.
-
-        Three Newton steps on ``_log_tail(k) = log v`` from the first-order
-        seed ``(v Gamma(1 - alpha))^(-1/alpha)``, with the slope
-        ``-alpha / (k + (1 - alpha) / 2)`` (the digamma difference to
-        ``O(k^-3)``), then an integer fix against the same log tail.  One
-        integer step moves the log tail by about ``alpha / k``; float64
-        resolves that step only while ``alpha / k >= 1e-13``, so beyond
-        (``k > 1e12`` at ``alpha = 0.1``) the Newton root is rounded up and
-        is exact to a relative 1e-13.  Raises if the fix does not settle.
-        """
-        a = self.alpha
-        lo, hi = float(self.table_size + 1), float(self.CAP)
-        k = np.exp(np.clip(-(logv + math.lgamma(1.0 - a)) / a, math.log(lo), math.log(hi)))
-        for _ in range(3):
-            step = (_log_tail(a, k) - logv) * (k + 0.5 * (1.0 - a)) / a
-            k = np.clip(k + step, lo, hi)
-        k = np.ceil(k)
-        todo = np.nonzero(a / k >= 1e-13)[0]
-        for _ in range(8):
-            ks, lv = k[todo], logv[todo]
-            up = _log_tail(a, ks) > lv
-            down = (ks > lo) & (_log_tail(a, ks - 1.0) <= lv)
-            moved = up | down
-            if not moved.any():
-                return k.astype(np.int64)
-            todo = todo[moved]
-            k[todo] += np.where(up[moved], 1.0, -1.0)
-        raise MeasureError(f"tail inversion did not settle for {todo.size} draws "
-                           f"(alpha={a})")
+        h = int(threshold)
+        return h + np.minimum(rng.geometric(self._mixing(rng, size, h)), self.CAP - h)
 
 
-def subordinated_increment_sampler(alpha: float, rng, size=None,
-                                   subordinator: Optional[SubordinatorAlpha] = None):
-    """One increment of the subordinated +-1 walk.
+def subordinated_increment_sampler(alpha: float, rng, size=None):
+    """One increment ``S_T`` of the subordinated +-1 walk, drawn without ``T``.
 
-    Draws ``T`` from the tau_alpha law and returns the sum of ``T``
-    independent fair +-1 steps (realised exactly as ``2 Binomial(T, 1/2) - T``,
-    which has the same distribution).  The output parity equals the parity
-    of ``T``.  ``T`` is clipped at :attr:`SubordinatorAlpha.CAP`, where the
-    increment magnitude stays around ``sqrt(T) ~ 2^31``.
+    Given the mixing variable ``B`` of :class:`SubordinatorAlpha`, ``S_T`` has
+    pgf ``B phi / (1 - (1 - B) phi)``, ``phi`` the pgf of one fair step.  That
+    is ``phi`` times the pgf of ``G - G'`` for ``G, G'`` i.i.d. geometric on
+    ``{0, 1, ...}`` with success probability ``p = (B + r) / (1 + r)``,
+    ``r = sqrt(B (2 - B))``: one fair step plus ``G - G'``.  The floor
+    ``B >= 1 / CAP`` keeps ``p > 2^-31``, so ``|G - G'|`` stays far inside int64.
     """
     rng = make_rng(rng)
-    sub = subordinator or SubordinatorAlpha(alpha)
     scalar = size is None
     n = 1 if scalar else int(np.prod(size))
-    t = sub.sample(rng, n)
-    steps_up = rng.binomial(t, 0.5)
-    out = 2 * steps_up - t
+    b = SubordinatorAlpha(alpha)._mixing(rng, n)
+    r = np.sqrt(b * (2.0 - b))
+    p = (b + r) / (1.0 + r)
+    out = 2 * rng.integers(0, 2, n) - 1 + rng.geometric(p) - rng.geometric(p)
     if scalar:
         return int(out[0])
     return out.reshape(size)
@@ -770,7 +728,12 @@ def wiener_hopf_log_tail(cutoff: int = 1_000_000) -> Measure1D:
     The normalizing constant has no closed form; it is computed numerically
     from the prefix sum plus the analytic tail integral and recorded in the
     measure metadata.  The measure keeps exact atoms up to ``cutoff`` and an
-    analytic (midpoint-rule) tail beyond.
+    analytic (midpoint-rule) tail ``tail(x) = 2c (log u + 2) / sqrt(u)``,
+    ``u = x + 5/2``, beyond.  Tail draws invert it in closed form:
+    ``tail = v`` at ``u = exp(-2 W_-1(-v / (4 c e)) - 2)`` (lower Lambert-W
+    branch), and ``Y = max(cutoff, ceil(u - 5/2))``.  ``u`` is clipped at
+    ``2^62`` to stay in int64, a share ``tail(2^62) / tail(cutoff - 1)`` of
+    tail draws (1.3e-6 at the default cutoff).
     """
     cutoff = int(cutoff)
     xs = np.arange(cutoff, dtype=float)
@@ -794,17 +757,10 @@ def wiener_hopf_log_tail(cutoff: int = 1_000_000) -> Measure1D:
         return c * raw(np.asarray(x, dtype=float))
 
     def tail_sampler(rng, n):
-        # invert v = tail(x): Newton in log-space on the closed-form tail
-        v = rng.random(n) * tail_fn(cutoff - 1)
-        v = np.maximum(v, 1e-300)
-        w = np.log(np.maximum((2.0 * c / v) ** 2, cutoff + 2.0))  # w = log(u)
-        for _ in range(60):
-            f = math.log(2.0 * c) + np.log(w + 2.0) - 0.5 * w - np.log(v)
-            df = 1.0 / (w + 2.0) - 0.5
-            step = f / df
-            w = w - np.clip(step, -30.0, 30.0)
-        u = np.exp(w)
-        return np.maximum(np.round(u - 2.5).astype(np.int64) + 1, cutoff)
+        v = np.maximum(rng.random(n) * tail_fn(cutoff - 1), 1e-300)
+        w = lambertw(-v / (4.0 * c * math.e), -1).real
+        u = np.minimum(np.exp(-2.0 * w - 2.0), SubordinatorAlpha.CAP)
+        return np.maximum(np.ceil(u - 2.5).astype(np.int64), cutoff)
 
     return Measure1D.lattice_tailed(
         np.arange(cutoff, dtype=np.int64), probs, tail_fn, pmf_fn=pmf_fn,
@@ -818,14 +774,10 @@ def subordinated(alpha: float) -> Measure1D:
     Sampler-backed: atoms are not tabulated.  Symmetric by construction and
     centred whenever the first absolute moment is finite (``alpha > 1/2``).
     """
-    sub = SubordinatorAlpha(alpha)
-
-    def sampler(rng, size):
-        return subordinated_increment_sampler(alpha, rng, size, subordinator=sub)
-
     return Measure1D.lattice_sampler(
-        sampler, symmetric=True, mean=0.0, name=f"subordinated(alpha={alpha})",
-        meta={"alpha": alpha, "subordinator": sub})
+        functools.partial(subordinated_increment_sampler, alpha), symmetric=True,
+        mean=0.0, name=f"subordinated(alpha={alpha})",
+        meta={"alpha": alpha, "subordinator": SubordinatorAlpha(alpha)})
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Measure1D:

@@ -124,6 +124,22 @@ def test_symmetrization_exact_one_dimensional():
 def test_symmetrization_zero_horizon():
     j = ms.JointMeasure.product((0, 0, 1, 0), [PM1])
     assert dg.symmetrization_check(j, [3.0], 0, "exact_enumeration") == 0.0
+    # Monte Carlo mode keeps its (tv, se) shape
+    assert dg.symmetrization_check(j, [3.0], 0, "monte_carlo", rng=1) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_symmetrization_rejects_unknown_mode(n):
+    j = ms.JointMeasure.product((0, 0, 1, 0), [PM1])
+    with pytest.raises(ms.MeasureError, match="unknown mode"):
+        dg.symmetrization_check(j, [0.0], n, "bogus")
+
+
+@pytest.mark.parametrize("mode", ["exact_enumeration", "monte_carlo"])
+def test_symmetrization_rejects_negative_horizon(mode):
+    j = ms.JointMeasure.product((0, 0, 1, 0), [PM1])
+    with pytest.raises(ms.MeasureError, match="horizon"):
+        dg.symmetrization_check(j, [0.0], -1, mode, rng=1)
 
 
 def test_symmetrization_exact_two_dimensional():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
+from scipy.special import gammaln
 
 from reflectwalk import measures as ms
 
@@ -308,22 +310,78 @@ def test_subordinator_tail_and_pmf_match_mpmath(alpha):
             assert abs(ms.subordinator_pmf(alpha, float(k)) / pmf - 1) < 2e-14, k
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.8])
-def test_tail_inversion_beyond_the_table_matches_mpmath(alpha):
-    # T = min{k : tail(k) <= v}, checked at 50 digits for 150 draws beyond 2^20
-    mp = pytest.importorskip("mpmath")
-    sub = ms.SubordinatorAlpha(alpha, table_size=1 << 20)
-    v = np.random.default_rng(7).random(150) * ms.subordinator_tail(alpha, 1 << 20)
-    ks = sub._invert_tail(np.log(v))
-    assert (ks > 1 << 20).all()
-    with mp.workdps(50):
-        for vi, k in zip(v.tolist(), ks.tolist()):
-            logv = mp.log(mp.mpf(vi))
-            if alpha / k >= 1e-13:
-                assert _mp_log_tail(mp, alpha, k) <= logv < _mp_log_tail(mp, alpha, k - 1)
-            else:    # float64 cannot resolve one step: exact to a relative 1e-12
-                assert _mp_log_tail(mp, alpha, k * (1 + 1e-12)) <= logv
-                assert logv < _mp_log_tail(mp, alpha, k * (1 - 1e-12))
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95])
+def test_tau_tail_is_a_beta_mixed_geometric(alpha):
+    # P[T > k] = E (1 - B)^k, B ~ Beta(alpha, 1 - alpha), by quadrature: b = t^(1/alpha)
+    # removes the b^(alpha - 1) singularity, and the breakpoints b = 2^j / k
+    # follow the mass, which sits at b ~ 1/k
+    norm = alpha * math.pi / math.sin(math.pi * alpha)      # alpha B(alpha, 1 - alpha)
+    for k in (1, 2, 7, 100, 4096, 10 ** 6):
+        def f(t):
+            return math.exp((k - alpha) * math.log1p(-t ** (1 / alpha)))
+        edges = [0.0] + [(2.0 ** j / k) ** alpha for j in range(-8, 40) if 2 ** j < k] + [1.0]
+        mass = sum(integrate.quad(f, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(edges, edges[1:]))
+        assert mass / norm == pytest.approx(ms.subordinator_tail(alpha, k), rel=1e-10), k
+
+
+def _within_5se(hits, n, p, what):
+    assert abs(hits / n - p) <= 5 * math.sqrt(p * (1 - p) / n), (what, hits / n, p)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95])
+def test_tau_sample_matches_exact_law(alpha):
+    n = 10 ** 6
+    t = ms.SubordinatorAlpha(alpha).sample(np.random.default_rng(41), n)
+    assert t.dtype == np.int64
+    assert 1 <= t.min() and t.max() <= ms.SubordinatorAlpha.CAP
+    for k in range(1, 6):
+        _within_5se(np.count_nonzero(t == k), n, ms.subordinator_pmf(alpha, k), k)
+    for k in (1 << 20, 1 << 40):
+        _within_5se(np.count_nonzero(t > k), n, ms.subordinator_tail(alpha, k), k)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95])
+def test_tau_conditional_tail_sample_matches_tail_ratio(alpha):
+    n, h = 10 ** 6, 4096
+    t = ms.SubordinatorAlpha(alpha).conditional_tail_sample(np.random.default_rng(43), n, h)
+    assert h < t.min() and t.max() <= ms.SubordinatorAlpha.CAP
+    base = ms.subordinator_tail(alpha, h)
+    for k in (h + 1, 2 * h, 1 << 16, 1 << 24, 1 << 40):
+        _within_5se(np.count_nonzero(t > k), n, ms.subordinator_tail(alpha, k) / base, k)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_subordinated_increment_matches_binomial_mixture(alpha):
+    # P(S_T = y) = sum_k pmf(k) C(k, (k + y)/2) / 2^k, truncated at K = 2^22; the
+    # omitted mass is at most tail(K) * max_k>K P(S_k = y) <= tail(K) sqrt(2 / (pi K))
+    n, big_k = 10 ** 6, 1 << 22
+    y = ms.subordinated_increment_sampler(alpha, np.random.default_rng(47), size=n)
+    assert (y.dtype, y.shape) == (np.int64, (n,))
+    ks = np.arange(big_k + 1)
+    log_fact = gammaln(ks + 1.0)
+    pmf = ms.subordinator_pmf(alpha, ks[1:].astype(float))
+    omitted = ms.subordinator_tail(alpha, big_k) * math.sqrt(2 / (math.pi * big_k))
+    for v in (0, 1, 2, 5):
+        k = ks[v or 2::2]                   # k >= max(v, 1) of the parity of v
+        j = (k + v) // 2
+        binom = np.exp(log_fact[k] - log_fact[j] - log_fact[k - j] - k * math.log(2.0))
+        exact = float(np.dot(pmf[k - 1], binom))
+        emp = np.count_nonzero(y == v) / n
+        se = math.sqrt(exact * (1 - exact) / n)
+        assert abs(emp - exact) <= 5 * se + omitted, (v, emp, exact)
+
+
+def test_log_tail_sampler_atoms_beyond_the_cutoff():
+    # draws at or above the cutoff follow (tail(k - 1) - tail(k)) / tail(cutoff - 1)
+    cutoff = 10
+    wh = ms.wiener_hopf_log_tail(cutoff)
+    y = wh.sample(np.random.default_rng(53), 10 ** 6)
+    beyond = y[y >= cutoff]
+    base = wh.tail(cutoff - 1)
+    for k in range(cutoff, cutoff + 6):
+        _within_5se(np.count_nonzero(beyond == k), len(beyond),
+                    (wh.tail(k - 1) - wh.tail(k)) / base, k)
 
 
 def test_subordinated_sampler_parity_and_mean():
@@ -347,7 +405,7 @@ def test_subordinated_tail_heaviness_ordering():
 
 
 def test_subordinator_sampler_matches_exact_law():
-    sub = ms.SubordinatorAlpha(0.55, table_size=128)
+    sub = ms.SubordinatorAlpha(0.55)
     rng = np.random.default_rng(123)
     t = sub.sample(rng, 500_000)
     for k in (1, 2, 128, 129, 500):
@@ -426,8 +484,7 @@ def test_guide_table_equals_searchsorted(n, seed, zero_frac, heavy, shift):
 
 def test_guide_table_on_the_subordinator_tail_table():
     # heavy-tailed: 2^20 log tails, the densest entries at the lowest values
-    sub = ms.SubordinatorAlpha(0.3, table_size=1 << 20)
-    table = sub._log_tails
+    table = ms.GuideTable(ms._log_tail(0.3, np.arange(1 << 20, -1, -1, dtype=float)))
     u = np.concatenate([np.log(np.random.default_rng(2).random(200_000)), table.cdf[::97]])
     assert np.array_equal(table.search(u), np.searchsorted(table.cdf, u, side="right"))
 
