@@ -106,15 +106,15 @@ def categorize(budgets, counts, total_time_per_budget, escape_fraction,
 # ---------------------------------------------------------------------------
 
 def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
-                           budget: int, replicas: int, rng):
+                           budget: int, replicas: int, rng, record: bool = True):
     """Drive ``replicas`` coupled-by-nothing walkers and pool target visits.
 
     ``start`` is a checked start of a walk with increment law ``law``.
     ``in_target(X, Z)`` maps (steps, replicas, r) blocks of reflected states
     and (steps, replicas, s) blocks of free states to a (steps, replicas)
     boolean block.  Returns pooled counts at the four nested budgets, the
-    escape fraction (replicas with no visit after the burn-in), visit times
-    of replica 0, and the maximum displacement over every step.
+    escape fraction (replicas with no visit after the burn-in), and, unless
+    ``record`` is false, replica 0's visit times and the largest displacement.
     """
     rng = make_rng(rng)
     budget = int(budget)
@@ -125,19 +125,19 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
     burn = int(budget * THRESHOLDS["burn_in_fraction"])
     counts = np.zeros(len(budgets), dtype=np.int64)
     visited_after_burn = np.zeros(replicas, dtype=bool)
-    times0: list[int] = []
-    maxdisp = 0.0
+    times0, maxdisp = ([], 0.0) if record else (None, None)
     for k, y, block in _walk_blocks(law, np.tile(start, (replicas, 1)), rng, budget):
         hits = in_target(block[:, :, :r], block[:, :, r:])
         ks = np.arange(k + 1, k + len(block) + 1)
         # counts[j] collects the hits of every step up to budgets[j]
         counts += (np.count_nonzero(hits, axis=1) * (ks <= budgets[:, None])).sum(axis=1)
         visited_after_burn |= hits[ks > burn].any(axis=0)
-        times0.extend(ks[hits[:, 0]][:100000 - len(times0)].tolist())
-        maxdisp = max(maxdisp, float(block.max()), -float(block.min()))
+        if record:
+            times0.extend(ks[hits[:, 0]][:100000 - len(times0)].tolist())
+            maxdisp = max(maxdisp, float(block.max()), -float(block.min()))
         del y, block     # so the next draws do not coexist with this block
     escape = float(np.mean(~visited_after_burn))
-    return counts.tolist(), escape, np.asarray(times0), maxdisp
+    return counts.tolist(), escape, (np.asarray(times0) if record else None), maxdisp
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .measures import JointMeasure, Measure1D, MeasureError
+from .measures import GuideTable, JointMeasure, Measure1D, MeasureError
 from .rng import make_rng
 
 __all__ = [
@@ -282,6 +282,8 @@ def _tail_product_verdict(m: Measure1D, k: int):
     for y, prefix in zip(ys, np.cumsum(sums)):
         ty = m.tail(float(y)) if m.kind == "continuous" else m.tail(int(y))
         seq.append(float(ty * (prefix - y * ty)))
+    if math.isfinite(m.max_support()):
+        return "holds", seq        # tail(y) = 0 from the top of the support on
     arr = np.array(seq)
     amax = float(arr.max(initial=0.0))
     if amax <= 1e-12:
@@ -480,10 +482,8 @@ def lifted_invariant_measure(m: Measure1D, ladder: LadderDecomposition,
     rng = make_rng(rng)
     pred = _query_predicate(query)
     n = int(samples)
-    probs = nu_bar.normalized_probabilities()
-    starts = nu_bar.support[
-        np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
-    ].astype(np.int64)
+    cdf = np.cumsum(nu_bar.normalized_probabilities())
+    starts = nu_bar.support[GuideTable(cdf).draw(rng, n)].astype(np.int64)
     counts = pred(starts.astype(float)).astype(float)  # k = 0 term
     finished = 0
     for rows, paths, first in _first_records(m, n, rng, step_cap):
@@ -565,7 +565,7 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
     for dims in ((0, 0, lat, 1 - lat), (lat, 1 - lat, 0, 0)):   # free, then reflected
         counts, escape, _, _ = _run_return_experiment(
             JointMeasure.product(dims, [m]), np.zeros(1), in_window, horizon,
-            replicas, rng)
+            replicas, rng, record=False)
         visits = [counts[2], counts[3] - counts[2]]     # first and late half
         if escape >= 0.9:
             cat = "transient_evidence"

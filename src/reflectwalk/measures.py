@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,11 +78,9 @@ class Measure1D:
         self.name = name
         self.meta = dict(meta or {})
         if kind == "lattice" and support is not None:
-            self._cdf = np.cumsum(probs)
             # mass strictly above support[i], excluding the analytic tail
             self._suffix = np.concatenate([np.cumsum(probs[::-1])[::-1][1:], [0.0]])
         else:
-            self._cdf = None
             self._suffix = None
         self._validate()
 
@@ -277,25 +275,25 @@ class Measure1D:
         if self._sampler is not None:
             return self._sampler(rng, size)
         n = 1 if size is None else int(np.prod(size))
-        u = rng.random(n)
-        out = np.empty(n, dtype=np.int64)
         if self.has_analytic_tail:
-            cut = float(self._cdf[-1])
-            in_table = u < cut
-            idx = np.searchsorted(self._cdf, u[in_table], side="right")
-            out[in_table] = self.support[idx]
+            u = rng.random(n)
+            out = np.empty(n, dtype=np.int64)
+            in_table = u < self._table.cdf[-1]
+            out[in_table] = self.support[self._table.search(u[in_table])]
             n_tail = int((~in_table).sum())
             if n_tail:
                 if self._tail_sampler is None:
                     raise MeasureError("analytic-tail family lacks a tail sampler")
                 out[~in_table] = self._tail_sampler(rng, n_tail)
         else:
-            idx = np.searchsorted(self._cdf, u * self._cdf[-1], side="right")
-            idx = np.minimum(idx, len(self.support) - 1)
-            out = self.support[idx]
+            out = self.support[self._table.draw(rng, n)]
         if size is None:
             return int(out[0])
         return out.reshape(size)
+
+    @functools.cached_property
+    def _table(self) -> GuideTable:              # built on the first draw
+        return GuideTable(np.cumsum(self.probs))
 
     # -- moments ------------------------------------------------------------
 
@@ -487,8 +485,9 @@ def gcd_normalize(m: Measure1D) -> tuple[Measure1D, int]:
 
 
 class GuideTable:
-    """``np.searchsorted(cdf, u, side="right")`` by indexed search.
+    """``np.searchsorted(cdf, u, side="right")``: the package's one cdf inversion.
 
+    Up to ``SHORT`` entries, a count of the entries at or below ``u``; beyond,
     Chen and Asau's guide table (Devroye, *Non-Uniform Random Variate
     Generation*, 1986, section III.2.4): ``[cdf[0], cdf[-1]]`` is cut into
     ``len(cdf)`` equal buckets, and bucket ``b`` stores the number of
@@ -501,6 +500,7 @@ class GuideTable:
     ``cdf`` is any nondecreasing array.
     """
 
+    SHORT = 16
     STEPS = 4
 
     def __init__(self, cdf):
@@ -514,8 +514,17 @@ class GuideTable:
     def _bucket(self, u):
         return np.clip((u - self.cdf[0]) * self._scale, 0, len(self.cdf) - 1).astype(np.intp)
 
+    @staticmethod
+    def _count(u, cdf) -> np.ndarray:
+        idx = np.zeros(u.shape, dtype=np.uint8)     # intp out: callers add offsets
+        for c in cdf.tolist():
+            idx += (u >= c).view(np.uint8)
+        return idx.astype(np.intp)
+
     def search(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
+        if len(self.cdf) <= self.SHORT:
+            return self._count(u, self.cdf)
         i = self._guide[self._bucket(u)]
         todo = np.nonzero(self._padded[i] <= u)[0]
         for _ in range(self.STEPS):
@@ -525,6 +534,13 @@ class GuideTable:
             todo = todo[self._padded[i[todo]] <= u[todo]]
         i[todo] = np.searchsorted(self.cdf, u[todo], side="right")
         return i
+
+    def draw(self, rng, n: int) -> np.ndarray:
+        """``n`` indices by inversion, capped at the last one (``u`` may round up)."""
+        u = rng.random(n) * self.cdf[-1]
+        if len(self.cdf) <= self.SHORT:
+            return self._count(u, self.cdf[:-1])
+        return np.minimum(self.search(u), len(self.cdf) - 1)
 
 
 class LatticeSumSampler:
@@ -565,11 +581,7 @@ class LatticeSumSampler:
         out = np.zeros(len(counts), dtype=np.int64)
         for j, (offset, table) in enumerate(self._levels):
             mask = (counts >> j) & 1 == 1
-            nsel = int(mask.sum())
-            if nsel == 0:
-                continue
-            idx = table.search(rng.random(nsel) * table.cdf[-1])
-            out[mask] += offset + np.minimum(idx, len(table.cdf) - 1)
+            out[mask] += offset + table.draw(rng, int(np.count_nonzero(mask)))
         return out
 
 
@@ -703,16 +715,25 @@ def subordinated_increment_sampler(alpha: float, rng, size=None):
     pgf ``B phi / (1 - (1 - B) phi)``, ``phi`` the pgf of one fair step.  That
     is ``phi`` times the pgf of ``G - G'`` for ``G, G'`` i.i.d. geometric on
     ``{0, 1, ...}`` with success probability ``p = (B + r) / (1 + r)``,
-    ``r = sqrt(B (2 - B))``: one fair step plus ``G - G'``.  The floor
+    ``r = sqrt(B (2 - B))``: one fair step plus ``G - G'``, where
+    ``|G - G'| = floor(log(U (1 + q) / 2) / log q)``, ``U`` uniform on ``(0, 1]``,
+    inverts ``P(|G - G'| >= k) = 2 q^k / (1 + q)`` (``k >= 1``, ``q = 1 - p``);
+    one draw in ``{0, 1, 2, 3}`` gives the step and the sign.  The floor
     ``B >= 1 / CAP`` keeps ``p > 2^-31``, so ``|G - G'|`` stays far inside int64.
     """
     rng = make_rng(rng)
     scalar = size is None
     n = 1 if scalar else int(np.prod(size))
-    b = SubordinatorAlpha(alpha)._mixing(rng, n)
-    r = np.sqrt(b * (2.0 - b))
-    p = (b + r) / (1.0 + r)
-    out = 2 * rng.integers(0, 2, n) - 1 + rng.geometric(p) - rng.geometric(p)
+    p = SubordinatorAlpha(alpha)._mixing(rng, n)        # B, until p replaces it
+    r = np.sqrt(p * (2.0 - p))
+    p = (p + r) / (r + 1.0)
+    k = np.log((1.0 - rng.random(n)) * (1.0 - 0.5 * p))     # log(U (1 + q) / 2)
+    with np.errstate(divide="ignore"):        # B = 1: p = 1 and log q = -inf
+        k /= np.log1p(np.negative(p, out=p), out=p)
+    out = np.floor(k, out=k).astype(np.int64)
+    signs = rng.integers(0, 4, n, dtype=np.int8)
+    np.negative(out, out=out, where=signs >= 2)
+    out += 2 * (signs & 1) - 1
     if scalar:
         return int(out[0])
     return out.reshape(size)
@@ -853,7 +874,6 @@ class JointMeasure:
     points: Optional[np.ndarray] = None
     probs: Optional[np.ndarray] = None
     factors: Optional[list] = None
-    _cdf: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
     def finite(cls, dims, atoms) -> "JointMeasure":
@@ -881,7 +901,6 @@ class JointMeasure:
                 if np.any(col != np.round(col)):
                     raise MeasureError(f"coordinate {i} declared lattice but has "
                                        f"non-integer support values")
-            self._cdf = np.cumsum(self.probs)
         elif self.factors is not None:
             if len(self.factors) != d:
                 raise MeasureError(f"need {d} factors, got {len(self.factors)}")
@@ -936,12 +955,13 @@ class JointMeasure:
         rng = make_rng(rng)
         n = int(size)
         if self.points is not None:
-            u = rng.random(n)
-            idx = np.searchsorted(self._cdf, u * self._cdf[-1], side="right")
-            idx = np.minimum(idx, len(self.probs) - 1)
-            return self.points[idx].copy()
+            return self.points[self._table.draw(rng, n)]
         cols = [np.asarray(f.sample(rng, n), dtype=float) for f in self.factors]
         return np.column_stack(cols)
+
+    @functools.cached_property
+    def _table(self) -> GuideTable:              # built on the first draw
+        return GuideTable(np.cumsum(self.probs))
 
     def support_points(self) -> np.ndarray:
         """All support points (finite bodies; product bodies with finite factors)."""

@@ -104,6 +104,19 @@ def test_max_displacement_covers_every_step():
     assert peak == 172.0
 
 
+def test_return_experiment_without_records_counts_the_same():
+    law = ms.JointMeasure.product((1, 0, 0, 0), [PM1])
+
+    def at_zero(x, z):
+        return x[..., 0] == 0
+
+    full = dg._run_return_experiment(law, np.zeros(1), at_zero, 20_000, 4, 5)
+    bare = dg._run_return_experiment(law, np.zeros(1), at_zero, 20_000, 4, 5,
+                                     record=False)
+    assert bare[:2] == full[:2] and bare[2:] == (None, None)
+    assert len(full[2]) > 0 and full[3] > 0
+
+
 def test_evidence_deterministic_given_seed():
     a = dg.return_time_stats(spec_of(PM1), [0.0], ((0.0,), 0.0), 50_000, 8, 99)
     b = dg.return_time_stats(spec_of(PM1), [0.0], ((0.0,), 0.0), 50_000, 8, 99)

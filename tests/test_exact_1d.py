@@ -189,6 +189,13 @@ def test_criteria_widely_spaced_atoms():
     assert rep.as_tuple() == ("holds", "holds", "holds")
 
 
+def test_tail_product_verdict_holds_for_finite_laws():
+    # tail(y) = 0 from the top atom on, even when it lies past the truncation
+    for atoms in ({1: 0.5, 10 ** 9: 0.5}, {0: 0.2, 3: 0.3, 10 ** 7: 0.5}):
+        verdict, seq = ex._tail_product_verdict(lattice(atoms), 1 << 22)
+        assert verdict == "holds", seq
+
+
 def test_criteria_reject_negative_support():
     with pytest.raises(ms.MeasureError):
         ex.recurrence_criteria(lattice({-1: 0.5, 1: 0.5}))

@@ -1,6 +1,7 @@
 """Tests for increment-law construction, moments, tails and samplers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,44 @@ def test_subordinated_increment_matches_binomial_mixture(alpha):
         assert abs(emp - exact) <= 5 * se + omitted, (v, emp, exact)
 
 
+class _FixedMixing(np.random.Generator):
+    """A generator whose Beta draws all return ``b``: fixes the mixing variable."""
+
+    def __init__(self, b, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.b = b
+
+    def beta(self, a, b, size=None):
+        return np.full(size, self.b)
+
+
+@pytest.mark.parametrize("b", [1e-4, 0.05, 0.3, 0.9])
+def test_subordinated_increment_two_sided_geometric_law(b):
+    # given B, the draw is a fair step plus G - G', where
+    # P(|G - G'| = k) = 2 p q^k / (1 + q) for k >= 1 and p / (1 + q) at k = 0
+    n = 10 ** 6
+    r = math.sqrt(b * (2 - b))
+    p = (b + r) / (1 + r)
+    q = 1 - p
+
+    def two_sided(d):
+        return p * q ** abs(d) / (1 + q)
+
+    y = ms.subordinated_increment_sampler(0.3, _FixedMixing(b, 59), size=n)
+    for v in (0, 1, 2, 5):
+        exact = 0.5 * (two_sided(v - 1) + two_sided(v + 1))
+        _within_5se(np.count_nonzero(y == v), n, exact, v)
+        _within_5se(np.count_nonzero(y == -v), n, exact, -v)
+
+
+def test_subordinated_increment_at_mixing_one_is_a_fair_step():
+    # B = 1 gives p = 1 and log q = -inf: G - G' = 0, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = ms.subordinated_increment_sampler(0.3, _FixedMixing(1.0, 61), size=10 ** 4)
+    assert set(np.unique(y).tolist()) == {-1, 1}
+
+
 def test_log_tail_sampler_atoms_beyond_the_cutoff():
     # draws at or above the cutoff follow (tail(k - 1) - tail(k)) / tail(cutoff - 1)
     cutoff = 10
@@ -480,6 +519,60 @@ def test_guide_table_equals_searchsorted(n, seed, zero_frac, heavy, shift):
                         np.nextafter(edges, np.inf), [shift, cdf[-1] + 1.0]])
     got = ms.GuideTable(cdf).search(u)
     assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("short", [0, 64], ids=["guide", "count"])
+def test_guide_table_branches_equal_searchsorted(short, monkeypatch):
+    monkeypatch.setattr(ms.GuideTable, "SHORT", short)
+    rng = np.random.default_rng(67)
+    for n in range(1, 65):
+        w = rng.random(n)
+        w[rng.random(n) < 0.3] = 0.0            # zero-probability atoms
+        w[0] += 1e-3
+        cdf = np.cumsum(w)
+        u = np.concatenate([[0.0], cdf, np.nextafter(cdf, -np.inf), rng.random(200) * cdf[-1],
+                            [cdf[-1] + 1.0]])
+        table = ms.GuideTable(cdf)
+        assert np.array_equal(table.search(u), np.searchsorted(cdf, u, side="right")), n
+        assert table.search(u).dtype == np.intp
+        got = table.draw(np.random.default_rng(n), 500)
+        ref = np.searchsorted(cdf, np.random.default_rng(n).random(500) * cdf[-1], side="right")
+        assert np.array_equal(got, np.minimum(ref, n - 1)), n
+
+
+def _searchsorted_draws(cdf, u):
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
+
+
+@pytest.mark.parametrize("law", [lattice({1: 1.0}), lattice({-1: 0.5, 1: 0.5}),
+                                 _random_law(4, -3, 9),
+                                 ms.Measure1D.lattice_arrays(
+                                     np.arange(-20, 21),
+                                     np.random.default_rng(5).dirichlet(np.ones(41)))],
+                         ids=["point", "fair", "short", "long"])
+def test_finite_draws_equal_searchsorted_inversion(law):
+    got = law.sample(np.random.default_rng(71), 50_000)
+    u = np.random.default_rng(71).random(50_000)
+    assert np.array_equal(got, law.support[_searchsorted_draws(np.cumsum(law.probs), u)])
+
+
+def test_tailed_draws_equal_searchsorted_inversion():
+    wh = ms.wiener_hopf_log_tail(10 ** 5)
+    got = wh.sample(np.random.default_rng(73), 200_000)
+    u = np.random.default_rng(73).random(200_000)
+    cdf = np.cumsum(wh.probs)
+    in_table = u < cdf[-1]
+    assert np.array_equal(got[in_table],
+                          wh.support[np.searchsorted(cdf, u[in_table], side="right")])
+    assert np.all(got[~in_table] >= 10 ** 5)
+
+
+def test_joint_finite_draws_equal_searchsorted_inversion():
+    j = ms.JointMeasure.finite((1, 0, 1, 0), [((1, -1), 0.2), ((2, 0), 0.3),
+                                              ((-1, 3), 0.1), ((4, 4), 0.4)])
+    got = j.sample(np.random.default_rng(79), 50_000)
+    u = np.random.default_rng(79).random(50_000)
+    assert np.array_equal(got, j.points[_searchsorted_draws(np.cumsum(j.probs), u)])
 
 
 def test_guide_table_on_the_subordinator_tail_table():
