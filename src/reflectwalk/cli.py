@@ -157,14 +157,14 @@ def _cmd_criteria(cfg, outdir):
 
 def _cmd_ladder(cfg, outdir):
     m = measures.measure_from_config(cfg["measure"])
-    method = cfg["method"]
-    if method == "auto":
-        method = "exact" if (m.has_atoms and m.min_support() >= -1
-                             and abs(m.mean()) < 1e-12 or
-                             (m.has_atoms and m.min_support() >= 0)) else "monte_carlo"
-    if method == "exact":
-        lad = exact_1d.ladder_exact_skip_free(m)
-    else:
+    method, lad = cfg["method"], None
+    if method in ("auto", "exact"):
+        try:
+            lad = exact_1d.ladder_exact_skip_free(m)
+        except MeasureError:
+            if method == "exact":
+                raise
+    if lad is None:                     # auto falls back where the inversion refuses
         lad = exact_1d.ladder_monte_carlo(m, int(cfg["samples"]),
                                           make_rng(int(cfg["seed"])),
                                           step_cap=int(cfg["step_cap"]))

@@ -90,17 +90,12 @@ def invariant_measure_nonneg(m: Measure1D) -> InvariantMeasure1D:
         raise MeasureError("invariant measure needs an atom table or a tail")
     if not m.normalized:
         raise MeasureError("lattice law must be gcd-normalized")
-    if m.has_analytic_tail:
-        xs = m.support
-        pm = m.probs.copy()
-        tail_mass = m.tail(int(xs[-1]))
-        tails = np.concatenate([np.cumsum(pm[::-1])[::-1][1:], [0.0]]) + tail_mass
-    else:
-        top = int(m.support[-1])
-        xs = np.arange(0, top + 1, dtype=np.int64)
-        pm = np.zeros(top + 1)
-        pm[m.support] = m.probs
-        tails = np.concatenate([np.cumsum(pm[::-1])[::-1][1:], [0.0]])
+    top = int(m.support[-1])
+    xs = np.arange(0, top + 1, dtype=np.int64)
+    pm = np.zeros(top + 1)
+    pm[m.support] = m.probs
+    tail = m.tail(top) if m.has_analytic_tail else 0.0      # mass above the table
+    tails = np.concatenate([np.cumsum(pm[::-1])[::-1][1:], [0.0]]) + tail
     masses = pm / 2.0 + tails
     masses[0] = (1.0 - pm[0]) / 2.0
     mass_total = m.moment(1.0, "full")

@@ -24,7 +24,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .measures import JointMeasure, Measure1D, MeasureError
-from .reflect_core import ContractionWord
+from .reflect_core import ContractionWord, _parity_codes
 
 __all__ = [
     "ParityDecomposition", "EssentialClassReport", "ConstantMapWitness",
@@ -41,73 +41,44 @@ __all__ = [
 class ParityDecomposition:
     """The parity subgroup of ``{0,1}^r1`` generated by the increment support.
 
-    ``cosets[j]`` lists the parity vectors of coset ``j`` (coset 0 is the
-    group itself); ``coset_of`` maps a parity vector to its coset index.
+    ``cosets[j]`` lists the parity vectors of coset ``j`` in tuple order;
+    coset 0 is the group itself and the others follow in the order of their
+    least members.  ``coset_of`` maps a parity vector to its coset index.
     ``exponent`` is ``d`` with ``2^d`` cosets, so ``|Gamma| * 2^d = 2^r1``.
     """
 
     r1: int
     generators: np.ndarray          # (g, r1) 0/1 rows
-    basis: np.ndarray               # (dim, r1) GF(2) basis of Gamma
-    group: np.ndarray               # (|Gamma|, r1) all elements
+    group: np.ndarray               # (|Gamma|, r1) all elements, in tuple order
     cosets: list                    # list of (|Gamma|, r1) arrays
-    _rep_index: dict = field(default_factory=dict, repr=False)
+    _coset_index: np.ndarray = field(repr=False)   # parity code -> coset
 
     @property
     def exponent(self) -> int:
-        return self.r1 - len(self.basis)
+        return self.n_cosets.bit_length() - 1
 
     @property
     def n_cosets(self) -> int:
         return len(self.cosets)
 
     def coset_of(self, eps) -> int:
-        rep = _reduce_gf2(np.asarray(eps, dtype=np.uint8) & 1, self.basis)
-        return self._rep_index[tuple(int(b) for b in rep)]
+        return int(self._coset_index[_parity_codes(eps, self.r1)])
 
 
-def _reduce_gf2(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Canonical residue of ``v`` modulo the rowspace of ``basis``."""
-    out = v.copy()
-    for row in basis:
-        pivot = int(np.argmax(row))
-        if row[pivot] and out[pivot]:
-            out ^= row
-    return out
-
-
-def _gf2_basis(rows: np.ndarray) -> np.ndarray:
-    """Row-reduced GF(2) basis (pivot-leading rows, mutually reduced)."""
-    basis: list[np.ndarray] = []
-    for v in rows:
-        v = v.copy() & 1
-        for b in basis:
-            if v[int(np.argmax(b))]:
-                v ^= b
-        if v.any():
-            basis.append(v)
-            basis.sort(key=lambda b: int(np.argmax(b)))
-            # back-substitute so every pivot column is unique
-            for i in range(len(basis)):
-                for jj in range(len(basis)):
-                    if i != jj and basis[i][int(np.argmax(basis[jj]))]:
-                        basis[i] = basis[i] ^ basis[jj]
-            basis.sort(key=lambda b: int(np.argmax(b)))
-    if basis:
-        return np.array(basis, dtype=np.uint8)
-    return np.zeros((0, rows.shape[1]), dtype=np.uint8)
+def _bit_rows(codes: np.ndarray, r1: int) -> np.ndarray:
+    """0/1 rows of parity codes, coordinate 0 the highest bit."""
+    return ((codes[:, None] >> np.arange(r1 - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 def _parity_generators(j: JointMeasure) -> np.ndarray:
+    """Ascending parity codes of the support points."""
     r1 = j.dims[0]
     if r1 < 1:
         raise MeasureError("parity structure needs at least one lattice "
                            "reflecting coordinate")
     if j.is_finite:
-        pts = j.points[:, :r1]
-        gens = np.unique(np.asarray(np.round(pts), dtype=np.int64) & 1, axis=0)
-        return gens.astype(np.uint8)
-    sets = []
+        return np.unique(_parity_codes(j.points, r1))
+    codes = np.zeros(1, dtype=np.int64)
     for i in range(r1):
         f = j.factors[i]
         if not (f.has_atoms or f._symmetric is not None):
@@ -120,9 +91,8 @@ def _parity_generators(j: JointMeasure) -> np.ndarray:
                 par.add(1)
         else:
             par = {0, 1}  # sampler-backed laws here have full parity support
-        sets.append(sorted(par))
-    mesh = np.meshgrid(*sets, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh]).astype(np.uint8)
+        codes = (2 * codes[:, None] + np.array(sorted(par))).ravel()
+    return codes
 
 
 def parity_group(j: JointMeasure) -> ParityDecomposition:
@@ -132,27 +102,21 @@ def parity_group(j: JointMeasure) -> ParityDecomposition:
         raise MeasureError("all parity images are zero, which contradicts "
                            "gcd-normalization of the lattice marginals")
     r1 = j.dims[0]
-    basis = _gf2_basis(gens)
-    dim = len(basis)
-    group = np.zeros((1 << dim, r1), dtype=np.uint8)
-    for k in range(1 << dim):
-        v = np.zeros(r1, dtype=np.uint8)
-        for b in range(dim):
-            if (k >> b) & 1:
-                v ^= basis[b]
-        group[k] = v
-    # enumerate cosets by canonical residue
-    all_eps = np.array(np.meshgrid(*[[0, 1]] * r1, indexing="ij")
-                       ).reshape(r1, -1).T.astype(np.uint8)
-    residues: dict[tuple, list] = {}
-    for eps in all_eps:
-        rep = tuple(int(b) for b in _reduce_gf2(eps, basis))
-        residues.setdefault(rep, []).append(eps)
-    reps = sorted(residues, key=lambda t: (t != tuple([0] * r1), t))
-    cosets = [np.array(residues[rep], dtype=np.uint8) for rep in reps]
-    rep_index = {rep: i for i, rep in enumerate(reps)}
-    return ParityDecomposition(r1=r1, generators=gens, basis=basis, group=group,
-                               cosets=cosets, _rep_index=rep_index)
+    group = np.zeros(1, dtype=np.int64)        # XOR closure of the generator codes
+    for g in gens:
+        group = np.union1d(group, group ^ g)
+    # scanning codes in order meets each coset first at its least member c,
+    # and XOR with c keeps the group's ascending order
+    coset_index = np.full(1 << r1, -1)
+    cosets = []
+    for c in range(1 << r1):
+        if coset_index[c] < 0:
+            members = group ^ c
+            coset_index[members] = len(cosets)
+            cosets.append(_bit_rows(members, r1))
+    return ParityDecomposition(r1=r1, generators=_bit_rows(gens, r1),
+                               group=_bit_rows(group, r1), cosets=cosets,
+                               _coset_index=coset_index)
 
 
 def hypercube_chain(j: JointMeasure):
@@ -161,33 +125,25 @@ def hypercube_chain(j: JointMeasure):
     Returns ``(kernel, parity_pmf, decomposition)`` where
     ``kernel[e, f] = parity_pmf(f XOR e)``; the uniform law on each coset is
     stationary because the kernel is translation invariant and symmetric.
+    Kernel and pmf index a parity vector by the code with coordinate ``i``
+    as bit ``i`` (the reverse of the decomposition's tuple order).
     """
     r1 = j.dims[0]
     dec = parity_group(j)
-    pmf = np.zeros(1 << r1)
     if j.is_finite:
-        pars = np.asarray(np.round(j.points[:, :r1]), dtype=np.int64) & 1
-        codes = pars @ (1 << np.arange(r1))
-        np.add.at(pmf, codes, j.probs)
+        pmf = np.zeros(1 << r1)
+        np.add.at(pmf, _parity_codes(j.points[:, r1 - 1::-1], r1), j.probs)
     else:
-        per = []
+        odd = np.empty(r1)
         for i in range(r1):
             f = j.factors[i]
             if not f.has_atoms or f.has_analytic_tail:
                 raise MeasureError("parity kernel needs finite factor atoms")
-            odd = float(f.probs[(f.support & 1) == 1].sum())
-            per.append((1.0 - odd, odd))
-        for code in range(1 << r1):
-            p = 1.0
-            for i in range(r1):
-                p *= per[i][(code >> i) & 1]
-            pmf[code] = p
-    n = 1 << r1
-    kernel = np.empty((n, n))
-    for e in range(n):
-        for f_ in range(n):
-            kernel[e, f_] = pmf[e ^ f_]
-    return kernel, pmf, dec
+            odd[i] = f.probs[(f.support & 1) == 1].sum()
+        bits = (np.arange(1 << r1) >> np.arange(r1)[:, None]) & 1    # [i, code]
+        pmf = np.where(bits, odd[:, None], 1.0 - odd[:, None]).prod(axis=0)
+    codes = np.arange(1 << r1)
+    return pmf[codes[:, None] ^ codes], pmf, dec
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +167,7 @@ class EssentialClassReport:
     window: int
     members: list
     certificate: str
-    margin: int = 0
+    margin: int = field(default=0, compare=False)
     transient_classes: list = field(default_factory=list)
 
     def member_set(self) -> set:
@@ -253,22 +209,12 @@ def essential_classes(j: JointMeasure, window: int, margin: Optional[int] = None
             continue
         if cur and cur[0].certificate == "exact_bounded":
             return cur
-        if reports is not None and _same_reports(reports, cur):
+        if cur == reports:
             return cur
         reports = cur
         if m >= cap:
             return cur
         m *= 2
-
-
-def _same_reports(a: list, b: list) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if (ra.coset_index != rb.coset_index or ra.members != rb.members
-                or ra.transient_classes != rb.transient_classes):
-            return False
-    return True
 
 
 def _essential_classes_fixed(j: JointMeasure, window: int, margin: int

@@ -88,34 +88,24 @@ class Measure1D:
 
     @classmethod
     def lattice(cls, atoms, name=None, symmetric=None) -> "Measure1D":
-        """Finite lattice law from ``{point: prob}`` or ``[(point, prob)]``."""
-        if isinstance(atoms, dict):
-            items = sorted(atoms.items())
-        else:
-            items = sorted((int(x), float(p)) for x, p in atoms)
-        if not items:
-            raise MeasureError("empty support")
-        merged: dict[int, float] = {}
-        for x, p in items:
-            if x != int(x):
-                raise MeasureError(f"non-integer lattice atom {x!r}")
-            merged[int(x)] = merged.get(int(x), 0.0) + float(p)
-        support = np.array(sorted(merged), dtype=np.int64)
-        probs = np.array([merged[x] for x in sorted(merged)], dtype=float)
-        keep = probs > 0.0
-        if not keep.any():
-            raise MeasureError("all atom probabilities are zero")
-        support, probs = support[keep], probs[keep]
-        g = 0
-        for x in support:
-            g = math.gcd(g, abs(int(x)))
-        return cls("lattice", support=support, probs=probs,
-                   normalized=(g == 1), symmetric=symmetric, name=name)
+        """Finite lattice law from ``{point: prob}`` or ``[(point, prob)]``.
+
+        Repeated points merge; a non-integer point raises ``MeasureError``.
+        """
+        items = atoms.items() if isinstance(atoms, dict) else atoms
+        merged: dict = {}
+        for x, p in sorted((x, float(p)) for x, p in items):
+            merged[x] = merged.get(x, 0.0) + p
+        return cls.lattice_arrays(list(merged), list(merged.values()),
+                                  name=name, symmetric=symmetric)
 
     @classmethod
     def lattice_arrays(cls, support, probs, name=None, symmetric=None) -> "Measure1D":
         """Finite lattice law from parallel arrays (fast path for big supports)."""
-        support = np.asarray(support, dtype=np.int64)
+        raw = np.asarray(support)
+        support = raw.astype(np.int64)
+        if np.any(support != raw):
+            raise MeasureError(f"non-integer lattice atom {raw[support != raw][0]!r}")
         probs = np.asarray(probs, dtype=float)
         order = np.argsort(support)
         support, probs = support[order], probs[order]
@@ -125,9 +115,9 @@ class Measure1D:
         support, probs = support[keep], probs[keep]
         if len(support) == 0:
             raise MeasureError("empty support")
-        g = int(np.gcd.reduce(np.abs(support))) if len(support) else 0
         return cls("lattice", support=support, probs=probs,
-                   normalized=(g == 1), symmetric=symmetric, name=name)
+                   normalized=bool(np.gcd.reduce(np.abs(support)) == 1),
+                   symmetric=symmetric, name=name)
 
     @classmethod
     def lattice_tailed(cls, support, probs, tail_fn, pmf_fn=None,
@@ -470,16 +460,11 @@ def gcd_normalize(m: Measure1D) -> tuple[Measure1D, int]:
         raise MeasureError("gcd_normalize needs a lattice law with an atom table")
     if m.has_analytic_tail:
         return m, 1  # tailed families are built normalized
-    g = 0
-    for x in m.support:
-        g = math.gcd(g, abs(int(x)))
+    g = int(np.gcd.reduce(np.abs(m.support)))
     if g == 0:
         raise MeasureError("degenerate support {0}")
     if g == 1:
-        if m.normalized:
-            return m, 1
-        out = Measure1D.lattice(m.atoms_dict(), name=m.name)
-        return out, 1
+        return m, 1          # every constructor flags gcd-1 laws normalized
     atoms = {int(x) // g: float(p) for x, p in zip(m.support, m.probs)}
     return Measure1D.lattice(atoms, name=m.name), g
 
@@ -843,7 +828,7 @@ def measure_from_config(cfg) -> Measure1D:
     if not isinstance(cfg, dict):
         raise MeasureError(f"measure config must be a mapping, got {type(cfg).__name__}")
     if "atoms" in cfg:
-        return Measure1D.lattice([(int(x), float(p)) for x, p in cfg["atoms"]])
+        return Measure1D.lattice(cfg["atoms"])
     if "family" in cfg:
         name = cfg["family"]
         if name not in BUILTIN_FAMILIES:

@@ -372,6 +372,13 @@ def simulate(spec: WalkSpec, start, n: int, rng) -> Trajectory:
 # parity-return subsampling
 # ---------------------------------------------------------------------------
 
+def _parity_codes(y, r1: int) -> np.ndarray:
+    """Parity vectors of ``y[..., :r1]`` as integers, coordinate 0 the highest bit:
+    code order is tuple order, and the parity of a sum is the XOR of the codes."""
+    bits = np.asarray(np.round(np.asarray(y)[..., :r1]), dtype=np.int64) & 1
+    return bits @ (1 << np.arange(r1 - 1, -1, -1))
+
+
 def parity_return_times(spec: WalkSpec, start, count: int, rng,
                         max_steps: int = 1 << 26):
     """Successive times at which all lattice-coordinate sums are even.
@@ -386,7 +393,7 @@ def parity_return_times(spec: WalkSpec, start, count: int, rng,
                            "reflecting coordinate")
     rng = make_rng(rng)
     blocks = _walk_blocks(spec.law, spec.check_start(start)[None, :], rng)
-    par = np.zeros(spec.r1, dtype=np.int64)
+    par = 0
     times = np.empty(int(count), dtype=np.int64)
     states = np.empty((int(count), spec.r))
     got = 0
@@ -394,8 +401,8 @@ def parity_return_times(spec: WalkSpec, start, count: int, rng,
         k, y, block = next(blocks)
         if k >= max_steps:
             raise MeasureError("parity returns exhausted the step budget")
-        pars = (par + np.cumsum(np.round(y[:, 0, :spec.r1]).astype(np.int64), axis=0)) & 1
-        hit = np.nonzero(~pars.any(axis=1))[0][:count - got]
+        pars = par ^ np.bitwise_xor.accumulate(_parity_codes(y[:, 0], spec.r1))
+        hit = np.flatnonzero(pars == 0)[:count - got]
         times[got:got + hit.size] = k + 1 + hit
         states[got:got + hit.size] = block[hit, 0, :spec.r]
         got += hit.size
@@ -406,22 +413,24 @@ def parity_return_times(spec: WalkSpec, start, count: int, rng,
 def induced_word(spec: WalkSpec, rng, max_steps: int = 1 << 22) -> ContractionWord:
     """One block of increments up to the next parity-return time.
 
-    Evaluating the word at ``x`` reproduces the reflected state at the first
-    parity-return time for every start with the same parity vector, because
-    the block does not depend on the start.
+    Increments are drawn 16, 32, ... at a time; those after the return are
+    discarded.  Evaluating the word at ``x`` reproduces the reflected state at
+    the first parity-return time for every start with the same parity vector,
+    because the block does not depend on the start.
     """
     if spec.r1 < 1:
         raise MeasureError("induced words need a lattice reflecting coordinate")
     rng = make_rng(rng)
-    r, r1 = spec.r, spec.r1
-    par = np.zeros(r1, dtype=np.int64)
-    letters = []
-    for _ in range(max_steps):
-        y = spec.law.sample(rng, 1)[0, :r]
-        letters.append(y)
-        par ^= np.bitwise_and(np.asarray(np.round(y[:r1]), dtype=np.int64), 1)
-        if not par.any():
-            return ContractionWord(np.asarray(letters))
+    par, drawn, blocks = 0, 0, []
+    while drawn < max_steps:
+        y = spec.law.sample(rng, min(16 << len(blocks), max_steps - drawn))[:, :spec.r]
+        pars = par ^ np.bitwise_xor.accumulate(_parity_codes(y, spec.r1))
+        hit = np.flatnonzero(pars == 0)
+        if hit.size:
+            blocks.append(y[:hit[0] + 1])
+            return ContractionWord(np.concatenate(blocks))
+        blocks.append(y)
+        par, drawn = pars[-1], drawn + len(y)
     raise MeasureError("no parity return within the step budget")
 
 
@@ -497,7 +506,7 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     # b[i][s, j] = value of the backward composition at grids[i][j]
     b = [np.tile(g, (n_samples, 1)) for g in grids]
     cur = [np.tile(g, (n_samples, 1)) for g in grids]  # partial block images
-    par = np.zeros((n_samples, r1), dtype=np.int64)
+    par = np.zeros(n_samples, dtype=np.int64)         # parity code of each block
     blocks = np.zeros(n_samples, dtype=np.int64)
     done = np.zeros(n_samples, dtype=bool)
     active = ~done
@@ -508,10 +517,9 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         draws = spec.law.sample(rng, len(idx))[:, :r]
         ylat = np.asarray(np.round(draws[:, :r1]), dtype=np.int64)
         for i in range(r1):
-            cur_i = cur[i][idx]
-            cur[i][idx] = np.abs(cur_i - ylat[:, i][:, None])
-        par[idx] ^= np.bitwise_and(ylat, 1)
-        finished = idx[~par[idx].any(axis=1)]
+            cur[i][idx] = np.abs(cur[i][idx] - ylat[:, i][:, None])
+        par[idx] ^= _parity_codes(ylat, r1)
+        finished = idx[par[idx] == 0]
         if finished.size:
             blocks[finished] += 1
             for i in range(r1):
@@ -519,9 +527,7 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
                 img_idx = (cur[i][finished] - parity[i]) // 2
                 b[i][finished] = np.take_along_axis(b[i][finished], img_idx, axis=1)
                 cur[i][finished] = grids[i][None, :]
-            coal = np.ones(finished.size, dtype=bool)
-            for i in range(r1):
-                coal &= (b[i][finished] == b[i][finished][:, :1]).all(axis=1)
+            coal = np.all([(bi[finished] == bi[finished, :1]).all(axis=1) for bi in b], axis=0)
             newly = finished[coal]
             done[newly] = True
             over = finished[blocks[finished] >= horizon]
@@ -532,9 +538,7 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
             guard_fired = True
             break
     values = np.column_stack([b[i][:, 0] for i in range(r1)]).astype(float)
-    converged = np.ones(n_samples, dtype=bool)
-    for i in range(r1):
-        converged &= (b[i] == b[i][:, :1]).all(axis=1)
+    converged = np.all([(bi == bi[:, :1]).all(axis=1) for bi in b], axis=0)
     return BackwardResult(values=values, converged=converged, blocks_used=blocks,
                           parity=parity, guard_fired=guard_fired)
 

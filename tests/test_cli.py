@@ -123,6 +123,20 @@ def test_ladder_exact_and_mc(tmp_path, capsys):
     assert rc2 == 0 and "method,monte_carlo" in out2
 
 
+def test_ladder_auto_falls_back_where_the_inversion_refuses(tmp_path, capsys):
+    tailed = {"measure": {"family": "wiener_hopf_log_tail", "cutoff": 1000},
+              "samples": 2000, "step_cap": 100000, "seed": 1}
+    rc, out, _ = run_cli(capsys, "ladder", "--config",
+                         write_yaml(tmp_path / "t.yaml", tailed))
+    assert rc == 0 and "method,monte_carlo" in out
+    rc, _, err = run_cli(capsys, "ladder", "--config", write_yaml(
+        tmp_path / "e.yaml", dict(tailed, method="exact")))
+    assert rc == 2 and json.loads(err)["error"] == "MeasureError"
+    rc, out, _ = run_cli(capsys, "ladder", "--config", write_yaml(
+        tmp_path / "f.yaml", {"measure": {"atoms": [[1, 0.5], [2, 0.5]]}}))
+    assert rc == 0 and "method,exact_skip_free" in out
+
+
 def test_simulate_and_backward_artifacts(tmp_path, capsys):
     cfg = write_yaml(tmp_path / "c.yaml", {
         "measure": {"atoms": [[1, 0.5], [2, 0.5]]},

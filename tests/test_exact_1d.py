@@ -33,6 +33,20 @@ def test_invariant_measure_delta_one_two_state_chain():
     assert nu.as_dict() == {0: 0.5, 1: 0.5}
 
 
+def test_invariant_measure_tailed_law_above_zero():
+    # geometric law mu(x) = 2^-x on {1, 2, ...}: atoms up to 20, analytic tail above
+    xs = np.arange(1, 21)
+    m = ms.Measure1D.lattice_tailed(xs, 0.5 ** xs, tail_fn=lambda x: 0.5 ** x,
+                                    pmf_fn=lambda x: 0.5 ** np.asarray(x, dtype=float))
+    nu = ex.invariant_measure_nonneg(m)
+    assert nu.support.tolist() == list(range(21))
+    assert nu.masses[0] == (1.0 - m.prob(0)) / 2.0 == 0.5
+    want = [m.prob(x) / 2.0 + m.tail(x) for x in range(1, 21)]   # mu(x)/2 + tail(x)
+    assert np.allclose(nu.masses[1:], want, rtol=1e-15, atol=0)
+    assert nu.masses[1:3].tolist() == [0.75, 0.375]
+    assert nu.total_mass == pytest.approx(2.0, rel=1e-9)      # the mean
+
+
 def test_invariant_measure_balance_against_kernel_oracle():
     # brute-force oracle: explicit reflected kernel on {0..N}
     rng = np.random.default_rng(99)

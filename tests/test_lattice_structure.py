@@ -1,5 +1,11 @@
 """Tests for parity cosets, essential classes and the constant-map witness."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,6 +63,68 @@ def test_group_and_cosets_partition_hypercube():
             for e in cs:
                 seen.add(tuple(map(int, e)))
         assert len(seen) == 2 ** dec.r1
+
+
+def _random_parity_laws(rng, n):
+    """Finite and product lattice laws with 1..5 reflecting coordinates."""
+    for k in range(n):
+        r1 = 1 + k % 5
+        if k % 2:
+            while True:
+                pts = rng.integers(-2, 5, size=(int(rng.integers(1, 6)), r1))
+                pts = np.vstack([pts, rng.integers(1, 5, size=r1)])   # mass above 0
+                if (pts & 1).any():
+                    break
+            pts = np.unique(pts, axis=0)
+            probs = rng.dirichlet(np.ones(len(pts)))
+            yield joint_finite(list(zip(pts.tolist(), probs.tolist())), (r1, 0, 0, 0))
+        else:
+            factors = []
+            for _ in range(r1):
+                sup = np.unique(np.append(rng.integers(0, 6, size=2), 1))
+                factors.append(ms.Measure1D.lattice_arrays(
+                    sup, rng.dirichlet(np.ones(len(sup)))))
+            yield ms.JointMeasure.product((r1, 0, 0, 0), factors)
+
+
+def _xor_span(rows):
+    span = {(0,) * len(rows[0])}
+    while True:
+        grown = span | {tuple(a ^ b for a, b in zip(s, g)) for s in span for g in rows}
+        if grown == span:
+            return span
+        span = grown
+
+
+def test_parity_structure_of_random_laws():
+    rng = np.random.default_rng(11)
+    for law in _random_parity_laws(rng, 60):
+        dec = ls.parity_group(law)
+        r1 = dec.r1
+        if law.is_finite:
+            pars = np.asarray(law.points[:, :r1], dtype=np.int64) & 1
+        else:
+            pars = np.array([[int(x) & 1 for x in row] for row in law.support_points()])
+        span = _xor_span([tuple(map(int, p)) for p in pars])
+        assert [tuple(map(int, g)) for g in dec.group] == sorted(span)
+        # the cosets tile the hypercube, each in tuple order, in least-member order
+        vectors = list(itertools.product((0, 1), repeat=r1))
+        rows = [[tuple(map(int, e)) for e in cs] for cs in dec.cosets]
+        assert rows[0] == sorted(span)
+        assert sorted(e for cs in rows for e in cs) == vectors
+        assert [cs[0] for cs in rows] == sorted(cs[0] for cs in rows)
+        for cs in rows:
+            assert cs == sorted({tuple(a ^ b for a, b in zip(cs[0], g)) for g in span})
+        assert dec.n_cosets == 2 ** dec.exponent == 2 ** r1 // len(span)
+        for v in vectors:
+            assert v in rows[dec.coset_of(v)]
+        # the uniform law on each coset is stationary for the parity kernel
+        kernel, pmf, _ = ls.hypercube_chain(law)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        for cs in dec.cosets:
+            u = np.zeros(kernel.shape[0])
+            u[np.asarray(cs, dtype=np.int64) @ (1 << np.arange(r1))] = 1.0 / len(cs)
+            assert np.abs(u @ kernel - u).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +310,17 @@ def test_attractor_unbounded_with_negative_support():
 def test_attractor_continuous_interval():
     a = ls.attractor_1d(ms.uniform(0, 1))
     assert a.upper == 1.0 and not a.lattice
+
+
+# ---------------------------------------------------------------------------
+# demo
+# ---------------------------------------------------------------------------
+
+def test_parity_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, str(root / "demos" / "parity_and_classes.py")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "parity kernel of law (a)" in out.stdout

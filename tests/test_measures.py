@@ -74,6 +74,18 @@ def test_lattice_sum_validation():
         ms.Measure1D.lattice_arrays([0, 1], [0.7, -0.2])
 
 
+def test_non_integer_lattice_atoms_raise():
+    with pytest.raises(ms.MeasureError, match="non-integer"):
+        ms.Measure1D.lattice([(1.5, 0.5), (2, 0.5)])
+    with pytest.raises(ms.MeasureError, match="non-integer"):
+        ms.measure_from_config({"atoms": [[0.6, 0.5], [2, 0.5]]})
+    with pytest.raises(ms.MeasureError, match="non-integer"):
+        ms.Measure1D.lattice_arrays([1.7, 2], [0.5, 0.5])
+    # integral floats are lattice points, and repeated points merge
+    m = ms.Measure1D.lattice([(2.0, 0.25), (1, 0.5), (2, 0.25)])
+    assert m.atoms_dict() == {1: 0.5, 2: 0.5} and m.normalized
+
+
 def test_tailed_family_mass_consistency():
     wh = ms.wiener_hopf_log_tail(cutoff=50_000)
     assert abs(wh.probs.sum() + wh.tail(49_999) - 1.0) < 1e-9

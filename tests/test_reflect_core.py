@@ -252,18 +252,48 @@ def test_induced_word_replays_simulation():
 
 
 def test_word_concatenation_matches_parity_blocks():
-    # k induced blocks composed in order reproduce the walk at the k-th
-    # parity return, for the same seed
-    seed = 314
-    rng = np.random.default_rng(seed)
+    # k induced blocks composed in order reproduce the walk they drive at its
+    # k-th parity return
+    rng = np.random.default_rng(314)
     words = [rc.induced_word(SPEC_12, rng) for _ in range(5)]
-    total = words[0]
-    for w in words[1:]:
-        total = total.then(w)
-    times, states = rc.parity_return_times(SPEC_12, [4.0], 5,
-                                           np.random.default_rng(seed))
-    assert times[-1] == len(total)
-    assert total.evaluate(4.0) == states[-1][0]
+    letters = np.concatenate([w.letters[:, 0] for w in words]).astype(np.int64)
+    times = np.flatnonzero(np.cumsum(letters) % 2 == 0) + 1        # parity returns
+    assert times.tolist() == np.cumsum([len(w) for w in words]).tolist()
+    states, x = [], 4
+    for y in letters:                                # the walk from 4, step by step
+        x = abs(x - y)
+        states.append(x)
+    total = None
+    for w, t in zip(words, times):
+        total = w if total is None else total.then(w)
+        assert total.evaluate(4.0) == states[t - 1]
+
+
+def test_induced_word_two_dimensional_first_return():
+    # rare parity flips make long words, which span several draw blocks
+    m = ms.Measure1D.lattice({1: 0.01, 2: 0.99})
+    spec = rc.WalkSpec(ms.JointMeasure.product((2, 0, 0, 0), [m, m]))
+    rng = np.random.default_rng(21)
+    points = np.array([[0, 0], [1, 4], [5, 2], [7, 7]])
+    lengths = []
+    for _ in range(500):
+        w = rc.induced_word(spec, rng)
+        letters = w.letters.astype(np.int64)
+        pars = np.cumsum(letters, axis=0) % 2
+        assert not pars[-1].any() and pars[:-1].any(axis=1).all()
+        x = points.copy()
+        for y in letters:
+            x = np.abs(x - y)
+        assert np.array_equal(w.evaluate(points), x)
+        lengths.append(len(w))
+    assert max(lengths) > 16 + 32              # words cross two block boundaries
+
+
+def test_induced_word_step_budget_is_exact():
+    spec = spec_1d({1: 1.0})                     # every word is [1, 1]
+    with pytest.raises(ms.MeasureError):
+        rc.induced_word(spec, 0, max_steps=1)
+    assert rc.induced_word(spec, 0, max_steps=2).letters.ravel().tolist() == [1, 1]
 
 
 def test_induced_word_two_dimensional_replay():
