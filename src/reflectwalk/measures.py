@@ -93,9 +93,11 @@ class Measure1D:
         Repeated points merge; a non-integer point raises ``MeasureError``.
         """
         items = atoms.items() if isinstance(atoms, dict) else atoms
-        merged: dict = {}
+        merged: dict[int, float] = {}
         for x, p in sorted((x, float(p)) for x, p in items):
-            merged[x] = merged.get(x, 0.0) + p
+            if x != int(x):          # checked before any float array can round x
+                raise MeasureError(f"non-integer lattice atom {x!r}")
+            merged[int(x)] = merged.get(int(x), 0.0) + p
         return cls.lattice_arrays(list(merged), list(merged.values()),
                                   name=name, symmetric=symmetric)
 

@@ -517,7 +517,8 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         draws = spec.law.sample(rng, len(idx))[:, :r]
         ylat = np.asarray(np.round(draws[:, :r1]), dtype=np.int64)
         for i in range(r1):
-            cur[i][idx] = np.abs(cur[i][idx] - ylat[:, i][:, None])
+            cur_i = cur[i][idx]
+            cur[i][idx] = np.abs(cur_i - ylat[:, i][:, None])
         par[idx] ^= _parity_codes(ylat, r1)
         finished = idx[par[idx] == 0]
         if finished.size:
@@ -527,7 +528,9 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
                 img_idx = (cur[i][finished] - parity[i]) // 2
                 b[i][finished] = np.take_along_axis(b[i][finished], img_idx, axis=1)
                 cur[i][finished] = grids[i][None, :]
-            coal = np.all([(bi[finished] == bi[finished, :1]).all(axis=1) for bi in b], axis=0)
+            coal = np.ones(finished.size, dtype=bool)
+            for i in range(r1):
+                coal &= (b[i][finished] == b[i][finished][:, :1]).all(axis=1)
             newly = finished[coal]
             done[newly] = True
             over = finished[blocks[finished] >= horizon]
@@ -538,7 +541,9 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
             guard_fired = True
             break
     values = np.column_stack([b[i][:, 0] for i in range(r1)]).astype(float)
-    converged = np.all([(bi == bi[:, :1]).all(axis=1) for bi in b], axis=0)
+    converged = np.ones(n_samples, dtype=bool)
+    for i in range(r1):
+        converged &= (b[i] == b[i][:, :1]).all(axis=1)
     return BackwardResult(values=values, converged=converged, blocks_used=blocks,
                           parity=parity, guard_fired=guard_fired)
 

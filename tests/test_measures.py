@@ -84,6 +84,9 @@ def test_non_integer_lattice_atoms_raise():
     # integral floats are lattice points, and repeated points merge
     m = ms.Measure1D.lattice([(2.0, 0.25), (1, 0.5), (2, 0.25)])
     assert m.atoms_dict() == {1: 0.5, 2: 0.5} and m.normalized
+    # integer points stay exact beside floats, above the float64 integer range
+    m = ms.Measure1D.lattice([(2**53 + 1, 0.5), (0.0, 0.5)])
+    assert m.support.tolist() == [0, 2**53 + 1]
 
 
 def test_tailed_family_mass_consistency():

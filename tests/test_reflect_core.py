@@ -230,6 +230,26 @@ def test_parity_return_mean_two_dimensional_full_group():
     assert (np.asarray(states, dtype=np.int64) % 2 == 0).all()
 
 
+@pytest.mark.parametrize("spec, start, count", [
+    (SPEC_12, [4.0], 5),
+    (SPEC_12, [4.0], 10_000),                    # returns span draw blocks
+    (rc.WalkSpec(ms.JointMeasure.finite(
+        (2, 1, 1, 0), [((2, 3, 1, 1), 0.3), ((3, 1, 2, -1), 0.3),
+                       ((1, 1, 0, 2), 0.2), ((0, 2, 3, 0), 0.2)])),
+     [1.0, 2.0, 0.75, 3.0], 3_000),
+])
+def test_parity_return_times_match_simulation(spec, start, count):
+    # times are the zeros of the cumulative increment parity of the walk drawn
+    # from the same seed, and states are that walk's reflected states there
+    for seed in range(8):
+        times, states = rc.parity_return_times(spec, start, count, seed)
+        draws = spec.law.sample(np.random.default_rng(seed), int(times[-1]))
+        pars = np.cumsum(np.round(draws[:, :spec.r1]).astype(np.int64), axis=0) % 2
+        assert times.tolist() == (np.flatnonzero(~pars.any(axis=1)) + 1).tolist()
+        traj = rc.simulate(spec, start, int(times[-1]), seed)
+        assert np.array_equal(states, traj.states[times, :spec.r])
+
+
 def test_parity_return_requires_lattice_reflection():
     j = ms.JointMeasure.product((0, 1, 0, 0), [ms.uniform(0, 1)])
     with pytest.raises(ms.MeasureError):
