@@ -91,7 +91,8 @@ def invariant_measure_nonneg(m: Measure1D) -> InvariantMeasure1D:
     if not m.normalized:
         raise MeasureError("lattice law must be gcd-normalized")
     top = int(m.support[-1])
-    xs = np.arange(0, top + 1, dtype=np.int64)
+    # a support that is already 0..top (tailed families) is reused, not copied
+    xs = m.support if len(m.support) == top + 1 else np.arange(top + 1, dtype=np.int64)
     pm = np.zeros(top + 1)
     pm[m.support] = m.probs
     tail = m.tail(top) if m.has_analytic_tail else 0.0      # mass above the table
