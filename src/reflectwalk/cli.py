@@ -81,15 +81,16 @@ def _resolve(sub: str, cfg: dict, args) -> dict:
     return out
 
 
-def _write_metadata(outdir: Path, sub: str, cfg: dict, extra=None):
-    meta = {"tool": "reflectwalk", "version": __version__,
-            "schema_version": SCHEMA_VERSION, "subcommand": sub, "config": cfg}
-    if extra:
-        meta.update(extra)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
-    return meta
+def _json(payload) -> str:
+    """The one JSON layout of every payload, printed or written."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=str)
+
+
+def _write(outdir: Path | None, name: str, text: str):
+    """Write one artifact under ``--out``; a run without ``--out`` writes nothing."""
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / name).write_text(text + "\n")
 
 
 def _joint_of(cfg: dict) -> measures.JointMeasure:
@@ -131,27 +132,22 @@ def _cmd_invariant(cfg, outdir):
     lines.append(f"total_mass,{_fmt(nu.total_mass)}")
     text = "\n".join(lines)
     print(text)
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "invariant.csv").write_text(text + "\n")
+    _write(outdir, "invariant.csv", text)
     return {}
 
 
 def _cmd_criteria(cfg, outdir):
     m = measures.measure_from_config(cfg["measure"])
     rep = exact_1d.recurrence_criteria(m, int(cfg["truncation"]))
-    payload = {
+    text = _json({
         "schema_version": SCHEMA_VERSION,
         "sqrt_moment": rep.cond_sqrt_moment,
         "tail_square": rep.cond_tail_square,
         "tail_product": rep.cond_tail_product,
         "truncation": rep.truncation,
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "criteria.json").write_text(json.dumps(payload, indent=2,
-                                                         sort_keys=True) + "\n")
+    })
+    print(text)
+    _write(outdir, "criteria.json", text)
     return {}
 
 
@@ -176,9 +172,7 @@ def _cmd_ladder(cfg, outdir):
     print(f"method,{lad.method}")
     if lad.capped_excursions:
         print(f"capped_excursions,{lad.capped_excursions}")
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "ladder.csv").write_text(text + "\n")
+    _write(outdir, "ladder.csv", text)
     return {"method": lad.method, "capped_excursions": lad.capped_excursions}
 
 
@@ -188,7 +182,7 @@ def _cmd_classes(cfg, outdir):
     reports = lattice_structure.essential_classes(
         j, int(cfg["window"]), None if margin is None else int(margin))
     dec = lattice_structure.parity_group(j)
-    payload = {
+    text = _json({
         "schema_version": SCHEMA_VERSION,
         "parity_group": [list(map(int, g)) for g in dec.group],
         "n_cosets": dec.n_cosets,
@@ -205,12 +199,9 @@ def _cmd_classes(cfg, outdir):
             }
             for r in reports
         ],
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "classes.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
+    print(text)
+    _write(outdir, "classes.json", text)
     return {}
 
 
@@ -227,7 +218,7 @@ def _cmd_witness(cfg, outdir):
     for kk in (1, 2, w.verified_k):
         row = w.table[kk][: 2 * kk]
         print(f"  h^{kk} on 0..{2 * kk - 1}: {row.tolist()}")
-    payload = {
+    _write(outdir, "witness.json", _json({
         "schema_version": SCHEMA_VERSION,
         "generators": w.generators,
         "generator_words": [wd.letters.ravel().tolist() for wd in w.generator_words],
@@ -236,11 +227,7 @@ def _cmd_witness(cfg, outdir):
         "verified_k": w.verified_k,
         "checks_passed": w.checks_passed,
         "table": w.table.tolist(),
-    }
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "witness.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    }))
     if not w.checks_passed:
         raise MeasureError("witness verification failed")
     return {"checks_passed": w.checks_passed}
@@ -257,25 +244,16 @@ def _cmd_backward(cfg, outdir):
     for i, (v, c, b) in enumerate(zip(res.values, res.converged, res.blocks_used)):
         lines.append(f"{i}," + ",".join(_fmt(x) for x in v)
                      + f",{int(c)},{int(b)}")
-    text = "\n".join(lines)
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "backward.csv").write_text(text + "\n")
+    _write(outdir, "backward.csv", "\n".join(lines))
     conv = float(res.converged.mean())
     print(f"samples: {len(res.values)}, converged fraction: {conv}")
     return {"converged_fraction": conv}
 
 
-PROBES = {
-    "occupation", "return_time", "symmetrization", "cesaro",
-    "reflected_plus_free", "null_probe", "dimension", "subordinated_exponent",
-}
-
-
 def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int):
+    """Run one batch entry and write its artifacts; return its name and the
+    one value its summary line prints."""
     probe = entry.get("probe")
-    if probe not in PROBES:
-        raise MeasureError(f"unknown probe {probe!r}; choose from {sorted(PROBES)}")
     seed = int(entry.get("seed", child_seed(master_seed, index)))
     rng = make_rng(seed)
     name = entry.get("name", f"{probe}_{index}")
@@ -290,7 +268,7 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
         tv, occ = diagnostics.occupation_vs_invariant(
             spec, nu, int(entry.get("steps", 1_000_000)),
             int(entry.get("burn_in", 10_000)), rng)
-        result["tv_distance"] = tv
+        result["tv_distance"] = summary = tv
         raw_rows = ["state,visits"] + [f"\"{k}\",{v}" for k, v in sorted(occ.items())]
     elif probe == "return_time":
         spec = reflect_core.WalkSpec(_joint_of(entry))
@@ -299,7 +277,7 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
         stats, ev = diagnostics.return_time_stats(
             spec, entry.get("start", [0.0] * spec.dim), (center, radius),
             int(entry.get("budget", 100_000)), int(entry.get("replicas", 32)), rng)
-        result["evidence"] = ev.__dict__
+        result["evidence"], summary = ev.__dict__, ev.category
         raw_rows = ["return_time"] + [str(t) for t in stats.return_times[:10000]]
     elif probe == "symmetrization":
         j = _joint_of(entry)
@@ -308,9 +286,10 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
             j, entry.get("start", [0.0] * j.dim), int(entry.get("horizon", 4)),
             mode, rng, samples=int(entry.get("samples", 100_000)))
         if mode == "exact_enumeration":
-            result["max_discrepancy"] = out
+            result["max_discrepancy"] = summary = out
         else:
             result["tv_estimate"], result["tv_se"] = out
+            summary = result["tv_estimate"]
     elif probe == "cesaro":
         spec = reflect_core.WalkSpec(_joint_of(entry))
         nu1 = exact_1d.invariant_measure_nonneg(spec.law.marginal(0))
@@ -318,13 +297,14 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
         result["cesaro"] = diagnostics.cesaro_lower_bound(
             nu1, nu2, set(entry["set1"]), set(entry["set2"]), spec,
             int(entry.get("steps", 1_000_000)), rng)
+        summary = result["cesaro"]["empirical"]
     elif probe == "reflected_plus_free":
         spec = reflect_core.WalkSpec(_joint_of(entry))
         ev, wald = diagnostics.reflected_plus_free_experiment(
             spec, int(entry.get("budget", 200_000)),
             int(entry.get("replicas", 32)), rng,
             wald_cycles=int(entry.get("wald_cycles", 100_000)))
-        result["evidence"] = ev.__dict__
+        result["evidence"], summary = ev.__dict__, ev.category
         result["wald"] = wald
     elif probe == "null_probe":
         factors = [measures.measure_from_config(c) for c in entry["factors"]]
@@ -333,6 +313,7 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
             entry.get("grid", [2 ** k for k in range(6, 15)]),
             int(entry.get("replicas", 100_000)), rng)
         result["probe_result"] = out
+        summary = out.get("joint", out["factors"][0])["slope"]
         raw_rows = ["n,phat"] + [f"{n},{_fmt(p)}" for n, p in
                                  zip(out["grid"], out["factors"][0]["phat"])]
     elif probe == "dimension":
@@ -343,7 +324,7 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
             window_radius=float(entry.get("window_radius", 2.0)),
             burn_in=entry.get("burn_in"))
         dists = out.pop("min_distance_after_burn_in")
-        result["probe_result"] = out
+        result["probe_result"], summary = out, out["escape_fraction"]
         raw_rows = ["replica,min_distance_after_burn_in"] + [
             f"{i},{_fmt(v)}" for i, v in enumerate(dists)]
     elif probe == "subordinated_exponent":
@@ -351,41 +332,32 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
             float(entry["alpha"]), rng,
             n_max=int(entry.get("n_max", 1 << 14)),
             replicas=int(entry.get("replicas", 1_000_000)))
-        result["probe_result"] = out
+        result["probe_result"], summary = out, out["slope"]
         raw_rows = ["n,phat"] + [f"{n},{_fmt(p)}" for n, p in
                                  zip(out["grid"], out["phat"])]
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / f"{name}.json", "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True, default=str)
+    else:
+        raise MeasureError(f"unknown probe {probe!r}")
+    _write(outdir, f"{name}.json", _json(result))
     if raw_rows:
-        (outdir / f"{name}.csv").write_text("\n".join(raw_rows) + "\n")
-    return name, result
+        _write(outdir, f"{name}.csv", "\n".join(raw_rows))
+    return name, summary
 
 
 def _cmd_experiment(cfg, outdir):
     if outdir is None:
         raise MeasureError("experiment needs --out")
     entries = cfg.get("experiments") or [cfg]
-    master = int(cfg["seed"])
-    threads = int(cfg.get("threads", 1))
-    results = {}
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_run_one_experiment, e, outdir, master, i)
-                    for i, e in enumerate(entries)]
-            for fut in futs:
-                name, res = fut.result()
-                results[name] = res
-    else:
-        for i, e in enumerate(entries):
-            name, res = _run_one_experiment(e, outdir, master, i)
-            results[name] = res
-    for name, res in results.items():
-        summary = res.get("evidence", {}).get("category") or \
-            res.get("probe_result", {}).get("slope") or \
-            res.get("tv_distance") or res.get("max_discrepancy")
+    master, threads = int(cfg["seed"]), int(cfg["threads"])
+    if threads < 1:
+        raise MeasureError("--threads must be at least 1")
+    # when an entry raises, map cancels the entries that have not started
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        summaries = dict(pool.map(
+            lambda i: _run_one_experiment(entries[i], outdir, master, i),
+            range(len(entries))))
+    for name, summary in summaries.items():
         print(f"{name}: {summary}")
-    return {"experiments": sorted(results)}
+    return {"experiments": sorted(summaries)}
 
 
 def _cmd_validate(cfg, outdir):
@@ -405,8 +377,6 @@ def _cmd_validate(cfg, outdir):
               f"r={r1 + r2}: at least one reflected coordinate required")
         for i in range(r1 + r2):
             m = j.marginal(i)
-            check(f"nontrivial_{i}", m.is_nontrivial_positive(),
-                  f"reflecting marginal {i} must put mass on (0, inf)")
             if m.is_lattice and m.has_atoms and not m.has_analytic_tail:
                 _, kappa = measures.gcd_normalize(m)
                 check(f"normalized_{i}", kappa == 1,
@@ -418,7 +388,7 @@ def _cmd_validate(cfg, outdir):
     report = {"schema_version": SCHEMA_VERSION,
               "ok": all(c["status"] == "ok" for c in checks),
               "checks": checks}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json(report))
     return report
 
 
@@ -459,8 +429,10 @@ def main(argv=None) -> int:
         json.dump({"error": type(e).__name__, "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    if outdir is not None:
-        _write_metadata(outdir, args.subcommand, cfg, extra)
+    _write(outdir, "metadata.json", _json(
+        {"tool": "reflectwalk", "version": __version__,
+         "schema_version": SCHEMA_VERSION, "subcommand": args.subcommand,
+         "config": cfg, **extra}))
     return 0
 
 

@@ -101,6 +101,14 @@ def categorize(budgets, counts, total_time_per_budget, escape_fraction,
                               budgets=list(budgets))
 
 
+def _at_least(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; a size below ``least`` raises ``MeasureError``."""
+    value = int(value)
+    if value < least:
+        raise MeasureError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # shared vectorized walkers
 # ---------------------------------------------------------------------------
@@ -120,6 +128,7 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
     budget = int(budget)
     if budget < 1000:
         raise MeasureError("budgets below 1000 steps are refused as meaningless")
+    replicas = _at_least("replicas", replicas)
     r = law.n_reflected
     budgets = np.array([budget // 8, budget // 4, budget // 2, budget])
     burn = int(budget * THRESHOLDS["burn_in_fraction"])
@@ -158,6 +167,8 @@ def occupation_vs_invariant(spec: WalkSpec, exact, steps: int, burn_in: int,
     """
     rng = make_rng(rng)
     steps, burn_in = int(steps), int(burn_in)
+    if burn_in >= steps:
+        raise MeasureError(f"burn_in {burn_in} leaves none of the {steps} steps")
     if isinstance(exact, InvariantMeasure1D):
         if not (math.isfinite(exact.total_mass) and exact.total_mass > 0):
             raise MeasureError("reference invariant measure must have finite mass")
@@ -244,6 +255,8 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
     n = int(n)
     if n < 0:
         raise MeasureError("horizon n must be >= 0")
+    if mode == "monte_carlo":
+        samples = _at_least("samples", samples)
     if not j.is_fully_symmetric():
         raise MeasureError("symmetrization needs a fully symmetric law")
     if n == 0:
@@ -299,7 +312,7 @@ def cesaro_lower_bound(nu1: InvariantMeasure1D, nu2: InvariantMeasure1D,
     if r != 2 or spec.s:
         raise MeasureError("the product bound experiment runs on 2-D "
                            "reflected-only specs")
-    steps = int(steps)
+    steps = _at_least("steps", steps)
     hits, totals = 0, []     # totals: hits at each batch end
     per_batch = max(1, steps // 10)
     for done, _, block in _walk_blocks(spec.law, np.zeros((1, 2)), rng, steps):
@@ -338,6 +351,7 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
     """
     if spec.s not in (1, 2):
         raise MeasureError("experiment needs 1 or 2 free coordinates")
+    wald_cycles = _at_least("wald_cycles", wald_cycles, 2)     # the SE needs two
     rng = make_rng(rng)
     r1, r2, sl1, sl2 = spec.law.dims
     r, s = spec.r, spec.s
@@ -348,14 +362,14 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
     def in_target(x, z):
         return (x == xc).all(axis=-1) & (np.abs(z) <= free_radius).all(axis=-1)
 
-    counts, escape, times0, maxdisp = _run_return_experiment(
-        spec.law, start, in_target, budget, replicas, rng)
+    counts, escape, _, _ = _run_return_experiment(
+        spec.law, start, in_target, budget, replicas, rng, record=False)
     budgets = [int(budget) // 8, int(budget) // 4, int(budget) // 2, int(budget)]
     totals = [b * replicas for b in budgets]
     ev = categorize(budgets, counts, totals, escape, replicas)
 
     drift = np.array([spec.law.marginal(r + i).mean() for i in range(s)])
-    wald = _wald_cycle_check(spec, int(wald_cycles), drift, rng)
+    wald = _wald_cycle_check(spec, wald_cycles, drift, rng)
     return ev, wald
 
 
@@ -440,7 +454,7 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
             raise MeasureError("probe needs centred laws")
         if not m.normalized:
             raise MeasureError("probe needs gcd-normalized laws")
-    replicas = int(replicas)
+    replicas = _at_least("replicas", replicas)
     hits = np.ones((len(ns), replicas), dtype=bool)
     per_factor = []
     for fi, m in enumerate(factors):
@@ -525,7 +539,7 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
 
     budget = int(budget)
     burn = max(1000, budget // 1000) if burn_in is None else int(burn_in)
-    replicas = int(replicas)
+    replicas = _at_least("replicas", replicas)
     free = math.floor(window_radius) + 1       # the least distance outside the window
     mindist = np.full(replicas, np.inf)
     live = np.arange(replicas) if burn < budget else np.arange(0)
@@ -613,10 +627,10 @@ def subordinated_return_exponent(alpha: float, rng, n_max: int = 1 << 14,
         ns.append(n)
         n *= 2
     ns = np.asarray(ns, dtype=np.int64)
+    replicas = _at_least("replicas", replicas)
     sampler = SubordinatorSumSampler(alpha)
     hits = np.zeros(len(ns), dtype=np.int64)
     done = 0
-    replicas = int(replicas)
     while done < replicas:
         b = min(chunk, replicas - done)
         s = np.zeros(b, dtype=np.int64)

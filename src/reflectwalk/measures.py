@@ -51,6 +51,15 @@ class MeasureError(ValueError):
 # one-dimensional measures
 # ---------------------------------------------------------------------------
 
+def _int_support(support) -> np.ndarray:
+    """``support`` as int64, uncopied if it already is; non-integers raise."""
+    raw = np.asarray(support)
+    out = raw.astype(np.int64, copy=False)
+    if out is not raw and np.any(out != raw):
+        raise MeasureError(f"non-integer lattice atom {raw[out != raw][0]!r}")
+    return out
+
+
 class Measure1D:
     """A one-dimensional increment law.
 
@@ -104,10 +113,7 @@ class Measure1D:
     @classmethod
     def lattice_arrays(cls, support, probs, name=None, symmetric=None) -> "Measure1D":
         """Finite lattice law from parallel arrays (fast path for big supports)."""
-        raw = np.asarray(support)
-        support = raw.astype(np.int64)
-        if np.any(support != raw):
-            raise MeasureError(f"non-integer lattice atom {raw[support != raw][0]!r}")
+        support = _int_support(support)
         probs = np.asarray(probs, dtype=float)
         order = np.argsort(support)
         support, probs = support[order], probs[order]
@@ -126,12 +132,14 @@ class Measure1D:
                        tail_sampler=None, name=None, meta=None) -> "Measure1D":
         """Infinite-support lattice family: exact prefix atoms plus analytic tail.
 
-        ``support`` must be contiguous integers; ``tail_fn(x)`` must return the
-        mass strictly above ``x`` for every ``x >= support[-1]`` and agree with
-        the implicit prefix mass: ``probs.sum() + tail_fn(support[-1]) == 1``
-        within 1e-9.
+        ``support`` must be strictly increasing integers (an int64 array is
+        kept, not copied); ``tail_fn(x)`` must return the mass strictly above
+        ``x`` for every ``x >= support[-1]`` and agree with the implicit prefix
+        mass: ``probs.sum() + tail_fn(support[-1]) == 1`` within 1e-9.
         """
-        support = np.asarray(support, dtype=np.int64)
+        support = _int_support(support)
+        if not np.all(support[1:] > support[:-1]):
+            raise MeasureError("lattice_tailed support must be strictly increasing")
         probs = np.asarray(probs, dtype=float)
         return cls("lattice", support=support, probs=probs, tail_fn=tail_fn,
                    pmf_fn=pmf_fn, tail_sampler=tail_sampler, normalized=True,
@@ -970,8 +978,9 @@ class JointMeasure:
         """
         if self.factors is not None:
             return all(f.is_symmetric() for f in self.factors)
-        table = {tuple(pt): float(p) for pt, p in
-                 zip(map(tuple, self.points), self.probs)}
+        table: dict = {}                 # repeated points add their masses
+        for pt, p in zip(map(tuple, self.points), self.probs):
+            table[pt] = table.get(pt, 0.0) + float(p)
         for i in range(self.dim):
             for pt, p in table.items():
                 flipped = list(pt)

@@ -1,6 +1,7 @@
 """Command-line interface tests: schemas, golden outputs, reproducibility."""
 
 import json
+import math
 
 import yaml
 
@@ -158,34 +159,81 @@ def test_simulate_and_backward_artifacts(tmp_path, capsys):
     assert "converged fraction: 1.0" in outb
 
 
+A12 = {"atoms": [[1, 0.5], [2, 0.5]]}
+PM = {"atoms": [[-1, 0.5], [1, 0.5]]}
+CATEGORIES = {"positive_evidence", "null_evidence", "transient_evidence",
+              "inconclusive"}
+
+
 def test_experiment_batch_and_metadata_regeneration(tmp_path, capsys):
     cfg = write_yaml(tmp_path / "exp.yaml", {
         "seed": 1234,
         "experiments": [
-            {"name": "ret", "probe": "return_time",
-             "measure": {"atoms": [[1, 0.5], [2, 0.5]]},
+            {"name": "occ", "probe": "occupation", "measure": A12,
+             "steps": 20_000, "burn_in": 1000},
+            {"name": "ret", "probe": "return_time", "measure": A12,
              "budget": 20000, "replicas": 8},
             {"name": "sym", "probe": "symmetrization",
-             "joint": {"dims": [0, 0, 1, 0],
-                       "product": [{"atoms": [[-1, 0.5], [1, 0.5]]}]},
-             "horizon": 3},
+             "joint": {"dims": [0, 0, 1, 0], "product": [PM]}, "horizon": 3},
+            {"name": "symmc", "probe": "symmetrization", "mode": "monte_carlo",
+             "joint": {"dims": [1, 0, 0, 0], "product": [PM]}, "horizon": 4,
+             "samples": 2000},
+            {"name": "ces", "probe": "cesaro",
+             "joint": {"dims": [2, 0, 0, 0], "product": [A12, A12]},
+             "set1": [0, 1], "set2": [0, 1], "steps": 20_000},
+            {"name": "rpf", "probe": "reflected_plus_free",
+             "joint": {"dims": [1, 0, 1, 0], "product": [A12, PM]},
+             "budget": 8000, "replicas": 4, "wald_cycles": 2000},
+            {"name": "null1", "probe": "null_probe", "factors": [PM],
+             "grid": [64, 128, 256, 512], "replicas": 2000},
+            {"name": "null2", "probe": "null_probe", "factors": [PM, PM],
+             "grid": [64, 128, 256, 512], "replicas": 2000},
+            {"name": "dim", "probe": "dimension",
+             "joint": {"dims": [2, 0, 0, 0], "product": [PM, PM]},
+             "budget": 10_000, "replicas": 16},
+            {"name": "sub", "probe": "subordinated_exponent", "alpha": 0.6,
+             "n_max": 1024, "replicas": 5000},
         ],
     })
     out1 = tmp_path / "run1"
-    rc, _, _ = run_cli(capsys, "experiment", "--config", cfg, "--out", str(out1))
+    rc, out, _ = run_cli(capsys, "experiment", "--config", cfg, "--out", str(out1))
     assert rc == 0
     ev = json.loads((out1 / "ret.json").read_text())
     assert ev["evidence"]["category"] == "positive_evidence"
     sym = json.loads((out1 / "sym.json").read_text())
     assert sym["max_discrepancy"] < 1e-12
-    # regenerate from the metadata file alone
+    # one summary line per entry, each a category or a finite number
+    summaries = dict(line.split(": ") for line in out.splitlines())
+    assert list(summaries) == ["occ", "ret", "sym", "symmc", "ces", "rpf",
+                               "null1", "null2", "dim", "sub"]
+    for value in summaries.values():
+        assert value in CATEGORIES or math.isfinite(float(value)), value
+    # every artifact ends with exactly one newline
+    artifacts = sorted(p.name for p in out1.iterdir())
+    assert len(artifacts) == 10 + 6 + 1          # json per entry, 6 csv, metadata
+    for name in artifacts:
+        text = (out1 / name).read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n"), name
+    # regenerate from the metadata file alone, byte for byte
     out2 = tmp_path / "run2"
     rc2, _, _ = run_cli(capsys, "experiment", "--config",
                         str(out1 / "metadata.json"), "--out", str(out2))
     assert rc2 == 0
-    for name in ("ret.json", "sym.json"):
-        assert (out1 / name).read_text() == (out2 / name).read_text()
-    assert (out1 / "ret.csv").read_text() == (out2 / "ret.csv").read_text()
+    assert sorted(p.name for p in out2.iterdir()) == artifacts
+    for name in artifacts:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_experiment_unknown_probe_and_bad_thread_count(tmp_path, capsys):
+    cfg = write_yaml(tmp_path / "bad.yaml",
+                     {"experiments": [{"probe": "nope"}]})
+    rc, _, err = run_cli(capsys, "experiment", "--config", cfg, "--out",
+                         str(tmp_path / "o"))
+    assert rc == 2 and json.loads(err)["message"] == "unknown probe 'nope'"
+    assert not (tmp_path / "o" / "metadata.json").exists()
+    rc, _, err = run_cli(capsys, "experiment", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--threads", "0")
+    assert rc == 2 and "threads" in json.loads(err)["message"]
 
 
 def test_experiment_results_independent_of_thread_count(tmp_path, capsys):

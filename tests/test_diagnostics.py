@@ -436,3 +436,40 @@ def test_categorize_rules_are_pure():
     ev4 = dg.categorize([10, 20, 40, 80], [0, 0, 0, 0],
                         [100, 200, 400, 800], 0.95, 4)
     assert ev4.category == "transient_evidence"
+
+
+# ---------------------------------------------------------------------------
+# empty sizes
+# ---------------------------------------------------------------------------
+
+NU12 = ex.invariant_measure_nonneg(M12)
+PLANE = ms.JointMeasure.product((2, 0, 0, 0), [PM1, PM1])
+
+EMPTY_SIZES = {
+    "return_time_replicas": lambda: dg.return_time_stats(
+        spec_of(M12), [0], ([0], 0), 2000, 0, 1),
+    "equivalence_replicas": lambda: ex.symmetric_equivalence_check(
+        PM1, 2000, 0.5, 1, replicas=0),
+    "cesaro_steps": lambda: dg.cesaro_lower_bound(
+        NU12, NU12, {0}, {0}, spec_of(M12, M12), 0, 1),
+    "symmetrization_samples": lambda: dg.symmetrization_check(
+        PLANE, [0, 0], 2, "monte_carlo", 1, samples=0),
+    "occupation_burn_in": lambda: dg.occupation_vs_invariant(
+        spec_of(M12), NU12, 1000, 1000, 1),
+    "null_probe_replicas": lambda: dg.product_null_recurrence_probe(
+        [PM1], [0], [64, 128, 256], 0, 1),
+    "dimension_replicas": lambda: dg.dimension_transience_probe(PLANE, 10_000, 0, 1),
+    "subordinated_replicas": lambda: dg.subordinated_return_exponent(
+        0.6, 1, n_max=1024, replicas=0),
+    "wald_cycles": lambda: dg.reflected_plus_free_experiment(
+        spec_of(M12, PM1, dims=(1, 0, 1, 0)), 2000, 4, 1, wald_cycles=0),
+    # one cycle leaves no standard error
+    "wald_one_cycle": lambda: dg.reflected_plus_free_experiment(
+        spec_of(M12, PM1, dims=(1, 0, 1, 0)), 2000, 4, 1, wald_cycles=1),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_SIZES.values(), ids=EMPTY_SIZES.keys())
+def test_empty_sizes_raise_measure_error(call):
+    with pytest.raises(ms.MeasureError):
+        call()

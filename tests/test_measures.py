@@ -99,6 +99,20 @@ def test_tailed_family_mass_consistency():
     assert ts[-1] < 1e-3
 
 
+def test_lattice_tailed_refuses_fractional_or_unsorted_support():
+    with pytest.raises(ms.MeasureError, match="non-integer"):
+        ms.Measure1D.lattice_tailed([0, 1.5], [.5, .4], tail_fn=lambda x: .1)
+    # unsorted, tail(0) would read 0.4 and tail(1) 0.1 (true: 0.7 and 0.4)
+    with pytest.raises(ms.MeasureError, match="strictly increasing"):
+        ms.Measure1D.lattice_tailed([2, 0, 1], [.3, .3, .3], tail_fn=lambda x: .1)
+    with pytest.raises(ms.MeasureError, match="strictly increasing"):
+        ms.Measure1D.lattice_tailed([0, 1, 1], [.3, .3, .3], tail_fn=lambda x: .1)
+    # an int64 support is kept as given, not copied
+    xs = np.arange(3, dtype=np.int64)
+    m = ms.Measure1D.lattice_tailed(xs, [.3, .3, .3], tail_fn=lambda x: .1)
+    assert m.support is xs and m.tail(0) == pytest.approx(0.7)
+
+
 # ---------------------------------------------------------------------------
 # moments and tails
 # ---------------------------------------------------------------------------
@@ -242,6 +256,16 @@ def test_fully_symmetric_examples():
     assert jp.is_fully_symmetric()
     j0 = ms.JointMeasure.finite((0, 0, 2, 0), [((0, 0), 1.0)])
     assert j0.is_fully_symmetric()
+
+
+def test_fully_symmetric_adds_repeated_points():
+    j = ms.JointMeasure.finite((1, 0, 0, 0),
+                               [((1,), .25), ((1,), .25), ((-1,), .5)])
+    assert j.marginal(0).is_symmetric()
+    assert j.is_fully_symmetric()
+    lop = ms.JointMeasure.finite((1, 0, 0, 0),
+                                 [((1,), .25), ((1,), .5), ((-1,), .25)])
+    assert not lop.is_fully_symmetric()
 
 
 def test_fully_symmetric_implies_symmetric_marginals():
