@@ -108,6 +108,8 @@ def _joint_of(cfg: dict) -> measures.JointMeasure:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg, outdir):
+    if outdir is None:
+        raise MeasureError("simulate needs --out")
     spec = reflect_core.WalkSpec(_joint_of(cfg))
     start = cfg.get("start") or [0.0] * spec.dim
     traj = reflect_core.simulate(spec, start, int(cfg["steps"]),

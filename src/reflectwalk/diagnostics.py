@@ -440,6 +440,7 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
     symmetric factors are simulated through the sign-flip identity (the
     reflected law at a fixed time equals the folded free-walk law): the free
     walk jumps between grid points by exact sums of the gap's increments.
+    The grid needs at least three distinct positive times.
 
     Returns a dict with per-factor slopes, the joint slope, and standard
     errors.
@@ -454,6 +455,9 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
             raise MeasureError("probe needs centred laws")
         if not m.normalized:
             raise MeasureError("probe needs gcd-normalized laws")
+    if len(np.unique(ns)) < 3 or ns[0] < 1:
+        raise MeasureError(f"n_grid needs at least three distinct positive times, "
+                           f"got {ns.tolist()}")
     replicas = _at_least("replicas", replicas)
     hits = np.ones((len(ns), replicas), dtype=bool)
     per_factor = []
@@ -517,8 +521,8 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
     increments, ``multinomial(k, probs) @ atoms`` (once per factor of a
     product law, once for a finite joint law); the burn-in is one jump and no
     jump runs past the budget.  ``jumps`` counts the replica jumps drawn,
-    against ``budget * replicas`` single steps.  Laws with unbounded support
-    are refused.
+    against ``budget * replicas`` single steps.  Laws with unbounded support,
+    and budgets that do not exceed the burn-in, are refused.
     """
     if not j.is_fully_symmetric():
         raise MeasureError("dimension probe needs a fully symmetric law")
@@ -538,11 +542,13 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
         return sum(rng.multinomial(k, probs) @ atoms for probs, atoms in parts)
 
     budget = int(budget)
-    burn = max(1000, budget // 1000) if burn_in is None else int(burn_in)
+    burn = (max(1000, budget // 1000) if burn_in is None
+            else _at_least("burn_in", burn_in, 0))
+    budget = _at_least("budget", budget, burn + 1)   # steps observed after the burn-in
     replicas = _at_least("replicas", replicas)
     free = math.floor(window_radius) + 1       # the least distance outside the window
     mindist = np.full(replicas, np.inf)
-    live = np.arange(replicas) if burn < budget else np.arange(0)
+    live = np.arange(replicas)
     pos = jump(np.full(live.size, burn))
     t = np.full(live.size, burn)
     dist = np.abs(pos).max(axis=1, initial=0)

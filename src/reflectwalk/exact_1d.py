@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .measures import GuideTable, JointMeasure, Measure1D, MeasureError
 from .rng import make_rng
@@ -238,6 +237,7 @@ def recurrence_criteria(m: Measure1D, truncation: int = 1 << 22) -> CriteriaRepo
 
 def _tail_square_verdict(m: Measure1D, k: int):
     if m.kind == "continuous":
+        from scipy import integrate
         hi = m.max_support()
         if not math.isfinite(hi):
             raise MeasureError("continuous criteria need finite support bounds")
@@ -270,6 +270,7 @@ def _tail_product_verdict(m: Measure1D, k: int):
     ys = [1 << e for e in range(2, int(math.log2(max(k, 16))) + 1)]
     edges = [0] + ys
     if m.kind == "continuous":
+        from scipy import integrate
         sums = [integrate.quad(m.tail, lo, hi, limit=200)[0]
                 for lo, hi in zip(edges[:-1], edges[1:])]
     else:

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .measures import JointMeasure, Measure1D, MeasureError
 from .reflect_core import ContractionWord, _parity_codes
@@ -264,6 +262,8 @@ def _essential_classes_fixed(j: JointMeasure, window: int, margin: int
         flat = img @ strides
         succs[a] = np.where(ok, flat, -1)
 
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
     edge = succs >= 0                                  # [support row, node]
     graph = csr_matrix((np.ones(edge.sum()), (np.nonzero(edge)[1], succs[edge])),
                        shape=(n_nodes, n_nodes))

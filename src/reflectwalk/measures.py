@@ -25,9 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.signal import fftconvolve
-from scipy.special import gammaln, lambertw
 
 from .rng import make_rng
 
@@ -395,6 +392,7 @@ class Measure1D:
             yield total
 
     def _moment_continuous(self, p: float, part: str) -> float:
+        from scipy import integrate
         lo = self.min_support()
         hi = self.max_support()
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -448,6 +446,7 @@ def _series_block_sum(g, lo: int, hi: int) -> float:
     if lo < _TERMWISE_MAX:
         return (_series_block_sum(g, lo, _TERMWISE_MAX)
                 + _series_block_sum(g, _TERMWISE_MAX, hi))
+    from scipy import integrate
     integral, _ = integrate.quad(lambda t: float(g(np.array([t]))[0]), lo, hi,
                                  epsabs=0.0, epsrel=1e-13, limit=200)
     at_lo, at_hi, lo_minus, lo_plus, hi_minus, hi_plus = g(np.array(
@@ -542,11 +541,12 @@ class LatticeSumSampler:
     """Sums of many i.i.d. draws from a finite lattice law.
 
     Level ``j`` holds the law of a sum of ``2^j`` draws as an offset and a
-    cdf: an FFT convolution square of level ``j - 1``, trimmed at mass 1e-15
-    per side.  A sum of ``c`` draws takes one table draw per binary digit of
-    ``c``, inverted through the level's :class:`GuideTable`.  Levels are
-    built on demand, up to the largest count asked for, so a sampler belongs
-    to its caller rather than to the shared measure.
+    cdf: the convolution square of level ``j - 1`` by a real FFT padded to a
+    power of two, trimmed at mass 1e-15 per side.  A sum of ``c`` draws
+    takes one table draw per binary digit of ``c``, inverted through the
+    level's :class:`GuideTable`.  Levels are built on demand, up to the
+    largest count asked for, so a sampler belongs to its caller rather than
+    to the shared measure.
     """
 
     def __init__(self, m: Measure1D):
@@ -559,7 +559,9 @@ class LatticeSumSampler:
         self._levels = [(lo, GuideTable(np.cumsum(pmf)))]  # (offset, table) per level
 
     def _grow(self):
-        nxt = fftconvolve(self._top, self._top)
+        n = 2 * len(self._top) - 1
+        size = 1 << (n - 1).bit_length()     # pocketfft is slow at awkward lengths
+        nxt = np.fft.irfft(np.fft.rfft(self._top, size) ** 2, size)[:n]
         np.maximum(nxt, 0.0, out=nxt)
         cs = np.cumsum(nxt)
         lo = int(np.searchsorted(cs, 1e-15))
@@ -621,6 +623,7 @@ def _log_tail(alpha: float, k) -> np.ndarray:
     out += alpha - math.lgamma(1.0 - alpha)
     small = x < 16.0
     if small.any():
+        from scipy.special import gammaln
         xs = x[small]
         out[small] = gammaln(xs - alpha) - gammaln(xs) - math.lgamma(1.0 - alpha)
     return out.reshape(np.shape(k))
@@ -773,6 +776,7 @@ def wiener_hopf_log_tail(cutoff: int = 1_000_000) -> Measure1D:
         return c * raw(np.asarray(x, dtype=float))
 
     def tail_sampler(rng, n):
+        from scipy.special import lambertw
         v = np.maximum(rng.random(n) * tail_fn(cutoff - 1), 1e-300)
         w = lambertw(-v / (4.0 * c * math.e), -1).real
         u = np.minimum(np.exp(-2.0 * w - 2.0), SubordinatorAlpha.CAP)

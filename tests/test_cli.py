@@ -159,6 +159,14 @@ def test_simulate_and_backward_artifacts(tmp_path, capsys):
     assert "converged fraction: 1.0" in outb
 
 
+def test_simulate_without_out_is_refused(tmp_path, capsys):
+    cfg = write_yaml(tmp_path / "c.yaml", {
+        "measure": {"atoms": [[1, 0.5], [2, 0.5]]}, "steps": 50, "seed": 9})
+    rc, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "MeasureError", "message": "simulate needs --out"}
+
+
 A12 = {"atoms": [[1, 0.5], [2, 0.5]]}
 PM = {"atoms": [[-1, 0.5], [1, 0.5]]}
 CATEGORIES = {"positive_evidence", "null_evidence", "transient_evidence",

@@ -272,9 +272,16 @@ def test_null_probe_general_centred_law():
     assert -0.8 < out["factors"][0]["slope"] < -0.25
 
 
+@pytest.mark.parametrize("grid", [[], [0, 64, 128, 256], [64, 64, 128]],
+                         ids=["empty", "zero_time", "two_distinct"])
+def test_null_probe_refuses_a_short_or_nonpositive_grid(grid):
+    with pytest.raises(ms.MeasureError, match="n_grid"):
+        dg.product_null_recurrence_probe([PM1], [0], grid, 100, rng=1)
+
+
 def test_null_probe_rejects_drift():
     m = ms.Measure1D.lattice({-1: 0.4, 1: 0.6})
-    with pytest.raises(ms.MeasureError):
+    with pytest.raises(ms.MeasureError, match="centred"):
         dg.product_null_recurrence_probe([m], [0], [64, 128], 1000, rng=1)
 
 
@@ -372,14 +379,6 @@ def test_dimension_probe_matches_exact_law(j):
     assert res["jumps"] < n * (1 + budget - burn)
 
 
-def test_dimension_probe_burn_in_past_budget_observes_nothing():
-    j = ms.JointMeasure.product((2, 0, 0, 0), [PM1, PM1])
-    for burn in (50, 60):
-        res = dg.dimension_transience_probe(j, 50, 16, 3, burn_in=burn)
-        assert res["escape_fraction"] == 1.0 and res["jumps"] == 0
-        assert res["min_distance_after_burn_in"] == [math.inf] * 16
-
-
 # ---------------------------------------------------------------------------
 # subordinated machinery
 # ---------------------------------------------------------------------------
@@ -459,6 +458,10 @@ EMPTY_SIZES = {
     "null_probe_replicas": lambda: dg.product_null_recurrence_probe(
         [PM1], [0], [64, 128, 256], 0, 1),
     "dimension_replicas": lambda: dg.dimension_transience_probe(PLANE, 10_000, 0, 1),
+    # the budget must exceed the burn-in (1000 by default)
+    "dimension_budget": lambda: dg.dimension_transience_probe(PLANE, 500, 4, 1),
+    "dimension_budget_at_burn_in": lambda: dg.dimension_transience_probe(
+        PLANE, 50, 16, 3, burn_in=50),
     "subordinated_replicas": lambda: dg.subordinated_return_exponent(
         0.6, 1, n_max=1024, replicas=0),
     "wald_cycles": lambda: dg.reflected_plus_free_experiment(

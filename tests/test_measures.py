@@ -621,20 +621,53 @@ def test_guide_table_on_the_subordinator_tail_table():
     assert np.array_equal(table.search(u), np.searchsorted(table.cdf, u, side="right"))
 
 
-def test_lattice_sum_sampler_draws_equal_searchsorted_inversion():
-    # the reference is the plain inversion of each level's cdf from one stream
-    law = _random_law(2, -4, 5)
-    counts = np.random.default_rng(0).integers(0, 5000, 3000)
-    sampler = ms.LatticeSumSampler(law)
-    got = sampler.sample(counts, np.random.default_rng(9))
-    rng, want = np.random.default_rng(9), np.zeros(len(counts), dtype=np.int64)
-    for j, (offset, table) in enumerate(sampler._levels):
+def _searchsorted_sums(levels, counts, rng):
+    """Sums drawn by the plain inversion of each level's cdf from one stream."""
+    want = np.zeros(len(counts), dtype=np.int64)
+    for j, (offset, table) in enumerate(levels):
         mask = (counts >> j) & 1 == 1
         if mask.any():
             idx = np.searchsorted(table.cdf, rng.random(int(mask.sum())) * table.cdf[-1],
                                   side="right")
             want[mask] += offset + np.minimum(idx, len(table.cdf) - 1)
-    assert np.array_equal(got, want)
+    return want
+
+
+def test_lattice_sum_sampler_draws_equal_searchsorted_inversion():
+    law = _random_law(2, -4, 5)
+    counts = np.random.default_rng(0).integers(0, 5000, 3000)
+    sampler = ms.LatticeSumSampler(law)
+    got = sampler.sample(counts, np.random.default_rng(9))
+    assert np.array_equal(got, _searchsorted_sums(sampler._levels, counts,
+                                                  np.random.default_rng(9)))
+
+
+# level 0 pmfs of 3, 6, 10 and 24 entries: 2 len - 1 = 5, 11, 19, 47
+SUM_LAWS = {"pm1": lattice({-1: 0.5, 1: 0.5}), "three_point": lattice({-2: .3, 0: .3, 3: .4}),
+            "random": _random_law(2, -4, 5),
+            "uniform_24": ms.Measure1D.lattice_arrays(np.arange(1, 25), np.full(24, 1 / 24))}
+
+
+@pytest.mark.parametrize("law", SUM_LAWS.values(), ids=SUM_LAWS.keys())
+def test_lattice_sum_sampler_levels_are_convolution_squares(law):
+    counts = np.random.default_rng(0).integers(0, 1 << 12, 3000)
+    sampler = ms.LatticeSumSampler(law)
+    got = sampler.sample(counts, np.random.default_rng(9))
+    assert len(sampler._levels) == 12
+    for (lo, below), (offset, table) in zip(sampler._levels, sampler._levels[1:]):
+        pmf = np.diff(below.cdf, prepend=0.0)
+        square = np.maximum(np.convolve(pmf, pmf), 0.0)
+        cs = np.cumsum(square)
+        a, b = np.searchsorted(cs, 1e-15), np.searchsorted(cs, cs[-1] - 1e-15) + 1
+        want = np.zeros_like(square)
+        want[a:b] = square[a:b]
+        # rounding may move a trim point by a few atoms, each of mass below 1e-15
+        level = np.zeros_like(square)
+        i = offset - 2 * lo
+        level[i:i + len(table.cdf)] = np.diff(table.cdf, prepend=0.0)
+        assert np.abs(level - want).max() <= 1e-15
+    assert np.array_equal(got, _searchsorted_sums(sampler._levels, counts,
+                                                  np.random.default_rng(9)))
 
 
 def test_lattice_sum_sampler_refuses_infinite_support():
