@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .measures import (JointMeasure, LatticeSumSampler, Measure1D, MeasureError,
-                       SubordinatorAlpha, subordinator_tail)
+                       SubordinatorAlpha, _at_least, subordinator_tail)
 from .reflect_core import WalkSpec, _walk_blocks
 from .exact_1d import InvariantMeasure1D
 from .rng import make_rng
@@ -75,8 +75,8 @@ class RecurrenceEvidence:
     notes: str = ""
 
 
-def categorize(budgets, counts, total_time_per_budget, escape_fraction,
-               replicas) -> RecurrenceEvidence:
+def categorize(budgets, counts, total_time_per_budget,
+               escape_fraction) -> RecurrenceEvidence:
     """Apply the fixed decision rules to pooled return statistics."""
     means = [t / c if c > 0 else math.inf
              for c, t in zip(counts, total_time_per_budget)]
@@ -101,14 +101,6 @@ def categorize(budgets, counts, total_time_per_budget, escape_fraction,
                               budgets=list(budgets))
 
 
-def _at_least(name: str, value, least: int = 1) -> int:
-    """``value`` as an int; a size below ``least`` raises ``MeasureError``."""
-    value = int(value)
-    if value < least:
-        raise MeasureError(f"{name} must be at least {least}, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # shared vectorized walkers
 # ---------------------------------------------------------------------------
@@ -120,7 +112,8 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
     ``start`` is a checked start of a walk with increment law ``law``.
     ``in_target(X, Z)`` maps (steps, replicas, r) blocks of reflected states
     and (steps, replicas, s) blocks of free states to a (steps, replicas)
-    boolean block.  Returns pooled counts at the four nested budgets, the
+    boolean block.  Returns the nested budgets ``B/2^(n-1), ..., B/2, B``
+    (``n = THRESHOLDS["n_budgets"]``, as ints), the pooled counts at each, the
     escape fraction (replicas with no visit after the burn-in), and, unless
     ``record`` is false, replica 0's visit times and the largest displacement.
     """
@@ -130,7 +123,7 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
         raise MeasureError("budgets below 1000 steps are refused as meaningless")
     replicas = _at_least("replicas", replicas)
     r = law.n_reflected
-    budgets = np.array([budget // 8, budget // 4, budget // 2, budget])
+    budgets = budget >> np.arange(THRESHOLDS["n_budgets"])[::-1]     # ..., B/2, B
     burn = int(budget * THRESHOLDS["burn_in_fraction"])
     counts = np.zeros(len(budgets), dtype=np.int64)
     visited_after_burn = np.zeros(replicas, dtype=bool)
@@ -146,7 +139,8 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
             maxdisp = max(maxdisp, float(block.max()), -float(block.min()))
         del y, block     # so the next draws do not coexist with this block
     escape = float(np.mean(~visited_after_burn))
-    return counts.tolist(), escape, (np.asarray(times0) if record else None), maxdisp
+    return (budgets.tolist(), counts.tolist(), escape,
+            np.asarray(times0) if record else None, maxdisp)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +215,10 @@ def return_time_stats(spec: WalkSpec, start, window, budget: int,
     def in_target(x, z):
         return (np.abs(x - center) <= radius).all(axis=-1)
 
-    counts, escape, times0, maxdisp = _run_return_experiment(
+    budgets, counts, escape, times0, maxdisp = _run_return_experiment(
         spec.law, spec.check_start(start), in_target, budget, replicas, rng)
-    budgets = [int(budget) // 8, int(budget) // 4, int(budget) // 2, int(budget)]
     totals = [b * replicas for b in budgets]
-    ev = categorize(budgets, counts, totals, escape, replicas)
+    ev = categorize(budgets, counts, totals, escape)
     stats = TrajectoryStats(
         target=f"sup-ball(center={center.tolist()}, radius={radius})",
         return_times=times0, max_displacement=maxdisp,
@@ -362,11 +355,10 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
     def in_target(x, z):
         return (x == xc).all(axis=-1) & (np.abs(z) <= free_radius).all(axis=-1)
 
-    counts, escape, _, _ = _run_return_experiment(
+    budgets, counts, escape, _, _ = _run_return_experiment(
         spec.law, start, in_target, budget, replicas, rng, record=False)
-    budgets = [int(budget) // 8, int(budget) // 4, int(budget) // 2, int(budget)]
     totals = [b * replicas for b in budgets]
-    ev = categorize(budgets, counts, totals, escape, replicas)
+    ev = categorize(budgets, counts, totals, escape)
 
     drift = np.array([spec.law.marginal(r + i).mean() for i in range(s)])
     wald = _wald_cycle_check(spec, wald_cycles, drift, rng)

@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import GuideTable, JointMeasure, Measure1D, MeasureError
+from .measures import (GuideTable, JointMeasure, Measure1D, MeasureError, _at_least,
+                       dyadic_series)
 from .rng import make_rng
 
 __all__ = [
@@ -214,8 +215,10 @@ def recurrence_criteria(m: Measure1D, truncation: int = 1 << 22) -> CriteriaRepo
     the reflected walk on its attractor.  Verdicts are post-processed so the
     reported triple never violates the implication chain.
 
-    For lattice laws every block of ``tail(x)^2``, ``tail(x)`` and the moment
-    is an exact sum over its integers (:meth:`Measure1D.tail_block_sums`).
+    Blocks of ``tail(x)^2`` and ``tail(x)`` come from
+    :meth:`Measure1D.tail_block_sums` (exact sums for lattice laws, ``quad``
+    for continuous ones).  A bounded support gives (ii) as one block; else (i)
+    and (ii) are dyadic series decided by :func:`measures.dyadic_series`.
     """
     if m.min_support() < 0:
         raise MeasureError("criteria apply to nonnegative support only")
@@ -236,48 +239,29 @@ def recurrence_criteria(m: Measure1D, truncation: int = 1 << 22) -> CriteriaRepo
 
 
 def _tail_square_verdict(m: Measure1D, k: int):
-    if m.kind == "continuous":
-        from scipy import integrate
-        hi = m.max_support()
-        if not math.isfinite(hi):
-            raise MeasureError("continuous criteria need finite support bounds")
-        val, _ = integrate.quad(lambda x: m.tail(x) ** 2, 0.0, hi, limit=200)
-        return "holds", float(val)
-    if not m.has_analytic_tail:
-        return "holds", sum(m.tail_block_sums([0, int(m.support[-1]) + 1], 2))
-    # dyadic blocks [0, 2), [2, 4), [4, 8), ... of tail(x)^2
-    edges = [0] + [1 << e for e in range(1, 65)]
-    total, prev, run = 0.0, None, 0
-    for hi, block in zip(edges[1:], m.tail_block_sums(edges, 2)):
-        if prev is not None and prev > 0:
-            run = run + 1 if block / prev > 0.95 else 0
-            if run >= 20:
-                return "fails", math.inf
-        total += block
-        if block < 1e-16 * max(total, 1e-300):
-            return "holds", total
-        prev = block
-        if hi >= k and run == 0 and block / max(total, 1e-300) < 1e-6:
-            return "holds", total
-        if hi >= max(k, 1 << 40):
-            break
-    # no clear decision inside the budget
-    return ("fails" if run >= 10 else "undecided"), total
+    top = m.max_support()
+    if math.isfinite(top):
+        return "holds", sum(m.tail_block_sums([0, math.floor(top) + 1], 2))
+    # dyadic blocks [0, 2), [2, 4), [4, 8), ... of tail(x)^2, up to the first
+    # edge at or above max(k, 2^40); past k a block below 1e-6 of the sum
+    # after a decaying ratio ends the sum
+    cap = max(k, 1 << 40)
+    edges = [0] + [1 << e for e in range(1, 65) if 1 << (e - 1) < cap]
+    verdict, total, run = dyadic_series(
+        m.tail_block_sums(edges, 2),
+        stop=lambda j, block, total, run: (edges[j + 1] >= k and run == 0
+                                           and block / max(total, 1e-300) < 1e-6))
+    if verdict == "undecided" and run >= 10:
+        verdict = "fails"
+    return verdict, total
 
 
 def _tail_product_verdict(m: Measure1D, k: int):
     """Sequence ``a_y = tail(y) * sum_{x=0}^{y-1} (tail(x) - tail(y))`` at dyadic y."""
     ys = [1 << e for e in range(2, int(math.log2(max(k, 16))) + 1)]
-    edges = [0] + ys
-    if m.kind == "continuous":
-        from scipy import integrate
-        sums = [integrate.quad(m.tail, lo, hi, limit=200)[0]
-                for lo, hi in zip(edges[:-1], edges[1:])]
-    else:
-        sums = list(m.tail_block_sums(edges, 1))
     seq = []
-    for y, prefix in zip(ys, np.cumsum(sums)):
-        ty = m.tail(float(y)) if m.kind == "continuous" else m.tail(int(y))
+    for y, prefix in zip(ys, np.cumsum(list(m.tail_block_sums([0] + ys, 1)))):
+        ty = m.tail(y)
         seq.append(float(ty * (prefix - y * ty)))
     if math.isfinite(m.max_support()):
         return "holds", seq        # tail(y) = 0 from the top of the support on
@@ -376,7 +360,7 @@ def ladder_monte_carlo(m: Measure1D, samples: int, rng,
     if drift < -1e-9:
         raise MeasureError(f"drift {drift:.4g} < 0: weak records dry up "
                            "and excursions do not terminate")
-    samples = int(samples)
+    samples = _at_least("samples", samples)
     heights = [np.zeros(0, dtype=np.int64)]
     for _, paths, first in _first_records(m, samples, make_rng(rng), step_cap):
         done = np.nonzero(first < paths.shape[1])[0]
@@ -453,32 +437,28 @@ def wiener_hopf_construct(mbar: Measure1D) -> Measure1D:
 # lifting the embedded invariant measure
 # ---------------------------------------------------------------------------
 
-def lifted_invariant_measure(m: Measure1D, ladder: LadderDecomposition,
-                             nu_bar: InvariantMeasure1D, query,
+def lifted_invariant_measure(m: Measure1D, ladder: LadderDecomposition, query,
                              samples: int, rng, step_cap: int = 1 << 22):
     """Monte Carlo mass of ``query`` under the lifted invariant measure.
 
     The invariant measure of the original walk is obtained from the embedded
-    record-walk measure ``nu_bar`` by integrating the expected number of
-    visits to the query set before the first weak record, using that the
-    pre-record path is the free walk ``x - S_k``.  Requires upward drift
-    (records then have finite expected waiting time).
+    record-walk measure (that of the walk driven by ``ladder.ladder``) by
+    integrating the expected number of visits to the query set before the
+    first weak record, using that the pre-record path is the free walk
+    ``x - S_k``.  Requires upward drift and at least two samples.
 
     Returns ``(estimate, standard_error)``.  Raises when any excursion has
     no record within ``step_cap`` steps: its visits would be cut short.
     """
-    if not m.is_lattice:
+    if not (m.is_lattice and ladder.ladder.is_lattice):
         raise MeasureError("lifting needs a lattice law")
-    if nu_bar.kind != "lattice":
-        raise MeasureError("lifting currently needs a lattice embedded measure")
-    if not (math.isfinite(nu_bar.total_mass) and nu_bar.total_mass > 0):
-        raise MeasureError("embedded invariant measure must have finite mass")
+    n = _at_least("samples", samples, 2)      # the standard error needs two
     if m.mean() <= 1e-12:
         raise MeasureError("lifting requires strictly positive drift "
                            "(positive recurrent two-sided case)")
+    nu_bar = invariant_measure_nonneg(ladder.ladder)
     rng = make_rng(rng)
     pred = _query_predicate(query)
-    n = int(samples)
     cdf = np.cumsum(nu_bar.normalized_probabilities())
     starts = nu_bar.support[GuideTable(cdf).draw(rng, n)].astype(np.int64)
     counts = pred(starts.astype(float)).astype(float)  # k = 0 term
@@ -560,7 +540,7 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
 
     stats = []
     for dims in ((0, 0, lat, 1 - lat), (lat, 1 - lat, 0, 0)):   # free, then reflected
-        counts, escape, _, _ = _run_return_experiment(
+        _, counts, escape, _, _ = _run_return_experiment(
             JointMeasure.product(dims, [m]), np.zeros(1), in_window, horizon,
             replicas, rng, record=False)
         visits = [counts[2], counts[3] - counts[2]]     # first and late half

@@ -31,7 +31,7 @@ from .rng import make_rng
 ATOM_SUM_TOL = 1e-12
 TAILED_SUM_TOL = 1e-9
 
-# Dyadic-block divergence test: a fractional-moment series is declared
+# Dyadic-block divergence test (dyadic_series): a series is declared
 # divergent when this many consecutive block ratios fail to drop below
 # the decay threshold.
 DIVERGENCE_BLOCKS = 20
@@ -42,6 +42,14 @@ _MAX_BLOCK_EXP = 64
 
 class MeasureError(ValueError):
     """Raised for malformed measures or operations they do not support."""
+
+
+def _at_least(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; a size below ``least`` raises ``MeasureError``."""
+    value = int(value)
+    if value < least:
+        raise MeasureError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +75,8 @@ class Measure1D:
     """
 
     def __init__(self, kind, support=None, probs=None, tail_fn=None,
-                 pmf_fn=None, tail_sampler=None, sampler=None, density=None,
-                 bounds=None, normalized=False, symmetric=None, name=None,
-                 meta=None):
+                 pmf_fn=None, tail_sampler=None, sampler=None, bounds=None,
+                 normalized=False, symmetric=None, name=None, meta=None):
         self.kind = kind                    # "lattice" | "continuous"
         self.support = support              # sorted int64 array (lattice)
         self.probs = probs                  # float64 array matching support
@@ -77,7 +84,6 @@ class Measure1D:
         self._pmf_fn = pmf_fn               # analytic pmf beyond the table
         self._tail_sampler = tail_sampler   # conditional sampler beyond table
         self._sampler = sampler             # full sampler (continuous/backed)
-        self.density = density
         self.bounds = bounds                # (lo, hi) hints, may be +-inf
         self.normalized = normalized
         self._symmetric = symmetric
@@ -143,11 +149,11 @@ class Measure1D:
                    name=name, meta=meta)
 
     @classmethod
-    def continuous(cls, sampler, tail, density=None, bounds=None,
-                   symmetric=None, name=None, meta=None) -> "Measure1D":
+    def continuous(cls, sampler, tail, bounds=None, symmetric=None, name=None,
+                   meta=None) -> "Measure1D":
         """Continuous law given by a seeded sampler and its tail function."""
-        return cls("continuous", sampler=sampler, tail_fn=tail, density=density,
-                   bounds=bounds, symmetric=symmetric, name=name, meta=meta)
+        return cls("continuous", sampler=sampler, tail_fn=tail, bounds=bounds,
+                   symmetric=symmetric, name=name, meta=meta)
 
     @classmethod
     def lattice_sampler(cls, sampler, symmetric=None, mean=None,
@@ -342,28 +348,30 @@ class Measure1D:
         # [start, 2^m), [2^m, 2^(m+1)), ... up to 2^_MAX_BLOCK_EXP, with 2^m > start
         edges = [start] + [1 << e for e in range(max(start, 1).bit_length(),
                                                  _MAX_BLOCK_EXP + 1)]
-        total, prev, fail_run = 0.0, None, 0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            b = _series_block_sum(lambda x: x ** p * self._pmf_fn(x), lo, hi)
-            if prev is not None and prev > 0:
-                fail_run = fail_run + 1 if b / prev > DIVERGENCE_DECAY else 0
-                if fail_run >= DIVERGENCE_BLOCKS:
-                    return math.inf
-            total += b
-            if 0 < b < 1e-16 * max(total, 1e-300):
-                break
-            prev = b
+        _, total, _ = dyadic_series(
+            _series_block_sum(lambda x: x ** p * self._pmf_fn(x), lo, hi)
+            for lo, hi in zip(edges[:-1], edges[1:]))
         return total
 
     def tail_block_sums(self, edges, power: int):
         """Yield ``sum_{x=e_j}^{e_(j+1)-1} tail(x)**power`` for consecutive ``edges``.
 
-        Every block is an exact sum.  The tail is constant between atoms, so
-        one pass over the atom table gives every block's table part: each
-        piece adds ``length * value**power`` to its block, with no running
+        Every lattice block is an exact sum.  The tail is constant between
+        atoms, so one pass over the atom table gives every block's table part:
+        each piece adds ``length * value**power`` to its block, with no running
         sums.  Beyond the table of an analytic-tail family a block goes through
-        :func:`_series_block_sum` only when the caller asks for it.
+        :func:`_series_block_sum` only when the caller asks for it.  For a
+        continuous law a block is the integral of ``tail(x)**power`` over
+        ``[e_j, e_(j+1)]``, with the support ends as ``quad`` breakpoints.
         """
+        if self.kind == "continuous":
+            from scipy import integrate
+            ends = (self.min_support(), self.max_support())
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                val, _ = integrate.quad(lambda x: self.tail(x) ** power, lo, hi,
+                                        points=ends, limit=200)
+                yield float(val)
+            return
         if not self.has_atoms:
             raise MeasureError("tail block sums need an atom table")
         s = self.support
@@ -392,35 +400,24 @@ class Measure1D:
             yield total
 
     def _moment_continuous(self, p: float, part: str) -> float:
+        """``E (Y^+)^p = int p x^(p-1) P(Y > x) dx``, and likewise for ``Y^-``."""
         from scipy import integrate
         lo = self.min_support()
         hi = self.max_support()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise MeasureError("continuous moments need finite support bounds")
-        if self.density is not None:
-            def g(x):
-                if part == "positive":
-                    v = max(x, 0.0)
-                elif part == "negative":
-                    v = max(-x, 0.0)
-                else:
-                    v = abs(x)
-                return v ** p * self.density(x)
-            val, _ = integrate.quad(g, lo, hi, limit=200)
-            return float(val)
-        # fall back to the tail representation E (Y^+)^p = int p x^(p-1) tail(x) dx
-        if part == "negative":
-            val, _ = integrate.quad(
-                lambda x: p * x ** (p - 1) * max(0.0, 1.0 - self.tail(-x)), 0.0,
-                max(-lo, 0.0) or 1.0, limit=200)
-            return float(val)
-        val, _ = integrate.quad(lambda x: p * x ** (p - 1) * self.tail(x),
-                                0.0, max(hi, 0.0) or 1.0, limit=200)
-        if part == "full" and lo < 0:
-            low, _ = integrate.quad(
-                lambda x: p * x ** (p - 1) * max(0.0, 1.0 - self.tail(-x)), 0.0,
-                -lo, limit=200)
-            val += low
+        if p == 0:
+            return 1.0
+
+        def side(tail, ends):       # E (+-Y)^p from tail(x) = P(+-Y > x)
+            if max(ends) <= 0:
+                return 0.0
+            return integrate.quad(lambda x: p * x ** (p - 1) * tail(x), 0.0, max(ends),
+                                  points=ends, limit=200)[0]
+
+        val = 0.0 if part == "negative" else side(self.tail, (lo, hi))
+        if part != "positive":
+            val += side(lambda x: max(0.0, 1.0 - self.tail(-x)), (-hi, -lo))
         return float(val)
 
     def __repr__(self):
@@ -453,6 +450,28 @@ def _series_block_sum(g, lo: int, hi: int) -> float:
         [lo, hi, lo - 0.5, lo + 0.5, hi - 0.5, hi + 0.5], dtype=float))
     slope_change = (hi_plus - hi_minus) - (lo_plus - lo_minus)
     return float(integral + (at_lo - at_hi) / 2.0 + slope_change / 12.0)
+
+
+def dyadic_series(blocks, stop=None):
+    """``(verdict, total, run)`` of a nonnegative series read block by block.
+
+    ``run`` counts the trailing block ratios above ``DIVERGENCE_DECAY``.  The
+    verdict is ``"fails"`` (total ``inf``) once ``run`` reaches
+    ``DIVERGENCE_BLOCKS``; ``"holds"`` once a block is below 1e-16 of the
+    total or ``stop(j, block, total, run)`` holds after block ``j``; else
+    ``"undecided"`` when the blocks run out.
+    """
+    total, prev, run = 0.0, 0.0, 0
+    for j, b in enumerate(blocks):
+        if prev > 0:
+            run = run + 1 if b / prev > DIVERGENCE_DECAY else 0
+            if run >= DIVERGENCE_BLOCKS:
+                return "fails", math.inf, run
+        total += b
+        if b < 1e-16 * max(total, 1e-300) or (stop is not None and stop(j, b, total, run)):
+            return "holds", total, run
+        prev = b
+    return "undecided", total, run
 
 
 # ---------------------------------------------------------------------------
@@ -812,10 +831,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Measure1D:
     def tail_fn(x):
         return float(np.clip((b - x) / (b - a), 0.0, 1.0))
 
-    def density(x):
-        return 1.0 / (b - a) if a <= x <= b else 0.0
-
-    return Measure1D.continuous(sampler, tail_fn, density=density, bounds=(a, b),
+    return Measure1D.continuous(sampler, tail_fn, bounds=(a, b),
                                 symmetric=(abs(a + b) < 1e-15),
                                 name=f"uniform({a},{b})")
 

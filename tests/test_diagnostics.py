@@ -113,8 +113,11 @@ def test_return_experiment_without_records_counts_the_same():
     full = dg._run_return_experiment(law, np.zeros(1), at_zero, 20_000, 4, 5)
     bare = dg._run_return_experiment(law, np.zeros(1), at_zero, 20_000, 4, 5,
                                      record=False)
-    assert bare[:2] == full[:2] and bare[2:] == (None, None)
-    assert len(full[2]) > 0 and full[3] > 0
+    assert bare[:3] == full[:3] and bare[3:] == (None, None)
+    assert len(full[3]) > 0 and full[4] > 0
+    # the nested budgets, as ints (JSON writes numpy ints as strings)
+    assert full[0] == [2500, 5000, 10_000, 20_000]
+    assert all(type(b) is int for b in full[0])
 
 
 def test_evidence_deterministic_given_seed():
@@ -424,16 +427,16 @@ def test_subordinated_exponent_probe_small_scale():
 
 def test_categorize_rules_are_pure():
     ev1 = dg.categorize([10, 20, 40, 80], [5, 10, 20, 40],
-                        [100, 200, 400, 800], 0.0, 4)
+                        [100, 200, 400, 800], 0.0)
     ev2 = dg.categorize([10, 20, 40, 80], [5, 10, 20, 40],
-                        [100, 200, 400, 800], 0.0, 4)
+                        [100, 200, 400, 800], 0.0)
     assert ev1 == ev2
     assert ev1.category == "positive_evidence"
     ev3 = dg.categorize([10, 20, 40, 80], [4, 5, 6, 7],
-                        [100, 200, 400, 800], 0.0, 4)
+                        [100, 200, 400, 800], 0.0)
     assert ev3.category == "null_evidence"
     ev4 = dg.categorize([10, 20, 40, 80], [0, 0, 0, 0],
-                        [100, 200, 400, 800], 0.95, 4)
+                        [100, 200, 400, 800], 0.95)
     assert ev4.category == "transient_evidence"
 
 
@@ -444,35 +447,43 @@ def test_categorize_rules_are_pure():
 NU12 = ex.invariant_measure_nonneg(M12)
 PLANE = ms.JointMeasure.product((2, 0, 0, 0), [PM1, PM1])
 
-EMPTY_SIZES = {
-    "return_time_replicas": lambda: dg.return_time_stats(
-        spec_of(M12), [0], ([0], 0), 2000, 0, 1),
-    "equivalence_replicas": lambda: ex.symmetric_equivalence_check(
-        PM1, 2000, 0.5, 1, replicas=0),
-    "cesaro_steps": lambda: dg.cesaro_lower_bound(
-        NU12, NU12, {0}, {0}, spec_of(M12, M12), 0, 1),
-    "symmetrization_samples": lambda: dg.symmetrization_check(
-        PLANE, [0, 0], 2, "monte_carlo", 1, samples=0),
-    "occupation_burn_in": lambda: dg.occupation_vs_invariant(
-        spec_of(M12), NU12, 1000, 1000, 1),
-    "null_probe_replicas": lambda: dg.product_null_recurrence_probe(
-        [PM1], [0], [64, 128, 256], 0, 1),
-    "dimension_replicas": lambda: dg.dimension_transience_probe(PLANE, 10_000, 0, 1),
+EMPTY_SIZES = {   # name: (the size the message names, the call)
+    "return_time_replicas": ("replicas", lambda: dg.return_time_stats(
+        spec_of(M12), [0], ([0], 0), 2000, 0, 1)),
+    "equivalence_replicas": ("replicas", lambda: ex.symmetric_equivalence_check(
+        PM1, 2000, 0.5, 1, replicas=0)),
+    "cesaro_steps": ("steps", lambda: dg.cesaro_lower_bound(
+        NU12, NU12, {0}, {0}, spec_of(M12, M12), 0, 1)),
+    "symmetrization_samples": ("samples", lambda: dg.symmetrization_check(
+        PLANE, [0, 0], 2, "monte_carlo", 1, samples=0)),
+    "occupation_burn_in": ("burn_in", lambda: dg.occupation_vs_invariant(
+        spec_of(M12), NU12, 1000, 1000, 1)),
+    "null_probe_replicas": ("replicas", lambda: dg.product_null_recurrence_probe(
+        [PM1], [0], [64, 128, 256], 0, 1)),
+    "dimension_replicas": ("replicas", lambda: dg.dimension_transience_probe(
+        PLANE, 10_000, 0, 1)),
     # the budget must exceed the burn-in (1000 by default)
-    "dimension_budget": lambda: dg.dimension_transience_probe(PLANE, 500, 4, 1),
-    "dimension_budget_at_burn_in": lambda: dg.dimension_transience_probe(
-        PLANE, 50, 16, 3, burn_in=50),
-    "subordinated_replicas": lambda: dg.subordinated_return_exponent(
-        0.6, 1, n_max=1024, replicas=0),
-    "wald_cycles": lambda: dg.reflected_plus_free_experiment(
-        spec_of(M12, PM1, dims=(1, 0, 1, 0)), 2000, 4, 1, wald_cycles=0),
+    "dimension_budget": ("budget", lambda: dg.dimension_transience_probe(
+        PLANE, 500, 4, 1)),
+    "dimension_budget_at_burn_in": ("budget", lambda: dg.dimension_transience_probe(
+        PLANE, 50, 16, 3, burn_in=50)),
+    "subordinated_replicas": ("replicas", lambda: dg.subordinated_return_exponent(
+        0.6, 1, n_max=1024, replicas=0)),
+    "wald_cycles": ("wald_cycles", lambda: dg.reflected_plus_free_experiment(
+        spec_of(M12, PM1, dims=(1, 0, 1, 0)), 2000, 4, 1, wald_cycles=0)),
     # one cycle leaves no standard error
-    "wald_one_cycle": lambda: dg.reflected_plus_free_experiment(
-        spec_of(M12, PM1, dims=(1, 0, 1, 0)), 2000, 4, 1, wald_cycles=1),
+    "wald_one_cycle": ("wald_cycles", lambda: dg.reflected_plus_free_experiment(
+        spec_of(M12, PM1, dims=(1, 0, 1, 0)), 2000, 4, 1, wald_cycles=1)),
+    "ladder_samples": ("samples", lambda: ex.ladder_monte_carlo(PM1, 0, 1)),
+    "lifted_samples": ("samples", lambda: ex.lifted_invariant_measure(
+        M12, ex.ladder_exact_skip_free(M12), {0}, 0, 1)),
+    # one sample leaves no standard error
+    "lifted_one_sample": ("samples", lambda: ex.lifted_invariant_measure(
+        M12, ex.ladder_exact_skip_free(M12), {0}, 1, 1)),
 }
 
 
-@pytest.mark.parametrize("call", EMPTY_SIZES.values(), ids=EMPTY_SIZES.keys())
-def test_empty_sizes_raise_measure_error(call):
-    with pytest.raises(ms.MeasureError):
+@pytest.mark.parametrize("size, call", EMPTY_SIZES.values(), ids=EMPTY_SIZES.keys())
+def test_empty_sizes_raise_measure_error(size, call):
+    with pytest.raises(ms.MeasureError, match=size):
         call()

@@ -163,6 +163,15 @@ def test_criteria_bounded_support_all_hold():
     assert rep.as_tuple() == ("holds", "holds", "holds")
 
 
+@pytest.mark.parametrize("a,b", [(0, 1), (0.2, 3.7), (0.5, 2.0)])
+def test_criteria_uniform_tail_square_sum_closed_form(a, b):
+    # int_0^b tail(x)^2 dx = a + (b - a)/3
+    rep = ex.recurrence_criteria(ms.uniform(a, b))
+    assert rep.as_tuple() == ("holds",) * 3
+    assert rep.details["tail_square_sum"] == pytest.approx(a + (b - a) / 3,
+                                                           rel=1e-12, abs=0.0)
+
+
 def test_criteria_chain_never_violated():
     rng = np.random.default_rng(31)
     rank = {"fails": 0, "undecided": 1, "holds": 2}
@@ -310,8 +319,7 @@ def test_construct_from_truncated_log_tail_is_centred():
 def test_lifted_measure_delta_one():
     m = lattice({1: 1.0})
     lad = ex.ladder_exact_skip_free(m)
-    nub = ex.invariant_measure_nonneg(lad.ladder)
-    est, se = ex.lifted_invariant_measure(m, lad, nub, (0, 10 ** 9), 500,
+    est, se = ex.lifted_invariant_measure(m, lad, (0, 10 ** 9), 500,
                                           np.random.default_rng(3))
     assert est == pytest.approx(1.0, abs=1e-12)
     assert se == pytest.approx(0.0, abs=1e-12)
@@ -320,8 +328,7 @@ def test_lifted_measure_delta_one():
 def test_lifted_measure_unreachable_set_is_zero():
     m = lattice({-1: 0.25, 2: 0.75})
     lad = ex.ladder_monte_carlo(m, 5000, np.random.default_rng(4))
-    nub = ex.invariant_measure_nonneg(lad.ladder)
-    est, _ = ex.lifted_invariant_measure(m, lad, nub, (10 ** 6, 10 ** 7), 2000,
+    est, _ = ex.lifted_invariant_measure(m, lad, (10 ** 6, 10 ** 7), 2000,
                                          np.random.default_rng(5))
     assert est == 0.0
 
@@ -329,10 +336,9 @@ def test_lifted_measure_unreachable_set_is_zero():
 def test_lifted_measure_reproducible_across_seeds():
     m = lattice({-1: 0.5, 2: 0.5})
     lad = ex.ladder_monte_carlo(m, 30_000, np.random.default_rng(6))
-    nub = ex.invariant_measure_nonneg(lad.ladder)
-    e1, s1 = ex.lifted_invariant_measure(m, lad, nub, {0}, 20_000,
+    e1, s1 = ex.lifted_invariant_measure(m, lad, {0}, 20_000,
                                          np.random.default_rng(7))
-    e2, s2 = ex.lifted_invariant_measure(m, lad, nub, {0}, 20_000,
+    e2, s2 = ex.lifted_invariant_measure(m, lad, {0}, 20_000,
                                          np.random.default_rng(8))
     assert abs(e1 - e2) < 3 * math.hypot(s1, s2)
 
@@ -340,9 +346,8 @@ def test_lifted_measure_reproducible_across_seeds():
 def test_lifted_measure_refuses_continuous_law():
     m = lattice({1: 1.0})
     lad = ex.ladder_exact_skip_free(m)
-    nub = ex.invariant_measure_nonneg(lad.ladder)
     with pytest.raises(ms.MeasureError):
-        ex.lifted_invariant_measure(ms.uniform(-1.0, 2.0), lad, nub, (0, 1), 500,
+        ex.lifted_invariant_measure(ms.uniform(-1.0, 2.0), lad, (0, 1), 500,
                                     np.random.default_rng(3))
 
 
@@ -350,9 +355,8 @@ def test_lifted_measure_refuses_unfinished_excursions():
     # slight upward drift: some excursions outlast 64 steps
     m = lattice({-1: 0.49, 1: 0.51})
     lad = ex.ladder_exact_skip_free(lattice({1: 1.0}))
-    nub = ex.invariant_measure_nonneg(lad.ladder)
     with pytest.raises(ms.MeasureError, match="excursions had no weak record"):
-        ex.lifted_invariant_measure(m, lad, nub, (0, 10 ** 9), 2000,
+        ex.lifted_invariant_measure(m, lad, (0, 10 ** 9), 2000,
                                     np.random.default_rng(3), step_cap=64)
 
 

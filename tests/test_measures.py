@@ -210,6 +210,72 @@ def test_moment_of_power_tail_matches_brute_force(p):
     assert m.moment(p) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
+UNIFORM_ENDS = [(0, 1), (-1, 1), (-0.5, 2), (0.2, 3.7), (-3, -0.5), (-2.2, 0.7)]
+
+
+def _uniform_moment(a, b, p, part):
+    """Closed form of ``E (Y^+)^p``, ``E (Y^-)^p`` or ``E |Y|^p`` on ``[a, b]``."""
+    if p == 0:
+        return 1.0
+    pos = (max(b, 0) ** (p + 1) - max(a, 0) ** (p + 1)) / ((p + 1) * (b - a))
+    neg = (max(-a, 0) ** (p + 1) - max(-b, 0) ** (p + 1)) / ((p + 1) * (b - a))
+    return {"positive": pos, "negative": neg, "full": pos + neg}[part]
+
+
+@pytest.mark.parametrize("a,b", UNIFORM_ENDS)
+def test_uniform_moments_match_closed_forms(a, b):
+    m = ms.uniform(a, b)
+    for p in (0, 0.5, 1, 1.5, 2):
+        for part in ("full", "positive", "negative"):
+            want = _uniform_moment(a, b, p, part)
+            assert m.moment(p, part) == pytest.approx(want, rel=1e-12, abs=0.0), \
+                (p, part)
+
+
+def _read(blocks, seen):
+    """Yield ``blocks``, appending each to ``seen`` as it is read."""
+    for b in blocks:
+        seen.append(b)
+        yield b
+
+
+def _geometric(ratio, n):
+    return [ratio ** j for j in range(n)]
+
+
+def test_dyadic_series_sums_a_geometric_series():
+    verdict, total, run = ms.dyadic_series(_geometric(0.9, 10_000))
+    assert (verdict, run) == ("holds", 0)
+    assert total == pytest.approx(10.0, rel=1e-12)
+
+
+def test_dyadic_series_fails_after_divergence_blocks_ratios():
+    seen = []
+    verdict, total, run = ms.dyadic_series(_read(_geometric(0.97, 10_000), seen))
+    assert (verdict, total, run) == ("fails", math.inf, ms.DIVERGENCE_BLOCKS)
+    assert len(seen) == ms.DIVERGENCE_BLOCKS + 1      # one ratio per block after the first
+
+
+def test_dyadic_series_undecided_when_blocks_run_out():
+    verdict, total, run = ms.dyadic_series(_geometric(0.97, 5))
+    assert (verdict, run) == ("undecided", 4)
+    assert total == pytest.approx(sum(_geometric(0.97, 5)), rel=1e-15)
+
+
+def test_dyadic_series_stops_at_a_zero_block():
+    seen = []
+    verdict, total, _ = ms.dyadic_series(_read([1.0, 0.5, 0.0, 7.0], seen))
+    assert (verdict, total, seen) == ("holds", 1.5, [1.0, 0.5, 0.0])
+
+
+def test_dyadic_series_truncation_stop():
+    seen = []
+    verdict, total, run = ms.dyadic_series(_read(_geometric(0.97, 10_000), seen),
+                                           stop=lambda j, b, total, run: j == 2)
+    assert (verdict, run, len(seen)) == ("holds", 2, 3)
+    assert total == 1.0 + 0.97 + 0.97 ** 2
+
+
 # ---------------------------------------------------------------------------
 # joint measures
 # ---------------------------------------------------------------------------
