@@ -1,10 +1,13 @@
-# Stationary sampling by backward iteration (coupling-from-the-past style).
+# Stationary sampling by coupling from the past.
 #
-# Composing the random reflection blocks in reverse order makes the image of
-# every start point converge to a single random limit whose law is the
-# stationary law of the parity class.  Running the composition until the
-# whole start window has coalesced therefore yields *exact* stationary draws
-# (up to the flagged-horizon escape hatch).
+# Each sample draws its increments backward in time and keeps, for every
+# start point of the window, the value at time 0 of the walk started there:
+# one more increment y updates that table by b[x] <- b[|x - y|].  Cut at the
+# parity-return times, the backward sequence composes induced blocks in
+# reverse order, so the image of every start converges to a single random
+# limit whose law is the stationary law of the parity class.  Stopping at a
+# block end where the whole class window has coalesced therefore yields
+# *exact* stationary draws (up to the flagged-horizon escape hatch).
 
 import numpy as np
 

@@ -166,8 +166,7 @@ def occupation_vs_invariant(spec: WalkSpec, exact, steps: int, burn_in: int,
     if isinstance(exact, InvariantMeasure1D):
         if not (math.isfinite(exact.total_mass) and exact.total_mass > 0):
             raise MeasureError("reference invariant measure must have finite mass")
-        ref = {(int(xx),): float(mm) / exact.total_mass
-               for xx, mm in zip(exact.support, exact.masses)}
+        ref = {(xx,): mm / exact.total_mass for xx, mm in exact.as_dict().items()}
     else:
         ref = {tuple(int(v) for v in np.atleast_1d(k)): float(p)
                for k, p in dict(exact).items()}

@@ -69,6 +69,8 @@ class InvariantMeasure1D:
         return {int(x): float(m) for x, m in zip(self.support, self.masses)}
 
     def normalized_probabilities(self) -> np.ndarray:
+        if self.kind != "lattice":
+            raise MeasureError("normalized_probabilities needs the lattice version")
         if not math.isfinite(self.total_mass) or self.total_mass <= 0:
             raise MeasureError("cannot normalize an infinite-mass measure")
         return self.masses / self.total_mass

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import JointMeasure, Measure1D, MeasureError
+from .measures import JointMeasure, Measure1D, MeasureError, _at_least
 from . import exact_1d
 from .rng import make_rng
 
@@ -469,20 +469,26 @@ def _require_positive_recurrent(spec: WalkSpec):
 
 def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
                     n_samples: int = 1) -> BackwardResult:
-    """Sample the stationary law of one parity class by backward iteration.
+    """Sample the stationary law of one parity class by coupling from the past.
 
-    Composes induced blocks in reverse order, tracking the image of every
-    lattice point of the parity class inside the window ``[0, max(N, 2)]``
-    per coordinate, ``N`` the top of the supports.  A sample is emitted when
-    the whole window has coalesced to a single point, which certifies the
-    backward limit for every start in the window; after ``horizon`` blocks
-    the sample is flagged unconverged instead of being silently returned.
+    Each sample draws its own increments backward in time, ``Y_0, Y_-1, ...``,
+    and keeps ``b[x]``, the time-0 value of the walk started at ``x`` at time
+    ``-T``, for every ``x`` in the window ``[0, max(N, 2)]`` per coordinate,
+    ``N`` the top of the supports; one more increment sets
+    ``b[x] <- b[|x - y|]``.  The times at which the parity codes of the drawn
+    increments XOR to zero cut the sequence into induced blocks.  At a block
+    end the sample stops when ``b`` is constant on the parity class, which
+    certifies the backward limit for every start in the window; after
+    ``horizon`` blocks the sample is flagged unconverged instead of being
+    silently returned.
 
     Only nonnegative bounded lattice reflected parts are supported: certified
     coalescence needs a finite window closed under the walk.  A negative
     letter maps ``x`` to ``x + |y|`` and a continuous coordinate has no
     finite window, so no sample of such a walk could be certified.
     """
+    horizon = _at_least("horizon", horizon)
+    n_samples = _at_least("n_samples", n_samples)
     r1, r2, s1, s2 = spec.law.dims
     if r2 != 0:
         raise MeasureError("backward sampling is implemented for lattice "
@@ -498,54 +504,37 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         raise MeasureError("backward sampling needs nonnegative bounded supports: "
                            "no window is closed under this walk, so no sample "
                            "could be certified")
-    window = max(2, *(int(m.max_support()) for m in marginals))
-    r = spec.r
-    n_samples = int(n_samples)
-    # per-coordinate grids restricted to the parity class
-    grids = [np.arange(parity[i], window + 1, 2, dtype=np.int64) for i in range(r1)]
-    # b[i][s, j] = value of the backward composition at grids[i][j]
-    b = [np.tile(g, (n_samples, 1)) for g in grids]
-    cur = [np.tile(g, (n_samples, 1)) for g in grids]  # partial block images
-    par = np.zeros(n_samples, dtype=np.int64)         # parity code of each block
-    blocks = np.zeros(n_samples, dtype=np.int64)
-    done = np.zeros(n_samples, dtype=bool)
-    active = ~done
-    steps_guard = 0
-    guard_fired = False
-    while active.any():
-        idx = np.nonzero(active)[0]
-        draws = spec.law.sample(rng, len(idx))[:, :r]
-        ylat = np.asarray(np.round(draws[:, :r1]), dtype=np.int64)
-        for i in range(r1):
-            cur_i = cur[i][idx]
-            cur[i][idx] = np.abs(cur_i - ylat[:, i][:, None])
-        par[idx] ^= _parity_codes(ylat, r1)
-        finished = idx[par[idx] == 0]
-        if finished.size:
-            blocks[finished] += 1
-            for i in range(r1):
-                # compose: new value at g = old value at (block image of g)
-                img_idx = (cur[i][finished] - parity[i]) // 2
-                b[i][finished] = np.take_along_axis(b[i][finished], img_idx, axis=1)
-                cur[i][finished] = grids[i][None, :]
-            coal = np.ones(finished.size, dtype=bool)
-            for i in range(r1):
-                coal &= (b[i][finished] == b[i][finished][:, :1]).all(axis=1)
-            newly = finished[coal]
-            done[newly] = True
-            over = finished[blocks[finished] >= horizon]
-            done[over] = True
-            active = ~done
-        steps_guard += 1
-        if steps_guard > horizon * 64 * max(1, 2 ** r1):
-            guard_fired = True
+    xs = np.arange(max(2, *(int(m.max_support()) for m in marginals)) + 1)[:, None]
+    cls, cols = np.array(parity), np.arange(r1)     # b[:, cls, cols]: least class points
+    off_class = (xs & 1) != cls
+    b = np.tile(xs.astype(np.int32), (n_samples, 1, r1))
+    live = np.arange(n_samples)
+    par = np.zeros(n_samples, dtype=np.int64)       # parity code of the open block
+    values = np.empty((n_samples, r1))
+    converged = np.zeros(n_samples, dtype=bool)
+    blocks_used = np.zeros(n_samples, dtype=np.int64)
+    for _ in range(horizon * 64 * max(1, 2 ** r1)):
+        y = np.asarray(np.round(spec.law.sample(rng, live.size)[:, :r1]), dtype=np.int64)
+        b = np.take_along_axis(b, np.abs(xs - y[:, None, :]), axis=1)
+        par ^= _parity_codes(y, r1)
+        end = np.flatnonzero(par == 0)
+        if end.size == 0:
+            continue
+        at = live[end]
+        blocks_used[at] += 1
+        b_end = b[end]
+        top = b_end[:, cls, cols]
+        coal = ((b_end == top[:, None, :]) | off_class).all(axis=(1, 2))
+        stop = coal | (blocks_used[at] == horizon)
+        values[at[stop]], converged[at[stop]] = top[stop], coal[stop]
+        keep = np.ones(live.size, dtype=bool)
+        keep[end[stop]] = False
+        live, b, par = live[keep], b[keep], par[keep]
+        if live.size == 0:
             break
-    values = np.column_stack([b[i][:, 0] for i in range(r1)]).astype(float)
-    converged = np.ones(n_samples, dtype=bool)
-    for i in range(r1):
-        converged &= (b[i] == b[i][:, :1]).all(axis=1)
-    return BackwardResult(values=values, converged=converged, blocks_used=blocks,
-                          parity=parity, guard_fired=guard_fired)
+    values[live] = b[:, cls, cols]
+    return BackwardResult(values=values, converged=converged, blocks_used=blocks_used,
+                          parity=parity, guard_fired=live.size > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,12 @@ def test_occupation_refuses_escaping_walk():
         dg.occupation_vs_invariant(spec_of(sub), {(0,): 1.0}, 20_000, 1000, 1)
 
 
+def test_occupation_refuses_continuous_reference():
+    nu = ex.invariant_measure_nonneg(ms.uniform(0, 1))
+    with pytest.raises(ms.MeasureError, match="lattice"):
+        dg.occupation_vs_invariant(spec_of(ms.uniform(0, 1)), nu, 2000, 100, 1)
+
+
 # ---------------------------------------------------------------------------
 # return-time evidence
 # ---------------------------------------------------------------------------
@@ -474,6 +480,10 @@ EMPTY_SIZES = {   # name: (the size the message names, the call)
     # one cycle leaves no standard error
     "wald_one_cycle": ("wald_cycles", lambda: dg.reflected_plus_free_experiment(
         spec_of(M12, PM1, dims=(1, 0, 1, 0)), 2000, 4, 1, wald_cycles=1)),
+    "backward_horizon": ("horizon", lambda: rc.backward_sample(
+        spec_of(M12), [0], 0, 1)),
+    "backward_samples": ("n_samples", lambda: rc.backward_sample(
+        spec_of(M12), [0], 10, 1, n_samples=-1)),
     "ladder_samples": ("samples", lambda: ex.ladder_monte_carlo(PM1, 0, 1)),
     "lifted_samples": ("samples", lambda: ex.lifted_invariant_measure(
         M12, ex.ladder_exact_skip_free(M12), {0}, 0, 1)),

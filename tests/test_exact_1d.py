@@ -85,6 +85,12 @@ def test_invariant_measure_continuous_uniform():
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
 
+def test_continuous_invariant_measure_has_no_lattice_probabilities():
+    nu = ex.invariant_measure_nonneg(ms.uniform(0, 1))
+    with pytest.raises(ms.MeasureError, match="lattice"):
+        nu.normalized_probabilities()
+
+
 def test_invariant_measure_rejects_negative_support():
     with pytest.raises(ms.MeasureError):
         ex.invariant_measure_nonneg(lattice({-1: 0.5, 1: 0.5}))

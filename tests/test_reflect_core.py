@@ -470,6 +470,47 @@ def test_backward_random_nonneg_laws_match_exact_invariant_law():
         assert set(emp) <= set(nu) and tv < 0.02
 
 
+def _blocks_used_law(atoms, parity, window, blocks, left_out=1e-9):
+    """Exact ``P(blocks_used = n)`` for ``n = 1..blocks`` of a 1-D lattice law.
+
+    Enumerates words of whole first-return blocks of the parity scan letter
+    by letter, pooling words with equal images of the class points, parity
+    and block count, until the mass of the still open words is below
+    ``left_out``.  Words are read forward: the first ``n`` blocks and their
+    reverse are both ``n``-block words with the same probability, and a map
+    constant after ``n`` blocks stays constant, so ``P(blocks_used <= n)``
+    is the same in the backward reading.
+    """
+    law = np.zeros(blocks + 1)
+    open_words = {(tuple(range(parity, window + 1, 2)), 0, 0): 1.0}
+    while sum(open_words.values()) >= left_out:
+        longer = {}
+        for (image, code, done), p in open_words.items():
+            for y, q in atoms.items():
+                image_y, code_y = tuple(abs(x - y) for x in image), code ^ (y & 1)
+                done_y = done + (code_y == 0)
+                if code_y == 0 and len(set(image_y)) == 1:
+                    law[done_y] += p * q
+                elif done_y < blocks:
+                    key = (image_y, code_y, done_y)
+                    longer[key] = longer.get(key, 0.0) + p * q
+        open_words = longer
+    return law[1:]
+
+
+def test_backward_blocks_used_matches_exact_law():
+    # no single block of this law maps {0, 2, 4} to one point: P(1 block) = 0
+    atoms = {1: 0.2, 4: 0.5, 5: 0.3}
+    law = _blocks_used_law(atoms, 0, 5, 8)
+    n = 20_000
+    res = rc.backward_sample(spec_1d(atoms), [0], horizon=500, rng=17, n_samples=n)
+    assert res.converged.all()
+    freq = np.bincount(res.blocks_used, minlength=len(law) + 1)[1:len(law) + 1] / n
+    se = np.sqrt(law * (1 - law) / n)
+    assert law[0] == freq[0] == 0
+    assert (np.abs(freq - law) <= 5 * se).all(), (freq, law)
+
+
 def test_backward_guard_shows_in_result():
     # long odd-started blocks exhaust the draw guard of a one-block horizon
     res = rc.backward_sample(spec_1d({1: 0.01, 2: 0.99}), [0], horizon=1, rng=0,
