@@ -221,10 +221,12 @@ def recurrence_criteria(m: Measure1D, truncation: int = 1 << 22) -> CriteriaRepo
     :meth:`Measure1D.tail_block_sums` (exact sums for lattice laws, ``quad``
     for continuous ones).  A bounded support gives (ii) as one block; else (i)
     and (ii) are dyadic series decided by :func:`measures.dyadic_series`.
+    ``truncation`` (at least 16) bounds the dyadic points of the tail-product
+    sequence and is where the series of (ii) may first stop.
     """
+    k = _at_least("truncation", truncation, 16)
     if m.min_support() < 0:
         raise MeasureError("criteria apply to nonnegative support only")
-    k = int(truncation)
 
     v1 = "holds" if math.isfinite(m.moment(0.5, "full")) else "fails"
 
@@ -260,7 +262,7 @@ def _tail_square_verdict(m: Measure1D, k: int):
 
 def _tail_product_verdict(m: Measure1D, k: int):
     """Sequence ``a_y = tail(y) * sum_{x=0}^{y-1} (tail(x) - tail(y))`` at dyadic y."""
-    ys = [1 << e for e in range(2, int(math.log2(max(k, 16))) + 1)]
+    ys = [1 << e for e in range(2, k.bit_length())]     # 4, 8, ..., up to k
     seq = []
     for y, prefix in zip(ys, np.cumsum(list(m.tail_block_sums([0] + ys, 1)))):
         ty = m.tail(y)

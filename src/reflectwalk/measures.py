@@ -38,6 +38,12 @@ DIVERGENCE_BLOCKS = 20
 DIVERGENCE_DECAY = 0.95
 _TERMWISE_MAX = 1 << 12  # blocks up to this many points are summed term by term
 _MAX_BLOCK_EXP = 64
+# Gauss-Legendre rule of a series block (_gauss_legendre): the result comes
+# from the finer rule and is kept where the coarser one agrees to this
+# relative tolerance; a piece that disagrees is halved up to this many times.
+_GL_FINE, _GL_COARSE = 20, 13
+_GL_RTOL = 1e-14
+_GL_HALVINGS = 10
 
 
 class MeasureError(ValueError):
@@ -313,10 +319,14 @@ class Measure1D:
     def moment(self, p: float, part: str = "full") -> float:
         """``E|Y|^p``, ``E (Y^+)^p`` or ``E (Y^-)^p``; ``inf`` when divergent.
 
-        Divergence on infinite-support families is decided by the dyadic-block
-        test: the series is declared divergent when the block sums over
-        ``[2^m, 2^(m+1))`` fail to decay geometrically (ratio above
-        ``DIVERGENCE_DECAY``) for ``DIVERGENCE_BLOCKS`` consecutive blocks.
+        The atom table's part is ``sum |x|^p p(x)`` formed in place and added
+        by numpy's pairwise sum, not by ``np.dot``: a threaded BLAS may run a
+        ``ddot`` over a long table on its thread pool and take milliseconds
+        for microseconds of work.  Divergence on infinite-support families is decided by
+        the dyadic-block test: the series is declared divergent when the block
+        sums over ``[2^m, 2^(m+1))`` fail to decay geometrically (ratio above
+        ``DIVERGENCE_DECAY``) for ``DIVERGENCE_BLOCKS`` consecutive blocks;
+        each block beyond the table is one :func:`_series_block_sum`.
         """
         if p < 0:
             raise MeasureError("moment order must be nonnegative")
@@ -326,17 +336,17 @@ class Measure1D:
             return self._moment_continuous(p, part)
         if not self.has_atoms:
             raise MeasureError("moment of a sampler-backed law is not available")
-        xs = self.support.astype(float)
-        if part == "positive":
-            vals = np.where(xs > 0, xs, 0.0)
-        elif part == "negative":
-            vals = np.where(xs < 0, -xs, 0.0)
-        else:
-            vals = np.abs(xs)
-        finite_part = float(np.dot(vals ** p, self.probs))
-        if not self.has_analytic_tail:
-            return finite_part
+        vals = self.support.astype(float)
         if part == "negative":
+            np.negative(vals, out=vals)
+        if part == "full":
+            np.abs(vals, out=vals)
+        else:
+            np.maximum(vals, 0.0, out=vals)
+        vals **= p
+        vals *= self.probs
+        finite_part = float(vals.sum())
+        if not self.has_analytic_tail or part == "negative":
             return finite_part
         return finite_part + self._tail_block_series(p)
 
@@ -358,11 +368,15 @@ class Measure1D:
 
         Every lattice block is an exact sum.  The tail is constant between
         atoms, so one pass over the atom table gives every block's table part:
-        each piece adds ``length * value**power`` to its block, with no running
-        sums.  Beyond the table of an analytic-tail family a block goes through
-        :func:`_series_block_sum` only when the caller asks for it.  For a
-        continuous law a block is the integral of ``tail(x)**power`` over
-        ``[e_j, e_(j+1)]``, with the support ends as ``quad`` breakpoints.
+        the edges are inserted into the run of atoms between the first and the
+        last edge (``np.insert`` at their ``searchsorted`` slots, an edge after
+        an equal atom), and each piece adds ``length * value**power`` to its
+        block, with no running sums.  Beyond the table of an analytic-tail
+        family a block goes through :func:`_series_block_sum` (a checked
+        Gauss-Legendre rule, no ``quad``) only when the caller asks for it.
+        For a continuous law a block is the integral of ``tail(x)**power``
+        over ``[e_j, e_(j+1)]``, with the support ends as ``quad`` breakpoints,
+        because such a tail may have kinks inside a block.
         """
         if self.kind == "continuous":
             from scipy import integrate
@@ -377,19 +391,19 @@ class Measure1D:
         s = self.support
         top = int(s[-1])
         extra = float(self._tail_fn(top)) if self.has_analytic_tail else 0.0
-        # tail on [s[i-1], s[i]) is values[i]; values[0] holds below s[0]
-        values = np.concatenate([[float(self.probs.sum())], self._suffix]) + extra
         cut = np.array([min(int(e), top) for e in edges], dtype=np.int64)
+        # the tail is _suffix[i] + extra on [s[i], s[i+1]), the whole mass below s[0]
         i0 = int(np.searchsorted(s, cut[0], side="right"))
-        i1 = int(np.searchsorted(s, cut[-1], side="left"))
-        inner = s[i0:i1]
-        # merge the sorted atoms and edges by slot; an edge goes after an equal atom
-        atom_at = np.arange(len(inner)) + np.searchsorted(cut, inner)
-        edge_at = np.arange(len(cut)) + np.searchsorted(inner, cut, side="right")
-        points = np.empty(len(inner) + len(cut), dtype=np.int64)
-        level = np.empty(len(points))
-        points[atom_at], level[atom_at] = inner, values[i0 + 1:i1 + 1]
-        points[edge_at], level[edge_at] = cut, values[np.searchsorted(s, cut, "right")]
+        i1 = max(i0, int(np.searchsorted(s, cut[-1], side="left")))
+        above = np.searchsorted(s, cut, side="right")
+        cut_level = np.where(above > 0, self._suffix[above - 1], float(self.probs.sum()))
+        cut_level += extra
+        # slots in s[i0:i1]: an edge goes after an equal atom (the last edge's
+        # own atom, if any, lies outside the run)
+        slot = np.minimum(above, i1) - i0
+        points = np.insert(s[i0:i1], slot, cut)
+        level = np.insert(self._suffix[i0:i1] + extra, slot, cut_level)
+        edge_at = slot + np.arange(len(cut))
         table = np.add.reduceat(np.diff(points) * level[:-1] ** power, edge_at[:-1])
 
         for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
@@ -433,23 +447,64 @@ def _series_block_sum(g, lo: int, hi: int) -> float:
     """``sum_{x=lo}^{hi-1} g(x)`` for a smooth ``g`` mapping float arrays to arrays.
 
     Short blocks, and any part below ``_TERMWISE_MAX``, are summed term by
-    term; the rest by Euler-Maclaurin: the integral (``quad`` to 1e-13
-    relative) plus ``(g(lo) - g(hi))/2 + (g'(hi) - g'(lo))/12``, ``g'`` by
-    central differences.  With ``lo >= _TERMWISE_MAX`` the first omitted term
-    is of relative order ``lo**-4`` for the power-like tails summed here.
+    term; the rest by Euler-Maclaurin: the integral (:func:`_gauss_legendre`,
+    checked to ``_GL_RTOL``) plus ``(g(lo) - g(hi))/2 + (g'(hi) - g'(lo))/12``,
+    ``g'`` by central differences.  With ``lo >= _TERMWISE_MAX`` the first
+    omitted term is of relative order ``lo**-4`` for the power-like tails
+    summed here.
     """
     if hi - lo <= _TERMWISE_MAX:
         return float(np.sum(g(np.arange(lo, hi, dtype=float))))
     if lo < _TERMWISE_MAX:
         return (_series_block_sum(g, lo, _TERMWISE_MAX)
                 + _series_block_sum(g, _TERMWISE_MAX, hi))
-    from scipy import integrate
-    integral, _ = integrate.quad(lambda t: float(g(np.array([t]))[0]), lo, hi,
-                                 epsabs=0.0, epsrel=1e-13, limit=200)
     at_lo, at_hi, lo_minus, lo_plus, hi_minus, hi_plus = g(np.array(
         [lo, hi, lo - 0.5, lo + 0.5, hi - 0.5, hi + 0.5], dtype=float))
     slope_change = (hi_plus - hi_minus) - (lo_plus - lo_minus)
-    return float(integral + (at_lo - at_hi) / 2.0 + slope_change / 12.0)
+    return float(_gauss_legendre(g, lo, hi) + (at_lo - at_hi) / 2.0 + slope_change / 12.0)
+
+
+@functools.cache
+def _gauss_legendre_rules():
+    """Nodes of the fine and then the coarse rule on ``[-1, 1]``; their weights."""
+    from numpy.polynomial.legendre import leggauss
+    (fine_x, fine_w), (coarse_x, coarse_w) = leggauss(_GL_FINE), leggauss(_GL_COARSE)
+    return np.concatenate([fine_x, coarse_x]), fine_w, coarse_w
+
+
+def _gauss_legendre(g, lo: float, hi: float) -> float:
+    """``integral_lo^hi g`` for ``0 < lo < hi`` by a checked Gauss-Legendre rule.
+
+    ``[lo, hi]`` is cut into pieces whose end ratio is at most 2.  On such a
+    piece a tail that is analytic away from ``x <= 0`` is integrated by the
+    ``_GL_FINE``-point rule to rounding (the error falls like ``5.8^(-2n)``
+    for a branch point at ``x = 0``).  Each piece is checked against the
+    ``_GL_COARSE``-point rule on the same piece; a piece where the two differ
+    by more than ``_GL_RTOL`` relative is halved, at most ``_GL_HALVINGS``
+    times, after which ``MeasureError`` is raised.  The check sees only what
+    the nodes see: the coarse rule has odd order, so a piece's centre is a
+    node, but a jump between a piece end and both rules' outer nodes passes.
+    Every level is one ``g`` call on all its pieces' nodes, and the weighted
+    sums avoid BLAS.
+    """
+    nodes, fine_w, coarse_w = _gauss_legendre_rules()
+    ends = np.geomspace(float(lo), float(hi), max(1, math.ceil(math.log2(hi / lo))) + 1)
+    a, b = ends[:-1], ends[1:]
+    total = 0.0
+    for _ in range(_GL_HALVINGS + 1):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        vals = g((mid[:, None] + half[:, None] * nodes).ravel()).reshape(len(a), -1)
+        fine = half * (vals[:, :_GL_FINE] * fine_w).sum(axis=1)
+        coarse = half * (vals[:, _GL_FINE:] * coarse_w).sum(axis=1)
+        ok = np.abs(fine - coarse) <= _GL_RTOL * np.abs(fine)
+        total += float(fine[ok].sum())
+        if ok.all():
+            return total
+        a, mid, b = a[~ok], mid[~ok], b[~ok]
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    raise MeasureError(f"Gauss-Legendre rule on [{lo}, {hi}] does not settle to "
+                       f"{_GL_RTOL:g} after {_GL_HALVINGS} halvings; the summand "
+                       "is not smooth there")
 
 
 def dyadic_series(blocks, stop=None):

@@ -230,6 +230,16 @@ def test_criteria_reject_negative_support():
         ex.recurrence_criteria(lattice({-1: 0.5, 1: 0.5}))
 
 
+def test_criteria_refuse_truncation_below_16():
+    m = lattice({1: 0.5, 2: 0.5})
+    for bad in (-5, 0, 1, 15):
+        with pytest.raises(ms.MeasureError, match="truncation must be at least 16"):
+            ex.recurrence_criteria(m, truncation=bad)
+    rep = ex.recurrence_criteria(m, truncation=16)
+    assert rep.truncation == 16
+    assert len(rep.details["tail_product_sequence"]) == 3       # y = 4, 8, 16
+
+
 # ---------------------------------------------------------------------------
 # ladder decompositions
 # ---------------------------------------------------------------------------

@@ -20,3 +20,20 @@ def test_import_loads_no_scipy(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_lattice_series_loads_no_scipy_integrate():
+    # the series blocks beyond an atom table are Gauss-Legendre sums, not quad
+    code = ("import sys\n"
+            "from reflectwalk import exact_1d, measures\n"
+            "from family_helpers import power_tail_family\n"
+            "for m in (measures.wiener_hopf_log_tail(10 ** 4),\n"
+            "          power_tail_family(1.3, cutoff=5000)):\n"
+            "    exact_1d.recurrence_criteria(m)\n"
+            "    m.moment(0.5)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tests)]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -164,7 +164,9 @@ def test_divergent_moment_flagged():
 
 
 # blocks inside the table, straddling its end, and longer than 2^12 beyond it
-# (the last case has a long block that starts below 2^12)
+# (the fourth case has a long block that starts below 2^12); then the merge of
+# edges into the atom run: repeated edges, edges on atoms, blocks holding no
+# atom, every edge past the table, and a one-atom law
 _BLOCK_SUM_CASES = [
     ("finite_with_gaps", lambda: lattice({2: 0.3, 9000: 0.5, 12345: 0.2}),
      [0, 1, 3, 4096, 8999, 9000, 9001, 12345, 20000, 40000]),
@@ -174,6 +176,15 @@ _BLOCK_SUM_CASES = [
      [0, 3, 8192, 12_000, 1 << 14, 1 << 17, (1 << 19) + 3]),
     ("power_tail_cutoff_100", lambda: power_tail_family(2.5, cutoff=100),
      [0, 50, 99, 20_000, 70_000]),
+    ("repeated_edges", lambda: lattice({1: 0.2, 4: 0.5, 5: 0.3}), [3, 3, 7]),
+    ("edges_on_atoms", lambda: lattice({1: 0.2, 4: 0.5, 5: 0.3}), [1, 4, 4, 5]),
+    ("block_without_atoms", lambda: lattice({1: 0.2, 10: 0.5, 20: 0.3}),
+     [0, 2, 9, 15, 25]),
+    ("edges_past_finite_table", lambda: lattice({1: 0.2, 4: 0.5, 5: 0.3}),
+     [5, 6, 9, 100]),
+    ("edges_past_tailed_table", lambda: power_tail_family(2.5, cutoff=100),
+     [99, 99, 150, 5000, 70_000]),
+    ("one_atom", lambda: lattice({3: 1.0}), [0, 2, 3, 3, 4, 10]),
 ]
 
 
@@ -197,6 +208,36 @@ def test_tail_block_sums_match_brute_force(name, make, edges):
                 for lo, hi in zip(edges[:-1], edges[1:])]
         # 1e-12 also checks the Euler-Maclaurin slope term (1e-10 here)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, power)
+
+
+@pytest.mark.parametrize("a", [1.3, 1.75, 2.5, 4.0])
+def test_tail_block_sums_match_hurwitz_zeta(a):
+    # past the table tail(x) = K' (x + 5/2)^(1 - a), so a block of tail^power is
+    # K (zeta(s, lo + 5/2) - zeta(s, hi + 5/2)), s = power (a - 1): an oracle for
+    # the Gauss-Legendre blocks up to 2^40, far beyond the brute-force sums
+    mp = pytest.importorskip("mpmath")
+    m = power_tail_family(a, cutoff=5000)
+    c = float(m.probs[0]) * 2.0 ** a                     # pmf c (x + 2)^(-a) at 0
+    edges = [5000] + [1 << e for e in range(13, 41)]
+    for power in (1, 2):
+        got = list(m.tail_block_sums(edges, power))
+        with mp.workdps(40):
+            k, s = (mp.mpf(c) / (a - 1)) ** power, power * (mp.mpf(a) - 1)
+            want = [float(k * (mp.zeta(s, lo + mp.mpf(2.5)) - mp.zeta(s, hi + mp.mpf(2.5))))
+                    for lo, hi in zip(edges[:-1], edges[1:])]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), (a, power)
+
+
+def test_gauss_legendre_halves_until_the_rules_agree():
+    # a bump of width 200 in [4096, 8192]: one 20-point piece is far off, halved ones are not
+    got = ms._gauss_legendre(lambda x: np.exp(-((x - 6000.0) / 200.0) ** 2), 4096, 8192)
+    assert got == pytest.approx(200.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("step", [6000.5, 9999.5, 12345.6])
+def test_series_block_sum_refuses_a_jump(step):
+    with pytest.raises(ms.MeasureError, match="does not settle"):
+        ms._series_block_sum(lambda x: np.where(x < step, 1e-3, 0.0), 4096, 1 << 14)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0])
