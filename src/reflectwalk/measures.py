@@ -38,6 +38,7 @@ DIVERGENCE_BLOCKS = 20
 DIVERGENCE_DECAY = 0.95
 _TERMWISE_MAX = 1 << 12  # blocks up to this many points are summed term by term
 _MAX_BLOCK_EXP = 64
+_CHUNK = 1 << 15  # atoms per step of a pass over an atom table (O(_CHUNK) temporaries)
 # Gauss-Legendre rule of a series block (_gauss_legendre): the result comes
 # from the finer rule and is kept where the coarser one agrees to this
 # relative tolerance; a piece that disagrees is halved up to this many times.
@@ -96,8 +97,11 @@ class Measure1D:
         self.name = name
         self.meta = dict(meta or {})
         if kind == "lattice" and support is not None:
-            # mass strictly above support[i], excluding the analytic tail
-            self._suffix = np.concatenate([np.cumsum(probs[::-1])[::-1][1:], [0.0]])
+            # mass strictly above support[i], excluding the analytic tail: the
+            # running sum of probs from the top, written straight into place
+            self._suffix = np.empty(len(probs))
+            np.cumsum(probs[:0:-1], out=self._suffix[-2::-1])
+            self._suffix[len(probs) - 1:] = 0.0
         else:
             self._suffix = None
         self._validate()
@@ -145,6 +149,14 @@ class Measure1D:
         kept, not copied); ``tail_fn(x)`` must return the mass strictly above
         ``x`` for every ``x >= support[-1]`` and agree with the implicit prefix
         mass: ``probs.sum() + tail_fn(support[-1]) == 1`` within 1e-9.
+
+        Past the table, ``tail_fn`` and ``pmf_fn`` must be smooth: analytic
+        on ``x > 0`` with no jump or kink, as power and log-power tails are.
+        Sums of them over blocks beyond the table go through
+        :func:`_series_block_sum`, whose Gauss-Legendre check cannot see a
+        jump or kink within about 0.8% of a piece end (a piece spans at most
+        a factor 2): such a summand is summed silently and wrongly, off by
+        up to about twenty terms.  Tabulate any such point instead.
         """
         support = _int_support(support)
         if not np.all(support[1:] > support[:-1]):
@@ -319,14 +331,16 @@ class Measure1D:
     def moment(self, p: float, part: str = "full") -> float:
         """``E|Y|^p``, ``E (Y^+)^p`` or ``E (Y^-)^p``; ``inf`` when divergent.
 
-        The atom table's part is ``sum |x|^p p(x)`` formed in place and added
-        by numpy's pairwise sum, not by ``np.dot``: a threaded BLAS may run a
-        ``ddot`` over a long table on its thread pool and take milliseconds
-        for microseconds of work.  Divergence on infinite-support families is decided by
-        the dyadic-block test: the series is declared divergent when the block
-        sums over ``[2^m, 2^(m+1))`` fail to decay geometrically (ratio above
-        ``DIVERGENCE_DECAY``) for ``DIVERGENCE_BLOCKS`` consecutive blocks;
-        each block beyond the table is one :func:`_series_block_sum`.
+        The atom table's part is ``sum |x|^p p(x)``, formed in place ``_CHUNK``
+        atoms at a time (so a long table costs ``O(_CHUNK)`` temporaries) and
+        added by numpy's pairwise sum per chunk, not by ``np.dot``: a threaded
+        BLAS may run a ``ddot`` over a long table on its thread pool and take
+        milliseconds for microseconds of work.  Divergence on infinite-support
+        families is decided by the dyadic-block test: the series is declared
+        divergent when the block sums over ``[2^m, 2^(m+1))`` fail to decay
+        geometrically (ratio above ``DIVERGENCE_DECAY``) for
+        ``DIVERGENCE_BLOCKS`` consecutive blocks; each block beyond the table
+        is one :func:`_series_block_sum`.
         """
         if p < 0:
             raise MeasureError("moment order must be nonnegative")
@@ -336,16 +350,18 @@ class Measure1D:
             return self._moment_continuous(p, part)
         if not self.has_atoms:
             raise MeasureError("moment of a sampler-backed law is not available")
-        vals = self.support.astype(float)
-        if part == "negative":
-            np.negative(vals, out=vals)
-        if part == "full":
-            np.abs(vals, out=vals)
-        else:
-            np.maximum(vals, 0.0, out=vals)
-        vals **= p
-        vals *= self.probs
-        finite_part = float(vals.sum())
+        finite_part = 0.0
+        for k in range(0, len(self.support), _CHUNK):
+            vals = self.support[k:k + _CHUNK].astype(float)
+            if part == "negative":
+                np.negative(vals, out=vals)
+            if part == "full":
+                np.abs(vals, out=vals)
+            else:
+                np.maximum(vals, 0.0, out=vals)
+            vals **= p
+            vals *= self.probs[k:k + _CHUNK]
+            finite_part += float(vals.sum())
         if not self.has_analytic_tail or part == "negative":
             return finite_part
         return finite_part + self._tail_block_series(p)
@@ -366,17 +382,20 @@ class Measure1D:
     def tail_block_sums(self, edges, power: int):
         """Yield ``sum_{x=e_j}^{e_(j+1)-1} tail(x)**power`` for consecutive ``edges``.
 
-        Every lattice block is an exact sum.  The tail is constant between
-        atoms, so one pass over the atom table gives every block's table part:
-        the edges are inserted into the run of atoms between the first and the
-        last edge (``np.insert`` at their ``searchsorted`` slots, an edge after
-        an equal atom), and each piece adds ``length * value**power`` to its
-        block, with no running sums.  Beyond the table of an analytic-tail
-        family a block goes through :func:`_series_block_sum` (a checked
-        Gauss-Legendre rule, no ``quad``) only when the caller asks for it.
-        For a continuous law a block is the integral of ``tail(x)**power``
-        over ``[e_j, e_(j+1)]``, with the support ends as ``quad`` breakpoints,
-        because such a tail may have kinks inside a block.
+        Every lattice block is an exact sum, formed lazily, one block per
+        ``next``.  The tail is constant between atoms, so a block's table part
+        is ``sum width * value**power`` over the pieces between its edges and
+        the atoms inside it: the piece from the lower edge to the first atom,
+        then one piece per atom, the last cut at the upper edge.  The atoms
+        are walked in steps of ``_CHUNK``, so no pass allocates more than
+        ``O(_CHUNK)`` however long the table; the result can differ from one
+        sum over the whole block in the last bits.  Beyond the table of an
+        analytic-tail family a block goes through :func:`_series_block_sum`
+        (a checked Gauss-Legendre rule, no ``quad``) only when the caller asks
+        for it.  For a continuous law a block is the integral of
+        ``tail(x)**power`` over ``[e_j, e_(j+1)]``, with the support ends as
+        ``quad`` breakpoints, because such a tail may have kinks inside a
+        block.
         """
         if self.kind == "continuous":
             from scipy import integrate
@@ -388,30 +407,37 @@ class Measure1D:
             return
         if not self.has_atoms:
             raise MeasureError("tail block sums need an atom table")
-        s = self.support
-        top = int(s[-1])
+        top = int(self.support[-1])
         extra = float(self._tail_fn(top)) if self.has_analytic_tail else 0.0
-        cut = np.array([min(int(e), top) for e in edges], dtype=np.int64)
-        # the tail is _suffix[i] + extra on [s[i], s[i+1]), the whole mass below s[0]
-        i0 = int(np.searchsorted(s, cut[0], side="right"))
-        i1 = max(i0, int(np.searchsorted(s, cut[-1], side="left")))
-        above = np.searchsorted(s, cut, side="right")
-        cut_level = np.where(above > 0, self._suffix[above - 1], float(self.probs.sum()))
-        cut_level += extra
-        # slots in s[i0:i1]: an edge goes after an equal atom (the last edge's
-        # own atom, if any, lies outside the run)
-        slot = np.minimum(above, i1) - i0
-        points = np.insert(s[i0:i1], slot, cut)
-        level = np.insert(self._suffix[i0:i1] + extra, slot, cut_level)
-        edge_at = slot + np.arange(len(cut))
-        table = np.add.reduceat(np.diff(points) * level[:-1] ** power, edge_at[:-1])
-
-        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            total = float(table[j])
+        mass = float(self.probs.sum())
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            total = self._table_block_sum(min(int(lo), top), min(int(hi), top),
+                                          power, extra, mass)
             if self.has_analytic_tail and hi > top:
                 total += _series_block_sum(lambda x: self._tail_fn(x) ** power,
                                            max(int(lo), top), int(hi))
             yield total
+
+    def _table_block_sum(self, a: int, b: int, power: int, extra: float,
+                         mass: float) -> float:
+        """``sum_{x=a}^{b-1} tail(x)**power`` for ``a <= b <= support[-1]``.
+
+        The tail is ``_suffix[k] + extra`` on ``[s[k], s[k+1])`` and
+        ``mass + extra`` below ``s[0]``.
+        """
+        s, suffix = self.support, self._suffix
+        ia = int(np.searchsorted(s, a, side="right"))    # s[ia:ib] lie in (a, b)
+        ib = int(np.searchsorted(s, b, side="left"))
+        lead = (float(suffix[ia - 1]) if ia > 0 else mass) + extra
+        total = ((int(s[ia]) if ia < ib else b) - a) * lead ** power
+        for k in range(ia, ib, _CHUNK):
+            k1 = min(k + _CHUNK, ib)
+            width = np.diff(s[k:k1 + 1] if k1 < ib else np.append(s[k:ib], b))
+            level = suffix[k:k1] + extra
+            level **= power
+            level *= width
+            total += float(level.sum())
+        return total
 
     def _moment_continuous(self, p: float, part: str) -> float:
         """``E (Y^+)^p = int p x^(p-1) P(Y > x) dx``, and likewise for ``Y^-``."""
@@ -829,25 +855,30 @@ def wiener_hopf_log_tail(cutoff: int = 1_000_000) -> Measure1D:
     tail draws (1.3e-6 at the default cutoff).
     """
     cutoff = int(cutoff)
-    xs = np.arange(cutoff, dtype=float)
 
     def raw(x):
-        return np.log(x + 2.0) / (x + 2.0) ** 1.5
+        # log(x+2) / (x+2)^1.5 by in-place ufuncs on one float copy of x
+        x = np.array(x, dtype=float)
+        x += 2.0
+        out = np.log(x)
+        x **= 1.5
+        out /= x
+        return out
 
     def raw_tail_integral(x):
         # integral_{x + 1/2}^{inf} log(t+2) (t+2)^(-3/2) dt, closed form
         u = np.asarray(x, dtype=float) + 2.5
         return 2.0 * (np.log(u) + 2.0) / np.sqrt(u)
 
-    prefix = raw(xs)
-    c = 1.0 / (prefix.sum() + float(raw_tail_integral(cutoff - 1)))
-    probs = c * prefix
+    probs = raw(np.arange(cutoff))
+    c = 1.0 / (probs.sum() + float(raw_tail_integral(cutoff - 1)))
+    probs *= c
 
     def tail_fn(x):
         return c * raw_tail_integral(x)
 
     def pmf_fn(x):
-        return c * raw(np.asarray(x, dtype=float))
+        return c * raw(x)
 
     def tail_sampler(rng, n):
         from scipy.special import lambertw

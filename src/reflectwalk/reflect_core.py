@@ -467,6 +467,11 @@ def _require_positive_recurrent(spec: WalkSpec):
                 f"stated meaning outside the positive recurrent case.")
 
 
+def _reflected_draws(law, rng, n: int, r1: int) -> np.ndarray:
+    """``n`` draws of the reflected lattice part of ``law`` as int64 rows."""
+    return np.asarray(np.round(law.sample(rng, n)[:, :r1]), dtype=np.int64)
+
+
 def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
                     n_samples: int = 1) -> BackwardResult:
     """Sample the stationary law of one parity class by coupling from the past.
@@ -475,12 +480,15 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     and keeps ``b[x]``, the time-0 value of the walk started at ``x`` at time
     ``-T``, for every ``x`` in the window ``[0, max(N, 2)]`` per coordinate,
     ``N`` the top of the supports; one more increment sets
-    ``b[x] <- b[|x - y|]``.  The times at which the parity codes of the drawn
-    increments XOR to zero cut the sequence into induced blocks.  At a block
-    end the sample stops when ``b`` is constant on the parity class, which
-    certifies the backward limit for every start in the window; after
-    ``horizon`` blocks the sample is flagged unconverged instead of being
-    silently returned.
+    ``b[x] <- b[|x - y|]``, one flat ``take`` per draw.  A letter whose
+    reflected part is all zero maps every state to itself and has parity
+    code 0, so it is redrawn until it is not: the backward limit keeps its
+    law, and ``blocks_used`` counts only blocks made of moving letters.  The
+    times at which the parity codes of the drawn increments XOR to zero cut
+    the sequence into induced blocks.  At a block end the sample stops when
+    ``b`` is constant on the parity class, which certifies the backward limit
+    for every start in the window; after ``horizon`` blocks the sample is
+    flagged unconverged instead of being silently returned.
 
     Only nonnegative bounded lattice reflected parts are supported: certified
     coalescence needs a finite window closed under the walk.  A negative
@@ -508,14 +516,23 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     cls, cols = np.array(parity), np.arange(r1)     # b[:, cls, cols]: least class points
     off_class = (xs & 1) != cls
     b = np.tile(xs.astype(np.int32), (n_samples, 1, r1))
+    rows = np.arange(n_samples)[:, None, None] * b[0].size + cols   # flat row offsets
     live = np.arange(n_samples)
     par = np.zeros(n_samples, dtype=np.int64)       # parity code of the open block
     values = np.empty((n_samples, r1))
     converged = np.zeros(n_samples, dtype=bool)
     blocks_used = np.zeros(n_samples, dtype=np.int64)
     for _ in range(horizon * 64 * max(1, 2 ** r1)):
-        y = np.asarray(np.round(spec.law.sample(rng, live.size)[:, :r1]), dtype=np.int64)
-        b = np.take_along_axis(b, np.abs(xs - y[:, None, :]), axis=1)
+        y = _reflected_draws(spec.law, rng, live.size, r1)
+        idle = np.flatnonzero(~y.any(axis=1))         # identity letters: redraw them
+        while idle.size:
+            y[idle] = _reflected_draws(spec.law, rng, idle.size, r1)
+            idle = idle[~y[idle].any(axis=1)]
+        idx = xs - y[:, None, :]                     # flat index of b[s, |x - y|, i]
+        np.abs(idx, out=idx)
+        idx *= r1
+        idx += rows[:live.size]
+        b = b.take(idx)
         par ^= _parity_codes(y, r1)
         end = np.flatnonzero(par == 0)
         if end.size == 0:

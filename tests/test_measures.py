@@ -1,6 +1,7 @@
 """Tests for increment-law construction, moments, tails and samplers."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -208,6 +209,73 @@ def test_tail_block_sums_match_brute_force(name, make, edges):
                 for lo, hi in zip(edges[:-1], edges[1:])]
         # 1e-12 also checks the Euler-Maclaurin slope term (1e-10 here)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, power)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_tail_block_sums_and_moments_across_chunks(monkeypatch, chunk):
+    # passes over the atom table go _CHUNK atoms at a time; tiny chunks put
+    # chunk ends inside blocks, on edges and on the table's last atom
+    monkeypatch.setattr(ms, "_CHUNK", chunk)
+    for name, make, edges in _BLOCK_SUM_CASES:
+        m = make()
+        if len(m.support) > 200:
+            continue
+        for power in (1, 2):
+            got = list(m.tail_block_sums(edges, power))
+            want = [float(np.sum(_brute_tail(m, lo, hi) ** power))
+                    for lo, hi in zip(edges[:-1], edges[1:])]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, power)
+    m = power_tail_family(2.5, cutoff=100)
+    want = float(np.sum(m.support ** 1.5 * m.probs)) + m._tail_block_series(1.5)
+    assert m.moment(1.5) == pytest.approx(want, rel=1e-14, abs=0.0)
+    m = lattice({-3: 0.25, 0: 0.25, 2: 0.3, 9: 0.2})
+    assert m.moment(1.0, "negative") == pytest.approx(0.75, rel=1e-15)
+    assert m.moment(2.0, "positive") == pytest.approx(4 * 0.3 + 81 * 0.2, rel=1e-15)
+
+
+def test_suffix_and_log_tail_probs_match_reference_formulas():
+    # built in place, the arrays equal the plain formulas bit for bit
+    cutoff = 10 ** 5
+    wh = ms.wiener_hopf_log_tail(cutoff)
+    xs = np.arange(cutoff, dtype=float)
+    raw = np.log(xs + 2.0) / (xs + 2.0) ** 1.5
+    u = cutoff - 1 + 2.5
+    c = 1.0 / (raw.sum() + float(2.0 * (np.log(u) + 2.0) / np.sqrt(u)))
+    assert wh.meta["normalizing_constant"] == c
+    assert np.array_equal(wh.probs, c * raw)
+    beyond = np.arange(cutoff, cutoff + 50, dtype=float)
+    pmf = wh._pmf_fn(beyond)
+    assert np.array_equal(beyond, np.arange(cutoff, cutoff + 50, dtype=float))
+    assert np.array_equal(pmf, c * (np.log(beyond + 2.0) / (beyond + 2.0) ** 1.5))
+    rng = np.random.default_rng(3)
+    for m in (wh, lattice({4: 1.0}), lattice({0: 0.5, 3: 0.25, 8: 0.25}),
+              ms.Measure1D.lattice_arrays(np.arange(1000), rng.dirichlet(np.ones(1000)))):
+        p = m.probs
+        assert np.array_equal(m._suffix, np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]]))
+
+
+def test_log_tail_table_is_the_only_table_sized_allocation():
+    # at 10^6 atoms, support, probs and _suffix keep 24 MB; building them may
+    # take one more float table, and the recurrence criteria only O(_CHUNK)
+    from reflectwalk import exact_1d as ex
+    ex.recurrence_criteria(ms.wiener_hopf_log_tail(1000))       # caches and imports
+    cutoff = 10 ** 6
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        wh = ms.wiener_hopf_log_tail(cutoff)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ex.recurrence_criteria(wh)
+        criteria_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert kept - before >= 3 * 8 * cutoff
+    assert peak - kept <= 8 * cutoff + (1 << 20)     # one float table, a bool mask
+    assert criteria_peak - kept <= 4e6
 
 
 @pytest.mark.parametrize("a", [1.3, 1.75, 2.5, 4.0])

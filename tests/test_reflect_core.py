@@ -511,6 +511,21 @@ def test_backward_blocks_used_matches_exact_law():
     assert (np.abs(freq - law) <= 5 * se).all(), (freq, law)
 
 
+def test_backward_identity_letters_are_not_blocks():
+    # conditioned on a nonzero letter this law is {1: .2, 4: .5, 5: .3}: the
+    # letter 0 maps every state to itself, so it must not use up the horizon
+    # and blocks_used must follow the law of the conditioned walk
+    law = _blocks_used_law({1: 0.2, 4: 0.5, 5: 0.3}, 0, 5, 8)
+    n = 20_000
+    res = rc.backward_sample(spec_1d({0: 0.5, 1: 0.1, 4: 0.25, 5: 0.15}), [0],
+                             horizon=500, rng=19, n_samples=n)
+    assert res.converged.all()
+    freq = np.bincount(res.blocks_used, minlength=len(law) + 1)[1:len(law) + 1] / n
+    se = np.sqrt(law * (1 - law) / n)
+    assert law[0] == freq[0] == 0
+    assert (np.abs(freq - law) <= 5 * se).all(), (freq, law)
+
+
 def test_backward_guard_shows_in_result():
     # long odd-started blocks exhaust the draw guard of a one-block horizon
     res = rc.backward_sample(spec_1d({1: 0.01, 2: 0.99}), [0], horizon=1, rng=0,
