@@ -452,8 +452,15 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
     replicas = _at_least("replicas", replicas)
     hits = np.ones((len(ns), replicas), dtype=bool)
     per_factor = []
+    samplers = {}                       # equal symmetric factors share their levels
     for fi, m in enumerate(factors):
-        ind = _factor_return_indicators(m, int(y[fi]), ns, replicas, rng)
+        jumps = None
+        if m.is_symmetric():
+            key = (m.support.tobytes(), m.probs.tobytes())
+            if key not in samplers:
+                samplers[key] = LatticeSumSampler(m)
+            jumps = samplers[key]
+        ind = _factor_return_indicators(m, int(y[fi]), ns, replicas, rng, jumps)
         per_factor.append(ind)
         hits &= ind
     out = {"grid": ns.tolist(), "replicas": replicas, "factors": []}
@@ -469,12 +476,14 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
     return out
 
 
-def _factor_return_indicators(m: Measure1D, y: int, ns: np.ndarray,
-                              replicas: int, rng) -> np.ndarray:
-    """Indicator matrix ``[grid point, replica]`` of ``X_n = y``."""
-    if m.is_symmetric():
+def _factor_return_indicators(m: Measure1D, y: int, ns: np.ndarray, replicas: int,
+                              rng, jumps: Optional[LatticeSumSampler]) -> np.ndarray:
+    """Indicator matrix ``[grid point, replica]`` of ``X_n = y``.
+
+    ``jumps`` is the sum sampler of a symmetric ``m``, and ``None`` otherwise.
+    """
+    if jumps is not None:
         # folded free walk: one exact jump of the partial sum per grid gap
-        jumps = LatticeSumSampler(m)
         s = np.cumsum([jumps.sample(np.full(replicas, gap), rng)
                        for gap in np.diff(ns, prepend=0)], axis=0)
         return np.abs(s) == y

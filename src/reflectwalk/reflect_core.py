@@ -15,6 +15,7 @@ contractions; those induced blocks are what :func:`induced_word` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,7 +34,6 @@ __all__ = [
     "WalkSpec", "ContractionWord", "Trajectory", "BackwardResult",
     "reflect_step", "simulate", "parity_return_times", "induced_word",
     "backward_sample", "contraction_distance_profile",
-    "coupled_coalescence_fraction",
 ]
 
 
@@ -161,18 +161,6 @@ class ContractionWord:
             return " ".join(_num_text(v) for v in self.letters[:, 0])
         return "\n".join(" ".join(_num_text(v) for v in row)
                          for row in self.letters)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ContractionWord":
-        rows = [[float(tok) for tok in line.split()]
-                for line in text.strip().splitlines() if line.strip()]
-        if len(rows) == 1:
-            arr = np.asarray(rows[0], dtype=float)
-        else:
-            arr = np.asarray(rows, dtype=float)
-        if np.all(arr == np.round(arr)):
-            arr = arr.astype(np.int64)
-        return cls(arr)
 
     def __repr__(self):
         flat = self.letters[:, 0] if self.width == 1 else self.letters
@@ -467,9 +455,24 @@ def _require_positive_recurrent(spec: WalkSpec):
                 f"stated meaning outside the positive recurrent case.")
 
 
-def _reflected_draws(law, rng, n: int, r1: int) -> np.ndarray:
-    """``n`` draws of the reflected lattice part of ``law`` as int64 rows."""
-    return np.asarray(np.round(law.sample(rng, n)[:, :r1]), dtype=np.int64)
+def _moving_law(law: JointMeasure, r1: int) -> JointMeasure:
+    """The reflected lattice part of ``law`` given that it is not all zero.
+
+    ``law`` has finite reflected lattice marginals; the result is a finite
+    law on their ``r1`` coordinates, equal rows added up, the zero row
+    dropped and the rest renormalised.
+    """
+    if law.is_finite:
+        pts, probs = law.points[:, :r1], law.probs
+    else:
+        fs = law.factors[:r1]
+        pts = np.stack(np.meshgrid(*[f.support for f in fs], indexing="ij"), axis=-1)
+        probs = functools.reduce(np.multiply.outer, [f.probs for f in fs]).ravel()
+    rows, inv = np.unique(np.round(pts.reshape(-1, r1)), axis=0, return_inverse=True)
+    mass = np.bincount(inv.ravel(), weights=probs)
+    moving = rows.any(axis=1)
+    return JointMeasure((r1, 0, 0, 0), points=rows[moving],
+                        probs=mass[moving] / mass[moving].sum())
 
 
 def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
@@ -482,8 +485,9 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     ``N`` the top of the supports; one more increment sets
     ``b[x] <- b[|x - y|]``, one flat ``take`` per draw.  A letter whose
     reflected part is all zero maps every state to itself and has parity
-    code 0, so it is redrawn until it is not: the backward limit keeps its
-    law, and ``blocks_used`` counts only blocks made of moving letters.  The
+    code 0, so letters are drawn from the reflected part's law given that it
+    is not zero (one draw per step): the backward limit keeps its law,
+    and ``blocks_used`` counts only blocks made of moving letters.  The
     times at which the parity codes of the drawn increments XOR to zero cut
     the sequence into induced blocks.  At a block end the sample stops when
     ``b`` is constant on the parity class, which certifies the backward limit
@@ -522,12 +526,9 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     values = np.empty((n_samples, r1))
     converged = np.zeros(n_samples, dtype=bool)
     blocks_used = np.zeros(n_samples, dtype=np.int64)
+    moving = _moving_law(spec.law, r1)
     for _ in range(horizon * 64 * max(1, 2 ** r1)):
-        y = _reflected_draws(spec.law, rng, live.size, r1)
-        idle = np.flatnonzero(~y.any(axis=1))         # identity letters: redraw them
-        while idle.size:
-            y[idle] = _reflected_draws(spec.law, rng, idle.size, r1)
-            idle = idle[~y[idle].any(axis=1)]
+        y = moving.sample(rng, live.size).astype(np.int64)
         idx = xs - y[:, None, :]                     # flat index of b[s, |x - y|, i]
         np.abs(idx, out=idx)
         idx *= r1
@@ -573,18 +574,3 @@ def contraction_distance_profile(spec: WalkSpec, x, y, n: int, rng) -> np.ndarra
     pair = _walk_states(spec.law, np.broadcast_to(draws, (int(n), 2, spec.r)),
                         np.stack([xs, ys]))
     return np.sqrt(np.sum((pair[:, 0] - pair[:, 1]) ** 2, axis=1))
-
-
-def coupled_coalescence_fraction(spec: WalkSpec, x, y, steps: int, runs: int,
-                                 rng) -> float:
-    """Fraction of synchronous couplings that coalesce within ``steps``."""
-    rng = make_rng(rng)
-    runs, r = int(runs), spec.r
-    a = np.tile(spec.check_start(x), (runs, 1))
-    c = np.tile(spec.check_start(y), (runs, 1))
-    # the second copy steps the same increments; coupled walks stay together
-    for _, inc, block in _walk_blocks(spec.law, a, rng, int(steps)):
-        a, c = block[-1], _walk_states(spec.law, inc, c)[-1]
-        if (a[:, :r] == c[:, :r]).all():
-            break
-    return float(np.mean((a[:, :r] == c[:, :r]).all(axis=1)))

@@ -281,6 +281,26 @@ def test_null_probe_general_centred_law():
     assert -0.8 < out["factors"][0]["slope"] < -0.25
 
 
+def test_null_probe_equal_factors_share_sum_levels(monkeypatch):
+    # two equal laws (distinct objects) get one sampler: only the first
+    # factor grows convolution levels, as many as a one-factor probe does
+    grown = []
+    grow = ms.LatticeSumSampler._grow
+
+    def counting_grow(self):
+        grown.append(id(self))
+        grow(self)
+
+    monkeypatch.setattr(ms.LatticeSumSampler, "_grow", counting_grow)
+    grid = [2 << i for i in range(6)]
+    dg.product_null_recurrence_probe([PM1], [0], grid, 2000, rng=3)
+    alone = len(grown)
+    grown.clear()
+    dg.product_null_recurrence_probe([PM1, ms.Measure1D.lattice({-1: 0.5, 1: 0.5})],
+                                     [0, 0], grid, 2000, rng=3)
+    assert alone > 0 and len(grown) == alone and len(set(grown)) == 1
+
+
 @pytest.mark.parametrize("grid", [[], [0, 64, 128, 256], [64, 64, 128]],
                          ids=["empty", "zero_time", "two_distinct"])
 def test_null_probe_refuses_a_short_or_nonpositive_grid(grid):

@@ -37,3 +37,22 @@ def test_lattice_series_loads_no_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_heavy_tailed_laws_load_no_scipy():
+    # the log-gammas below k = 16 and the lower-branch Lambert W are in-house
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from reflectwalk import diagnostics, measures\n"
+            "k = np.arange(1, 40)\n"
+            "measures.subordinator_pmf(0.3, k), measures.subordinator_tail(0.3, k)\n"
+            "measures.subordinator_pmf(0.6, 3), measures.subordinator_tail(0.6, 2)\n"
+            "diagnostics.SubordinatorSumSampler(0.6).sample_sum(1000, 50, np.random.default_rng(1))\n"
+            "measures.wiener_hopf_log_tail(10).sample(np.random.default_rng(2), 1000)\n"
+            "diagnostics.subordinated_return_exponent(0.6, 3, n_max=2 ** 10, replicas=20000,\n"
+            "                                         chunk=20000)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

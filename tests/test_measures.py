@@ -488,6 +488,10 @@ def test_subordinator_pmf_rejects_bad_args():
         ms.subordinator_pmf(1.5, 3)
     with pytest.raises(ms.MeasureError):
         ms.subordinator_pmf(0.5, 0)
+    # P[T > k] is 1 below k = 0, where the gamma ratio means nothing
+    for k in (-1, -0.5, np.array([3.0, -2.0])):
+        with pytest.raises(ms.MeasureError):
+            ms.subordinator_tail(0.5, k)
 
 
 @given(st.floats(0.05, 0.95), st.integers(1, 10 ** 6))
@@ -523,6 +527,49 @@ def test_subordinator_tail_and_pmf_match_mpmath(alpha):
             pmf = mp.exp(_mp_log_tail(mp, alpha, k - 1)) * alpha / k
             assert abs(ms.subordinator_tail(alpha, float(k)) / tail - 1) < 2e-14, k
             assert abs(ms.subordinator_pmf(alpha, float(k)) / pmf - 1) < 2e-14, k
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.55, 0.8, 0.95])
+def test_log_tail_small_k_matches_mpmath(alpha):
+    # below k + 1 = 16 the log tail is a difference of math.lgamma values,
+    # one per distinct argument: repeated and unordered k, in any shape
+    mp = pytest.importorskip("mpmath")
+    ks = np.arange(21)
+    with mp.workdps(50):
+        want = np.array([float(_mp_log_tail(mp, alpha, int(k))) for k in ks])
+    assert np.max(np.abs(ms._log_tail(alpha, ks) - want)) < 1e-14
+    grid = np.array([[20, 3, 0], [3, 15, 3]])
+    assert np.array_equal(ms._log_tail(alpha, grid), ms._log_tail(alpha, ks)[grid])
+
+
+def test_lambert_w_lower_matches_scipy():
+    # the log-tail sampler asks for z in [-0.34, 0); scipy is checked up to
+    # 1e-3 from the branch point, where its own error is about 2e-15
+    lambertw = pytest.importorskip("scipy.special").lambertw
+    z = -np.concatenate([np.geomspace(1e-300, 0.3, 2000),
+                         1 / math.e - np.geomspace(1e-3, 0.07, 500)])
+    got = ms._lambert_w_lower(z)
+    assert np.max(np.abs(got / lambertw(z, -1).real - 1)) < 1e-14
+
+
+def test_lambert_w_lower_near_the_branch_point_matches_mpmath():
+    # W_-1 has relative condition number 1 / |1 + w| there: one rounding of z
+    # moves w by about 1e-16 / |1 + w| (scipy 1.17 returns -1 exactly within 2e-9)
+    mp = pytest.importorskip("mpmath")
+    z = -1 / math.e + np.geomspace(1e-12, 1e-3, 400)
+    got = ms._lambert_w_lower(z)
+    with mp.workdps(40):
+        want = np.array([float(mp.lambertw(float(x), -1).real) for x in z])
+    assert np.all(np.abs(got / want - 1) * np.abs(1 + want) < 1e-15)
+
+
+def test_lambert_w_lower_guards(monkeypatch):
+    for bad in (0.0, -1 / math.e, -0.5, 1e-3, math.nan):
+        with pytest.raises(ms.MeasureError):
+            ms._lambert_w_lower(np.array([-0.1, bad]))
+    monkeypatch.setattr(ms, "_HALLEY_STEPS", 1)
+    with pytest.raises(ms.MeasureError, match="did not settle"):
+        ms._lambert_w_lower(np.array([-0.1, -1e-200]))
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95])
