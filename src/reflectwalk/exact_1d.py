@@ -26,6 +26,7 @@ import numpy as np
 
 from .measures import (GuideTable, JointMeasure, Measure1D, MeasureError, _at_least,
                        dyadic_series)
+from . import measures
 from .rng import make_rng
 
 __all__ = [
@@ -388,16 +389,19 @@ def _first_records(m: Measure1D, n: int, rng, step_cap: int):
 
     Yields ``(rows, paths, first)`` per block: the excursions still running,
     their partial sums over the block as a ``(rows, b)`` array, and the block
-    index of each row's first weak record (``b`` when there is none).  Every
-    live excursion has run the same number of steps, so the walks stop all at
-    once, after the first block that reaches ``step_cap`` steps; callers count
-    the excursions left without a record.
+    index of each row's first weak record (``b`` when there is none).  A
+    block doubles in length but holds at most ``measures._BLOCK_DRAWS``
+    increments (``b = 1`` when more rows than that are live), so its
+    temporaries stay ``O(_BLOCK_DRAWS)``.  Every live excursion has run the
+    same number of steps, so the walks stop all at once, after the first
+    block that reaches ``step_cap`` steps; callers count the excursions left
+    without a record.
     """
     rows = np.arange(n)
     last = np.zeros(n, dtype=np.int64)      # S_k at the end of the last block
     steps, block = 0, 16
     while rows.size and steps < step_cap:
-        b = min(block, max(1, (1 << 24) // rows.size))
+        b = min(block, max(1, measures._BLOCK_DRAWS // rows.size))
         paths = last[:, None] + np.cumsum(
             np.asarray(m.sample(rng, (rows.size, b)), dtype=np.int64), axis=1)
         rec = paths >= 0
@@ -406,7 +410,7 @@ def _first_records(m: Measure1D, n: int, rng, step_cap: int):
         live = first == b
         rows, last = rows[live], paths[live, -1]
         steps += b
-        block = min(block * 2, 1 << 20)
+        block *= 2
 
 
 def wiener_hopf_construct(mbar: Measure1D) -> Measure1D:

@@ -39,6 +39,7 @@ DIVERGENCE_DECAY = 0.95
 _TERMWISE_MAX = 1 << 12  # blocks up to this many points are summed term by term
 _MAX_BLOCK_EXP = 64
 _CHUNK = 1 << 15  # atoms per step of a pass over an atom table (O(_CHUNK) temporaries)
+_BLOCK_DRAWS = 1 << 15  # increments per block of a chunked walk (O(_BLOCK_DRAWS) temporaries)
 # Gauss-Legendre rule of a series block (_gauss_legendre): the result comes
 # from the finer rule and is kept where the coarser one agrees to this
 # relative tolerance; a piece that disagrees is halved up to this many times.
@@ -1091,8 +1092,10 @@ class JointMeasure:
         n = int(size)
         if self.points is not None:
             return self.points[self._table.draw(rng, n)]
-        cols = [np.asarray(f.sample(rng, n), dtype=float) for f in self.factors]
-        return np.column_stack(cols)
+        out = np.empty((n, len(self.factors)))
+        for i, f in enumerate(self.factors):
+            out[:, i] = f.sample(rng, n)
+        return out
 
     @functools.cached_property
     def _table(self) -> GuideTable:              # built on the first draw

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import JointMeasure, Measure1D, MeasureError, _at_least
-from . import exact_1d
+from . import exact_1d, measures
 from .rng import make_rng
 
 
@@ -206,6 +206,7 @@ def reflect_step(x, y):
 # ---------------------------------------------------------------------------
 
 _TABLE_CELLS = 512   # table size x columns above which per-step stepping wins
+_CELLS_PER_CALL = 256  # table cells gathered by a prefix scan in about one ufunc call's time
 
 
 def _support_bounds(law: JointMeasure, i: int) -> Optional[tuple[int, int]]:
@@ -220,13 +221,18 @@ def _table_plan(steps: int, n_cols: int, lo: int, hi: int, top: int):
     """``(sub-block length L, table size)`` of the table path, or None if slower.
 
     Nonnegative support keeps a walk in ``[0, max(hi, start)]``, covered by
-    one table, with ``L = sqrt(T)``.  With negative letters a walk at
-    ``x >= L * hi`` cannot reflect within ``L`` steps: tables cover
+    one table, and :func:`_table_walk` finds the sub-block starts by a
+    prefix scan: about ``4 L`` ufunc calls against ``(T / L) log2(T / L)``
+    gathered maps of ``size * n_cols`` cells, balanced by
+    ``L = sqrt(T * cells / _CELLS_PER_CALL)``.  With negative letters a walk
+    at ``x >= L * hi`` cannot reflect within ``L`` steps: tables cover
     ``[0, L * hi)`` and a sub-block translates ``x -> x - S`` above.
     """
     if lo >= 0:
         size = max(hi, top) + 1
-        return (max(1, math.isqrt(steps)), size) if size * n_cols <= _TABLE_CELLS else None
+        if size * n_cols > _TABLE_CELLS:
+            return None
+        return max(1, math.isqrt(steps * size * n_cols // _CELLS_PER_CALL)), size
     sub = math.isqrt(8 * _TABLE_CELLS // (hi * n_cols))
     return (sub, sub * hi) if sub >= 16 else None     # shorter ones do not pay
 
@@ -278,29 +284,43 @@ def _table_walk(y: np.ndarray, x: np.ndarray, sub: int, size: int) -> np.ndarray
     """Reflected lattice walks by composed sub-block maps.
 
     The steps form ``nb`` sub-blocks of ``sub`` steps (the last padded with
-    the identity letter 0).  Each one's map, a table over ``{0..size-1}`` and
-    a translation above, is built for all at once; the sub-block starts are
-    chained through the maps and the sub-blocks replayed in parallel.
+    the identity letter 0).  The map of every sub-block but the last, a table
+    over ``{0..size-1}`` and a translation above, is built for all at once;
+    the sub-block starts follow from the maps and the sub-blocks are replayed
+    in parallel.  When every letter and start lies in ``{0..size-1}`` the maps
+    are total there, and the starts are prefix compositions built by doubling
+    (``ceil(log2 nb)`` gathers), read at ``x``.  Otherwise (two-sided letters)
+    a map may carry a state above the table, where it translates, and the
+    starts are chained one sub-block at a time.
     """
     steps, n_cols = y.shape[0], y.shape[1] * y.shape[2]
     nb = -(-steps // sub)
     padded = np.zeros((nb * sub, n_cols), dtype=np.int32)
     padded[:steps] = y.reshape(steps, n_cols)
     letters = padded.reshape(nb, sub, n_cols)     # [sub-block, step, column]
-    shift = letters.sum(axis=1, dtype=np.int64)
-    maps = np.empty((nb, size, n_cols), dtype=np.int32)   # [sub-block, state, column]
+    maps = np.empty((max(nb - 1, 0), size, n_cols), dtype=np.int32)  # [sub-block, state, column]
     maps[:] = np.arange(size)[:, None]
     for j in range(sub):
-        np.subtract(maps, letters[:, j, None, :], out=maps)
+        np.subtract(maps, letters[:-1, j, None, :], out=maps)
         np.abs(maps, out=maps)
-    flat = maps.reshape(nb, size * n_cols)
-    column = np.arange(n_cols)
     states = np.empty((nb, sub, n_cols), dtype=np.int64)
     cur = x.reshape(n_cols).astype(np.int64)
-    for b in range(nb):
-        states[b, 0] = cur                      # start of sub-block b, for now
-        cur = np.where(cur < size, flat[b, column + n_cols * np.minimum(cur, size - 1)],
-                       cur - shift[b])
+    states[:1, 0] = cur                           # states[b, 0]: start of sub-block b
+    # cell (b, s, c) of the maps is flat[base[b, 0, c] + s * n_cols]
+    flat = maps.reshape(-1)
+    base = np.arange(len(maps))[:, None, None] * (size * n_cols) + np.arange(n_cols)
+    if steps and 0 <= padded.min() and padded.max() < size and cur.max() < size:
+        k = 1
+        while k < len(maps):                      # maps[b] becomes maps[b] o ... o maps[0]
+            maps[k:] = flat.take(base[k:] + maps[:-k] * n_cols)
+            k *= 2
+        states[1:, 0] = flat.take(base[:, 0] + cur * n_cols)
+    else:
+        shift = letters.sum(axis=1, dtype=np.int64)
+        for b in range(len(maps)):
+            cur = np.where(cur < size, flat[base[b, 0] + np.minimum(cur, size - 1) * n_cols],
+                           cur - shift[b])
+            states[b + 1, 0] = cur
     cur = states[:, 0].copy()
     for j in range(sub):
         np.subtract(cur, letters[:, j], out=states[:, j])
@@ -312,15 +332,17 @@ def _table_walk(y: np.ndarray, x: np.ndarray, sub: int, size: int) -> np.ndarray
 def _walk_blocks(law: JointMeasure, x: np.ndarray, rng, steps: Optional[int] = None):
     """State blocks of the ``R`` walks carried in ``x``: ``steps`` steps, or forever.
 
-    The one chunk loop of the package: each block draws ``T * R`` increments
-    in one time-major ``law.sample`` call, ``T = min(8192, 2**22 // R)``, and
-    steps them through :func:`_walk_states`.  Yields ``(k, y, states)``: ``k``
-    steps precede the block, ``y`` and ``states`` have shape ``(T, R, dim)``
-    (the last block may be shorter) and row ``t`` is the state after step
-    ``k + t + 1``.
+    The one chunk loop of the walk engine: each block draws ``T * R``
+    increments in one time-major ``law.sample`` call, with
+    ``T = max(1, min(8192, measures._BLOCK_DRAWS // R))`` so that a block's
+    draws, states and table temporaries stay ``O(_BLOCK_DRAWS)`` at any
+    replica count, and steps them through :func:`_walk_states`.  Yields
+    ``(k, y, states)``: ``k`` steps precede the block, ``y`` and ``states``
+    have shape ``(T, R, dim)`` (the last block may be shorter) and row ``t``
+    is the state after step ``k + t + 1``.
     """
     n_rep = x.shape[0]
-    chunk = max(1, min(8192, (1 << 22) // n_rep))
+    chunk = max(1, min(8192, measures._BLOCK_DRAWS // n_rep))
     k = 0
     while steps is None or k < steps:
         b = chunk if steps is None else min(chunk, steps - k)

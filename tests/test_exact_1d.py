@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,34 @@ def test_mc_ladder_agrees_with_exact():
     tv = 0.5 * (abs(got.get(0, 0) - 0.5) + abs(got.get(1, 0) - 0.5))
     assert tv < 0.02
     assert mc.capped_excursions < 100
+
+
+@pytest.mark.parametrize("budget, n, step_cap", [(None, 70_000, 4096), (256, 1000, 2000)])
+def test_first_records_blocks_hold_at_most_the_block_budget(monkeypatch, budget, n, step_cap):
+    if budget is not None:
+        monkeypatch.setattr(ms, "_BLOCK_DRAWS", budget)
+    blocks = list(ex._first_records(lattice({-1: 0.5, 1: 0.5}), n,
+                                    np.random.default_rng(3), step_cap))
+    assert len(blocks) > 5
+    for rows, paths, first in blocks:
+        assert paths.shape == (rows.size, paths.shape[1])
+        assert rows.size * paths.shape[1] <= ms._BLOCK_DRAWS or paths.shape[1] == 1
+
+
+def test_mc_ladder_memory_stays_within_the_block_budget():
+    # the excursion blocks, not the sample count, bound the ladder's temporaries
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ex.ladder_monte_carlo(lattice({-1: 0.5, 1: 0.5}), 20_000,
+                              np.random.default_rng(8), step_cap=10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - base < 8e6
 
 
 def test_mc_ladder_delta_one_exact():

@@ -402,6 +402,19 @@ def test_marginal_product_lookup():
     assert j.marginal(1) is b
 
 
+def test_product_sample_equals_stacked_factor_draws():
+    # one preallocated float array, filled factor by factor, draws and casts
+    # exactly as stacking the factors' float copies
+    factors = [lattice({1: 0.5, 2: 0.5}), lattice({-1: 0.5, 1: 0.5}), ms.uniform(-1.0, 1.3)]
+    j = ms.JointMeasure.product((1, 0, 1, 1), factors)
+    for n in (0, 1, 777):
+        got = j.sample(np.random.default_rng(n), n)
+        rng = np.random.default_rng(n)
+        want = np.column_stack([np.asarray(f.sample(rng, n), dtype=float) for f in factors])
+        assert got.dtype == want.dtype and got.shape == (n, 3)
+        assert np.array_equal(got, want)
+
+
 def test_marginal_two_sided_finite():
     j = ms.JointMeasure.finite((2, 0, 0, 0), [((-1, 2), 0.5), ((2, -1), 0.5)])
     assert j.marginal(1).atoms_dict() == {-1: 0.5, 2: 0.5}

@@ -1,5 +1,6 @@
 """Tests for the simulation core, contraction words and backward sampling."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,21 @@ def test_engine_matches_literal_fold(laws, steps, replicas, top, seed, sub):
     assert np.array_equal(rc._table_walk(y, x, sub, size), want)
 
 
-@given(st.lists(lattice_laws(), min_size=1, max_size=2), st.sampled_from([1, 3]),
+@pytest.mark.parametrize("sub", [1, 2, 7, 64])
+@pytest.mark.parametrize("steps", [0, 1, 5, 129, 1000])
+def test_table_scan_matches_literal_fold(sub, steps):
+    # nonnegative letters: sub-block starts by the prefix scan, empty and
+    # partial sub-blocks included
+    law = ms.JointMeasure.product((2, 0, 0, 0), [ms.Measure1D.lattice({0: .2, 1: .3, 3: .5}),
+                                                 ms.Measure1D.lattice({2: .5, 5: .5})])
+    rng = np.random.default_rng(100 * steps + sub)
+    y = law.sample(rng, steps * 3).reshape(steps, 3, 2)
+    x = rng.integers(0, 7, size=(3, 2)).astype(float)
+    got = rc._table_walk(y, x, sub, 7)
+    assert got.shape == y.shape and np.array_equal(got, fold(y, x))
+
+
+@given(st.lists(lattice_laws(), min_size=1, max_size=2), st.sampled_from([1, 3, 40]),
        st.integers(8193, 20_000), st.integers(0, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_walk_blocks_match_literal_fold(laws, replicas, steps, top, seed):
@@ -138,6 +153,20 @@ def test_walk_blocks_match_literal_fold(laws, replicas, steps, top, seed):
     assert [k for k, _, _ in blocks] == np.cumsum([0] + lengths[:-1]).tolist()
     y = np.concatenate([y for _, y, _ in blocks])
     assert np.array_equal(np.concatenate([s for _, _, s in blocks]), fold(y, x))
+
+
+@pytest.mark.parametrize("budget, replicas", [(None, 1), (None, 3), (None, 40), (None, 5000),
+                                             (64, 3), (64, 100)])
+def test_walk_blocks_hold_at_most_the_block_budget(monkeypatch, budget, replicas):
+    # a block holds at most _BLOCK_DRAWS increments, or one step of every replica
+    if budget is not None:
+        monkeypatch.setattr(ms, "_BLOCK_DRAWS", budget)
+    rng = np.random.default_rng(replicas)
+    blocks = rc._walk_blocks(SPEC_12.law, np.zeros((replicas, 1)), rng)
+    for _, y, states in itertools.islice(blocks, 3):
+        assert y.shape == states.shape and y.shape[1] == replicas
+        assert len(y) * replicas <= ms._BLOCK_DRAWS or len(y) == 1
+        assert len(y) == 8192 or (len(y) + 1) * replicas > ms._BLOCK_DRAWS
 
 
 def test_only_the_core_steps_walks():
