@@ -47,7 +47,7 @@ DEFAULTS = {
     "criteria": {"truncation": 1 << 22, "seed": 0},
     "ladder": {"method": "auto", "samples": 100_000, "step_cap": 10_000_000,
                "seed": 0},
-    "classes": {"window": 20, "margin": None, "seed": 0},
+    "classes": {"window": 20, "seed": 0},
     "witness": {"verified_range": 50, "seed": 0},
     "backward": {"horizon": 500, "samples": 1000, "parity": None, "seed": 0},
     "experiment": {"seed": 0},
@@ -179,10 +179,13 @@ def _cmd_ladder(cfg, outdir):
 
 
 def _cmd_classes(cfg, outdir):
+    # essential_classes picks the margin; only the null an older metadata.json
+    # echoes is accepted, so a set margin is never silently ignored
+    if cfg.get("margin") is not None:
+        raise MeasureError("classes chooses its margin itself; remove 'margin' "
+                           "from the config")
     j = _joint_of(cfg)
-    margin = cfg.get("margin")
-    reports = lattice_structure.essential_classes(
-        j, int(cfg["window"]), None if margin is None else int(margin))
+    reports = lattice_structure.essential_classes(j, cfg["window"])
     dec = lattice_structure.parity_group(j)
     text = _json({
         "schema_version": SCHEMA_VERSION,

@@ -256,9 +256,7 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
     d = j.dim
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if mode == "exact_enumeration":
-        pts = j.support_points()
-        probs = j.probs if j.is_finite else np.prod(np.meshgrid(
-            *[f.probs for f in j.factors], indexing="ij"), axis=0).ravel()
+        pts, probs = j.atoms()
         if len(pts) ** n > 2_000_000:
             raise MeasureError("enumeration too large; use monte_carlo mode")
         words = np.indices((len(pts),) * n, dtype=np.int32).reshape(n, -1)  # [step, word]

@@ -107,26 +107,40 @@ def invariant_measure_nonneg(m: Measure1D) -> InvariantMeasure1D:
                               total_mass=mass_total)
 
 
+def _window_successors(rows: np.ndarray, box) -> tuple[np.ndarray, np.ndarray]:
+    """The states of the box ``prod [0, box_i]`` and their one-step images.
+
+    ``coords`` lists the states in lexicographic order; ``succ[a, s]`` is the
+    index of ``|coords[s] - rows[a]|``, or -1 when that image leaves the box.
+    """
+    shape = tuple(int(b) + 1 for b in box)
+    coords = np.indices(shape).reshape(len(shape), -1).T
+    strides = np.array([math.prod(shape[i + 1:]) for i in range(len(shape))])
+    succ = np.empty((len(rows), len(coords)), dtype=np.int64)
+    for a, y in enumerate(rows):
+        img = np.abs(coords - y)
+        succ[a] = np.where((img < shape).all(axis=1), img @ strides, -1)
+    return coords, succ
+
+
 def reflected_kernel_matrix(m: Measure1D, size: Optional[int] = None) -> np.ndarray:
     """Transition matrix of ``x -> |x - Y|`` on ``{0, ..., size-1}``.
 
     For a nonnegative lattice law with maximum ``N`` the box ``{0..N}`` is
-    closed, so the default size is ``N + 1``.  This brute-force kernel is the
-    independent oracle against which the closed-form invariant measure is
-    checked: ``p(x, 0) = mu(x)`` and ``p(x, y) = mu(x-y) + mu(x+y)`` for
-    ``y >= 1``.
+    closed, so the default size is ``N + 1``.  This kernel is the oracle
+    against which the closed-form invariant measure is checked:
+    ``p(x, 0) = mu(x)`` and ``p(x, y) = mu(x-y) + mu(x+y)`` for ``y >= 1``,
+    the two atoms added in that order.
     """
     if not (m.is_lattice and m.has_atoms and not m.has_analytic_tail):
         raise MeasureError("kernel oracle needs a finite lattice law")
     if m.min_support() < 0:
         raise MeasureError("kernel oracle covers nonnegative laws only")
-    n = int(m.support[-1]) + 1 if size is None else int(size)
-    atoms = m.atoms_dict()
+    n = int(m.support[-1]) + 1 if size is None else _at_least("size", size)
+    _, succ = _window_successors(m.support[:, None], [n - 1])
+    a, x = np.nonzero(succ >= 0)                 # ascending a: mu(x-y) before mu(x+y)
     p = np.zeros((n, n))
-    for x in range(n):
-        p[x, 0] = atoms.get(x, 0.0)
-        for y in range(1, n):
-            p[x, y] = atoms.get(x - y, 0.0) + atoms.get(x + y, 0.0)
+    np.add.at(p, (x, succ[a, x]), m.probs[a])
     return p
 
 

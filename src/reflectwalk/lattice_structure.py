@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .measures import JointMeasure, Measure1D, MeasureError
+from .exact_1d import _window_successors
+from .measures import JointMeasure, Measure1D, MeasureError, _at_least
 from .reflect_core import ContractionWord, _parity_codes
 
 __all__ = [
@@ -172,107 +172,73 @@ class EssentialClassReport:
         return {tuple(m) for m in self.members}
 
 
-def essential_classes(j: JointMeasure, window: int, margin: Optional[int] = None
-                      ) -> list[EssentialClassReport]:
+def essential_classes(j: JointMeasure, window: int) -> list[EssentialClassReport]:
     """Closed communicating classes of the lattice reflected walk.
 
-    Builds the graph of ``x -> |x - y|`` over the certified region, computes
-    strongly connected components and reports the closed ones per parity
-    coset.  The certified region is ``prod [0, N_i]`` (exact) when every
-    support coordinate is nonnegative with maximum ``N_i <= window``, else
-    ``prod [0, window + margin]`` with membership asserted in
-    ``[0, window]``.
+    Builds the graph of ``x -> |x - y|`` over the certified region from the
+    successor table ``exact_1d._window_successors``, computes strongly
+    connected components and reports the closed ones per parity coset.  The
+    certified region is ``prod [0, N_i]`` (exact) when every support
+    coordinate is nonnegative with maximum ``N_i <= window``, else
+    ``prod [0, window + margin]`` with membership asserted in ``[0, window]``.
 
     Mutual reachability between window states can require excursions far
     above the window (climbing happens along the axes, descending through
-    the interior), so small margins under-certify.  With ``margin=None`` the
-    margin doubles until the report restricted to ``[0, window]`` stabilizes;
-    an explicit margin is honoured as given.  A coset whose certified core
-    holds no essential states yields no report (for example when every jump
-    dwarfs the window, so nothing ever returns to it): enlarge the window.
+    the interior), so small margins under-certify.  The margin starts at the
+    least ``4 * 2^k`` that holds every jump and doubles until the report
+    stabilizes, up to ``4 (window + 16)``; each report records it.  A coset
+    whose certified core holds no essential states yields no report (for
+    example when every jump dwarfs the window, so nothing ever returns to
+    it): enlarge the window.
     """
-    window = int(window)
-    if margin is not None:
-        return _essential_classes_fixed(j, window, int(margin))
-    reports = None
-    m = 4
-    cap = 4 * (window + 16)
-    while True:
-        try:
-            cur = _essential_classes_fixed(j, window, m)
-        except MeasureError:
-            if m >= cap:                    # not a margin-size problem
-                raise
-            m *= 2
-            continue
-        if cur and cur[0].certificate == "exact_bounded":
-            return cur
-        if cur == reports:
-            return cur
-        reports = cur
-        if m >= cap:
-            return cur
-        m *= 2
-
-
-def _essential_classes_fixed(j: JointMeasure, window: int, margin: int
-                             ) -> list[EssentialClassReport]:
-    r1, r2, s1, s2 = j.dims
+    window = _at_least("window", window, 0)
+    r, r2 = j.dims[:2]
     if r2 != 0:
         raise MeasureError("essential classes are computed for purely lattice "
                            "reflection")
-    r = r1
-    if not j.is_finite:
-        try:
-            pts = j.support_points()
-        except MeasureError as e:
-            raise MeasureError("essential classes need finite support") from e
-    else:
-        pts = j.points
+    try:
+        pts, _ = j.atoms()
+    except MeasureError as e:
+        raise MeasureError("essential classes need finite support") from e
     supp = np.unique(np.asarray(np.round(pts[:, :r]), dtype=np.int64), axis=0)
     dec = parity_group(j)
-
-    nonneg = bool((supp >= 0).all())
     tops = supp.max(axis=0)
-    maxabs = np.abs(supp).max(axis=0)
-    exact = nonneg and bool((tops <= window).all())
-    if exact:
-        box = tops
-        certificate = "exact_bounded"
-        core_limit = tops
-    else:
-        if int(maxabs.max()) > window + margin:
-            raise MeasureError(
-                f"window {window}+{margin} cannot contain the one-step image "
-                f"of itself (needs at least {int(maxabs.max())})")
-        box = np.full(r, window + margin, dtype=np.int64)
-        certificate = "windowed"
-        core_limit = np.full(r, window, dtype=np.int64)
+    if (supp >= 0).all() and (tops <= window).all():
+        return _closed_classes(supp, dec, window, tops, 0)
+    need = int(np.abs(supp).max())
+    m, cap = 4, 4 * (window + 16)
+    while window + m < need:
+        if m >= cap:
+            raise MeasureError(f"window {window}+{m} cannot contain the one-step "
+                               f"image of itself (needs at least {need})")
+        m *= 2
+    reports = None
+    while True:
+        cur = _closed_classes(supp, dec, window, np.full(r, window + m), m)
+        if cur == reports or m >= cap:
+            return cur
+        reports, m = cur, 2 * m
 
-    shape = tuple(int(b) + 1 for b in box)
-    n_nodes = int(np.prod(shape))
-    # successor table: for each support row, image of every node (or -1)
-    coords = np.stack(np.meshgrid(*[np.arange(s_) for s_ in shape],
-                                  indexing="ij"), axis=-1).reshape(n_nodes, r)
-    succs = np.empty((len(supp), n_nodes), dtype=np.int64)
-    strides = np.array([int(np.prod(shape[i + 1:])) for i in range(r)])
-    for a, y in enumerate(supp):
-        img = np.abs(coords - y)
-        ok = (img <= box).all(axis=1)
-        flat = img @ strides
-        succs[a] = np.where(ok, flat, -1)
 
+def _closed_classes(supp: np.ndarray, dec: ParityDecomposition, window: int,
+                    box: np.ndarray, margin: int) -> list[EssentialClassReport]:
+    """Closed classes of ``x -> |x - y|`` over ``prod [0, box_i]``.
+
+    ``margin`` 0 marks the exact box ``prod [0, N_i]``; a positive margin
+    marks the windowed box, with membership asserted in ``[0, window]``.
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
+    coords, succs = _window_successors(supp, box)
     edge = succs >= 0                                  # [support row, node]
     graph = csr_matrix((np.ones(edge.sum()), (np.nonzero(edge)[1], succs[edge])),
-                       shape=(n_nodes, n_nodes))
+                       shape=(len(coords),) * 2)
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
 
     # closure is asserted for the certified region only: every core member's
     # one-step image must stay in its component (margin members may leak,
     # that is what the windowed certificate concedes)
-    in_core = (coords <= core_limit).all(axis=1)
+    in_core = (coords <= np.minimum(box, window)).all(axis=1)
     leaks = in_core & ((succs < 0) | (labels[succs] != labels)).any(axis=0)
     closed = np.ones(n_comp, dtype=bool)
     closed[labels[leaks]] = False
@@ -280,15 +246,16 @@ def _essential_classes_fixed(j: JointMeasure, window: int, margin: int
     # core members of each component, in node (= lexicographic) order
     core = np.nonzero(in_core)[0]
     core = core[np.argsort(labels[core], kind="stable")]
+    certificate = "windowed" if margin else "exact_bounded"
     reports = []
     transient_by_coset: dict[int, list] = {}
     for group in np.split(core, np.nonzero(np.diff(labels[core]))[0] + 1):
         members = list(map(tuple, coords[group].tolist()))
-        cid = dec.coset_of(coords[group[0]][:r1] & 1)     # no edge leaves a coset
+        cid = dec.coset_of(coords[group[0]] & 1)       # no edge leaves a coset
         if closed[labels[group[0]]]:
             reports.append(EssentialClassReport(
                 coset_index=cid, window=window, members=members,
-                certificate=certificate, margin=(0 if exact else margin)))
+                certificate=certificate, margin=margin))
         else:
             transient_by_coset.setdefault(cid, []).append(members)
     for rep in reports:

@@ -1101,17 +1101,16 @@ class JointMeasure:
     def _table(self) -> GuideTable:              # built on the first draw
         return GuideTable(np.cumsum(self.probs))
 
-    def support_points(self) -> np.ndarray:
-        """All support points (finite bodies; product bodies with finite factors)."""
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(points, probs)``: a finite body as it is, or the ``ij`` grid of a
+        product of finite factors."""
         if self.points is not None:
-            return self.points
-        grids = []
-        for f in self.factors:
-            if not (f.has_atoms and not f.has_analytic_tail):
-                raise MeasureError("support enumeration needs finite factors")
-            grids.append(f.support.astype(float))
-        mesh = np.meshgrid(*grids, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+            return self.points, self.probs
+        if not all(f.has_atoms and not f.has_analytic_tail for f in self.factors):
+            raise MeasureError("support enumeration needs finite factors")
+        mesh = np.meshgrid(*[f.support.astype(float) for f in self.factors], indexing="ij")
+        probs = functools.reduce(np.multiply.outer, [f.probs for f in self.factors])
+        return np.column_stack([m.ravel() for m in mesh]), probs.ravel()
 
     def is_fully_symmetric(self) -> bool:
         """Invariance under every coordinate sign flip ``x_i -> -x_i``.

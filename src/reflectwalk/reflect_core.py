@@ -15,7 +15,6 @@ contractions; those induced blocks are what :func:`induced_word` and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -484,13 +483,10 @@ def _moving_law(law: JointMeasure, r1: int) -> JointMeasure:
     law on their ``r1`` coordinates, equal rows added up, the zero row
     dropped and the rest renormalised.
     """
-    if law.is_finite:
-        pts, probs = law.points[:, :r1], law.probs
-    else:
-        fs = law.factors[:r1]
-        pts = np.stack(np.meshgrid(*[f.support for f in fs], indexing="ij"), axis=-1)
-        probs = functools.reduce(np.multiply.outer, [f.probs for f in fs]).ravel()
-    rows, inv = np.unique(np.round(pts.reshape(-1, r1)), axis=0, return_inverse=True)
+    if not law.is_finite:
+        law = JointMeasure.product((r1, 0, 0, 0), law.factors[:r1])
+    pts, probs = law.atoms()
+    rows, inv = np.unique(np.round(pts[:, :r1]), axis=0, return_inverse=True)
     mass = np.bincount(inv.ravel(), weights=probs)
     moving = rows.any(axis=1)
     return JointMeasure((r1, 0, 0, 0), points=rows[moving],

@@ -115,8 +115,7 @@ def test_criterion_05_symmetrization_exact():
         for _ in range(5):
             j = random_symmetric_joint(rng, dim)
             n = int(rng.integers(2, 7))
-            n_words = (len(j.support_points()) if j.points is None
-                       else len(j.points)) ** n
+            n_words = len(j.atoms()[0]) ** n
             if n_words > 500_000:
                 n = 3
             start = [float(rng.integers(0, 3)) for _ in range(dim)]

@@ -89,6 +89,37 @@ def test_validate_reports_failures(tmp_path, capsys):
     assert "divide the lattice by 2" in msg
 
 
+CLASSES_LAW_B = {"joint": {"dims": [2, 0, 0, 0],
+                           "atoms": [[[-1, 2], 0.5], [[2, -1], 0.5]]}}
+
+
+def test_classes_negative_window_exits_with_code_2(tmp_path, capsys):
+    cfg = write_yaml(tmp_path / "c.yaml", dict(CLASSES_LAW_B, window=-1))
+    rc, out, err = run_cli(capsys, "classes", "--config", cfg)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "MeasureError"
+
+
+def test_classes_refuses_a_margin_and_replays_a_null_one(tmp_path, capsys):
+    rc, _, err = run_cli(capsys, "classes", "--config",
+                         write_yaml(tmp_path / "m.yaml", dict(CLASSES_LAW_B, window=6,
+                                                              margin=8)))
+    assert rc == 2 and "margin" in json.loads(err)["message"]
+    # an older metadata.json echoes margin: null; it still replays byte for byte
+    rc, _, _ = run_cli(capsys, "classes", "--config",
+                       write_yaml(tmp_path / "n.yaml", dict(CLASSES_LAW_B, window=6)),
+                       "--out", str(tmp_path / "a"))
+    assert rc == 0
+    meta = json.loads((tmp_path / "a" / "metadata.json").read_text())
+    meta["config"]["margin"] = None
+    (tmp_path / "old.json").write_text(json.dumps(meta))
+    rc, _, _ = run_cli(capsys, "classes", "--config", str(tmp_path / "old.json"),
+                       "--out", str(tmp_path / "b"))
+    assert rc == 0
+    assert ((tmp_path / "a" / "classes.json").read_text()
+            == (tmp_path / "b" / "classes.json").read_text())
+
+
 def test_validate_flags_trivial_reflecting_marginal(tmp_path, capsys):
     cfg = write_yaml(tmp_path / "c.yaml", {
         "joint": {"dims": [1, 0, 0, 0],

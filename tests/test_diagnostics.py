@@ -358,9 +358,8 @@ def _exact_min_distance_law(j: ms.JointMeasure, budget, burn):
     over the positions after steps ``burn + 1 .. budget``.  Entry ``m`` of
     the result is ``P[min = m]``; the last entry is "never observed".
     """
-    pts = j.support_points().astype(int)
-    probs = j.probs if j.is_finite else np.prod(np.meshgrid(
-        *[f.probs for f in j.factors], indexing="ij"), axis=0).ravel()
+    pts, probs = j.atoms()
+    pts = pts.astype(int)
     top = budget * int(np.abs(pts).max())       # no walk leaves [-top, top]^d
     grid = (2 * top + 1,) * j.dim
     dist = np.abs(np.indices(grid) - top).max(axis=0)

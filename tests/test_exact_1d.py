@@ -61,6 +61,35 @@ def test_invariant_measure_balance_against_kernel_oracle():
         assert np.abs(v @ p - v).max() < 1e-12
 
 
+def _literal_kernel(m, n):
+    """``p[x, 0] = mu(x)``, ``p[x, y] = mu(x - y) + mu(x + y)``, term by term."""
+    atoms = m.atoms_dict()
+    p = np.zeros((n, n))
+    for x in range(n):
+        p[x, 0] = atoms.get(x, 0.0)
+        for y in range(1, n):
+            p[x, y] = atoms.get(x - y, 0.0) + atoms.get(x + y, 0.0)
+    return p
+
+
+def test_kernel_matrix_equals_literal_formula():
+    # the successor table must add the same atoms in the same order as the
+    # formula, so the match is bit for bit, inside, at and beyond N + 1
+    rng = np.random.default_rng(123)
+    for _ in range(40):
+        m = random_nonneg_lattice(rng)
+        top = int(m.support[-1])
+        assert np.array_equal(ex.reflected_kernel_matrix(m), _literal_kernel(m, top + 1))
+        for n in {1, max(1, top // 2), top, top + 1, top + 2, 2 * top + 3}:
+            assert np.array_equal(ex.reflected_kernel_matrix(m, n), _literal_kernel(m, n))
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_kernel_matrix_rejects_empty_size(size):
+    with pytest.raises(ms.MeasureError, match="size must be at least 1"):
+        ex.reflected_kernel_matrix(lattice({1: 0.5, 2: 0.5}), size)
+
+
 def test_invariant_measure_continuous_uniform():
     u = ms.uniform(0, 1)
     nu = ex.invariant_measure_nonneg(u)

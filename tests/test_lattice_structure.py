@@ -104,7 +104,7 @@ def test_parity_structure_of_random_laws():
         if law.is_finite:
             pars = np.asarray(law.points[:, :r1], dtype=np.int64) & 1
         else:
-            pars = np.array([[int(x) & 1 for x in row] for row in law.support_points()])
+            pars = np.array([[int(x) & 1 for x in row] for row in law.atoms()[0]])
         span = _xor_span([tuple(map(int, p)) for p in pars])
         assert [tuple(map(int, g)) for g in dec.group] == sorted(span)
         # the cosets tile the hypercube, each in tuple order, in least-member order
@@ -222,8 +222,24 @@ def test_essential_class_single_coset_and_full_parity_coverage():
 
 
 def test_window_too_small_raises():
-    with pytest.raises(ms.MeasureError):
-        ls.essential_classes(LAW_B, window=1, margin=0)
+    # margins stop at 128, the first 4 * 2^k past 4 (window + 16) = 68: no jump of 300 fits
+    law = joint_finite([((-1, 300), 0.5), ((300, -1), 0.5)])
+    with pytest.raises(ms.MeasureError, match="cannot contain"):
+        ls.essential_classes(law, window=1)
+
+
+@pytest.mark.parametrize("law", [LAW_A, LAW_B])
+@pytest.mark.parametrize("window", [-1, -3])
+def test_negative_window_raises(law, window):
+    with pytest.raises(ms.MeasureError, match="window must be at least 0"):
+        ls.essential_classes(law, window=window)
+
+
+def test_margin_starts_at_the_least_that_holds_a_jump():
+    # a jump of 30 at window 3 needs 3 + m >= 30: the first margin is 32, and
+    # the report is returned at 64, the first doubling that leaves it unchanged
+    law = joint_finite([((-1, 30), 0.5), ((30, -1), 0.5)])
+    assert [r.margin for r in ls.essential_classes(law, window=3)] == [64]
 
 
 def test_coset_confinement_of_trajectories():

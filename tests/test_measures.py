@@ -426,6 +426,24 @@ def test_marginal_index_out_of_range():
         j.marginal(2)
 
 
+def test_joint_atoms_lists_finite_and_product_bodies():
+    j = ms.JointMeasure.finite((2, 0, 0, 0), [((2, 3), 0.25), ((3, 2), 0.75)])
+    pts, probs = j.atoms()
+    assert pts is j.points and probs is j.probs
+    a = ms.Measure1D.lattice({1: 0.2, 4: 0.8})
+    b = ms.Measure1D.lattice({-1: 0.5, 2: 0.25, 3: 0.25})
+    pts, probs = ms.JointMeasure.product((1, 0, 1, 0), [a, b]).atoms()
+    want = [((x, y), a.prob(x) * b.prob(y)) for x in (1, 4) for y in (-1, 2, 3)]
+    assert pts.tolist() == [list(p) for p, _ in want]
+    assert probs.tolist() == [q for _, q in want]
+
+
+def test_joint_atoms_need_finite_factors():
+    j = ms.JointMeasure.product((1, 0, 0, 0), [power_tail_family(1.5, cutoff=100)])
+    with pytest.raises(ms.MeasureError, match="finite factors"):
+        j.atoms()
+
+
 def test_joint_prob_sum_validation():
     with pytest.raises(ms.MeasureError):
         ms.JointMeasure.finite((2, 0, 0, 0), [((1, 1), 0.5), ((2, 2), 0.6)])

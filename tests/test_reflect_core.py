@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflectwalk import exact_1d as ex
+from reflectwalk import lattice_structure as ls
 from reflectwalk import measures as ms
 from reflectwalk import reflect_core as rc
 
@@ -222,7 +223,7 @@ def test_engine_exact_two_dimensional_laws():
     a = ms.Measure1D.lattice({0: .3, 2: .7})
     b = ms.Measure1D.lattice({1: .4, 3: .6})
     law = ms.JointMeasure.product((2, 0, 0, 0), [a, b])
-    pts = law.support_points()
+    pts = law.atoms()[0]
     probs = np.array([a.prob(p[0]) * b.prob(p[1]) for p in pts])
     ka = ex.reflected_kernel_matrix(a, 4)
     kb = ex.reflected_kernel_matrix(b, 4)
@@ -557,6 +558,52 @@ def test_backward_mostly_idle_laws_match_exact_class_law(atoms, parity):
     for x, v in nu.items():
         p = v / total
         assert abs(np.mean(vals == x) - p) <= 5 * np.sqrt(p * (1 - p) / n), (x, p)
+
+
+def _exact_class_law(law, parity):
+    """Stationary law of the closed class of a nonnegative bounded lattice law,
+    given the parity: the box ``prod [0, N_i]`` is closed, so the kernel on
+    it is exact, and the class comes from ``essential_classes``."""
+    pts, probs = law.atoms()
+    rows = pts.astype(np.int64)
+    top = rows.max(axis=0)
+    coords, succ = ex._window_successors(rows, top)
+    kernel = np.zeros((len(coords), len(coords)))
+    a, s = np.nonzero(succ >= 0)
+    np.add.at(kernel, (s, succ[a, s]), probs[a])
+    coset = ls.parity_group(law).coset_of(parity)
+    (rep,) = [r for r in ls.essential_classes(law, window=int(top.max()))
+              if r.coset_index == coset]
+    assert rep.certificate == "exact_bounded"
+    states = np.array(rep.members)
+    idx = np.ravel_multi_index(states.T, tuple(top + 1))
+    k = kernel[np.ix_(idx, idx)]
+    assert np.allclose(k.sum(axis=1), 1.0, rtol=0, atol=1e-15)    # the class is closed
+    eqs = np.vstack([k.T - np.eye(len(idx)), np.ones(len(idx))])
+    pi = np.linalg.lstsq(eqs, np.r_[np.zeros(len(idx)), 1.0], rcond=None)[0]
+    keep = ((states & 1) == parity).all(axis=1)
+    return {tuple(map(int, x)): p for x, p in zip(states[keep], pi[keep] / pi[keep].sum())}
+
+
+LAW_SWAP = ms.JointMeasure.finite((2, 0, 0, 0), [((2, 3), 0.5), ((3, 2), 0.5)])
+LAW_PRODUCT = ms.JointMeasure.product((2, 0, 0, 0), [ms.Measure1D.lattice({1: .2, 4: .5, 5: .3}),
+                                                     ms.Measure1D.lattice({1: .5, 2: .5})])
+
+
+@pytest.mark.parametrize("law, parity", [(LAW_SWAP, (0, 0)), (LAW_SWAP, (1, 0)),
+                                         (LAW_PRODUCT, (0, 1)), (LAW_PRODUCT, (1, 0))],
+                         ids=["finite-00", "finite-10", "product-01", "product-10"])
+def test_backward_two_dimensional_matches_exact_class_law(law, parity):
+    n = 40_000
+    res = rc.backward_sample(rc.WalkSpec(law), list(parity), horizon=500, rng=3,
+                             n_samples=n)
+    assert res.converged.all()
+    exact = _exact_class_law(law, np.array(parity))
+    vals, counts = np.unique(res.values.astype(np.int64), axis=0, return_counts=True)
+    emp = {tuple(map(int, v)): c / n for v, c in zip(vals, counts)}
+    assert set(emp) <= set(exact)
+    for x, p in exact.items():
+        assert abs(emp.get(x, 0.0) - p) <= 5 * np.sqrt(p * (1 - p) / n), (x, p, emp)
 
 
 def test_backward_guard_shows_in_result():
