@@ -61,7 +61,7 @@ class InvariantMeasure1D:
         """Mass of a set of lattice points."""
         if self.kind != "lattice":
             raise MeasureError("mass_of needs the lattice version")
-        table = {int(x): float(m) for x, m in zip(self.support, self.masses)}
+        table = self.as_dict()
         return sum(table.get(int(p), 0.0) for p in points)
 
     def as_dict(self) -> dict[int, float]:
@@ -96,15 +96,21 @@ def invariant_measure_nonneg(m: Measure1D) -> InvariantMeasure1D:
     top = int(m.support[-1])
     # a support that is already 0..top (tailed families) is reused, not copied
     xs = m.support if len(m.support) == top + 1 else np.arange(top + 1, dtype=np.int64)
-    pm = np.zeros(top + 1)
-    pm[m.support] = m.probs
-    tail = m.tail(top) if m.has_analytic_tail else 0.0      # mass above the table
-    tails = np.concatenate([np.cumsum(pm[::-1])[::-1][1:], [0.0]]) + tail
-    masses = pm / 2.0 + tails
-    masses[0] = (1.0 - pm[0]) / 2.0
-    mass_total = m.moment(1.0, "full")
+    masses = _table_tails(m)
+    if m.has_analytic_tail:
+        masses += m.tail(top)                   # mass above the table
+    masses[m.support] += m.probs / 2.0
+    masses[0] = (1.0 - m.prob(0)) / 2.0
     return InvariantMeasure1D("lattice", support=xs, masses=masses,
-                              total_mass=mass_total)
+                              total_mass=m.moment(1.0, "full"))
+
+
+def _table_tails(m: Measure1D) -> np.ndarray:
+    """``mu((x, inf))`` of the atom table at ``x = 0..support[-1]``: ``_suffix[i]``
+    on ``[support[i], support[i+1])``, the whole table below ``support[0]``."""
+    s = m.support
+    runs = np.diff(np.clip(np.append(s, s[-1] + 1), 0, None), prepend=0)
+    return np.repeat(np.concatenate([[m._suffix[0] + m.probs[0]], m._suffix]), runs)
 
 
 def _window_successors(rows: np.ndarray, box) -> tuple[np.ndarray, np.ndarray]:
@@ -352,11 +358,9 @@ def ladder_exact_skip_free(m: Measure1D) -> LadderDecomposition:
         raise MeasureError("positive drift with descents: the closed-form "
                            "inversion assumes a centred law; use "
                            "ladder_monte_carlo")
-    atoms = {0: 1.0 - p_down}
-    top = int(m.support[-1])
-    for x in range(1, top + 1):
-        atoms[x] = m.tail(x - 1)
-    return LadderDecomposition(m, Measure1D.lattice(atoms), "exact_skip_free")
+    probs = np.concatenate([[1.0 - p_down], _table_tails(m)[:-1]])   # tail(x - 1)
+    return LadderDecomposition(m, Measure1D.lattice_arrays(np.arange(len(probs)), probs),
+                               "exact_skip_free")
 
 
 def ladder_monte_carlo(m: Measure1D, samples: int, rng,
@@ -442,15 +446,15 @@ def wiener_hopf_construct(mbar: Measure1D) -> Measure1D:
         raise MeasureError("construction needs a finite lattice ladder law")
     if mbar.min_support() < 0:
         raise MeasureError("ladder law must live on N_0")
-    top = int(mbar.support[-1])
-    vals = np.array([mbar.prob(x) for x in range(top + 1)])
+    vals = np.zeros(int(mbar.support[-1]) + 1)
+    vals[mbar.support] = mbar.probs
     if np.any(np.diff(vals) > 1e-15):
         raise MeasureError("ladder law must be nonincreasing")
     p_down = 1.0 - vals[0]
     if p_down <= 0.0:
         raise MeasureError("ladder law concentrated at 0 gives the degenerate "
                            "walk delta_0")
-    support = np.arange(-1, top + 1, dtype=np.int64)
+    support = np.arange(-1, len(vals), dtype=np.int64)
     probs = np.concatenate([[p_down], vals - np.concatenate([vals[1:], [0.0]])])
     return Measure1D.lattice_arrays(support, probs)
 
@@ -552,7 +556,7 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
         raise MeasureError("law is not symmetric")
     if m.has_atoms and len(m.support) == 1 and m.support[0] == 0:
         raise MeasureError("degenerate law delta_0")
-    from .diagnostics import _run_return_experiment  # diagnostics imports this module
+    from .diagnostics import THRESHOLDS, _run_return_experiment  # it imports exact_1d
     rng = make_rng(rng)
     horizon = int(horizon)
     lat = int(m.is_lattice)
@@ -565,8 +569,8 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
         _, counts, escape, _, _ = _run_return_experiment(
             JointMeasure.product(dims, [m]), np.zeros(1), in_window, horizon,
             replicas, rng, record=False)
-        visits = [counts[2], counts[3] - counts[2]]     # first and late half
-        if escape >= 0.9:
+        visits = [counts[-2], counts[-1] - counts[-2]]  # first and late half
+        if escape >= THRESHOLDS["escape_fraction_transient"]:
             cat = "transient_evidence"
         elif escape <= 0.5 and visits[1] >= replicas:
             cat = "recurrent_evidence"

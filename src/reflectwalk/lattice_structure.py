@@ -81,14 +81,8 @@ def _parity_generators(j: JointMeasure) -> np.ndarray:
         f = j.factors[i]
         if not (f.has_atoms or f._symmetric is not None):
             raise MeasureError("parity generators need factor atom tables")
-        if f.has_atoms:
-            par = set()
-            if np.any((f.support & 1) == 0) or f.has_analytic_tail:
-                par.add(0)
-            if np.any((f.support & 1) == 1) or f.has_analytic_tail:
-                par.add(1)
-        else:
-            par = {0, 1}  # sampler-backed laws here have full parity support
+        par = (set((f.support & 1).tolist()) if f.has_atoms and not f.has_analytic_tail
+               else {0, 1})     # tailed and sampler-backed laws: full parity support
         codes = (2 * codes[:, None] + np.array(sorted(par))).ravel()
     return codes
 
@@ -154,8 +148,8 @@ class EssentialClassReport:
 
     ``certificate`` is ``exact_bounded`` when the orbit space is provably
     contained in the box ``[0, N_i]`` per coordinate (all supports
-    nonnegative and bounded by the window), in which case the class list is
-    exact.  Otherwise it is ``windowed``: membership is asserted only inside
+    nonnegative), in which case the class list is exact within the window.
+    Otherwise it is ``windowed``: membership is asserted only inside
     ``[0, window]`` although reachability paths may use the margin strip.
     ``transient_classes`` lists the non-closed communicating classes found in
     the same coset of the certified region.
@@ -178,15 +172,17 @@ def essential_classes(j: JointMeasure, window: int) -> list[EssentialClassReport
     Builds the graph of ``x -> |x - y|`` over the certified region from the
     successor table ``exact_1d._window_successors``, computes strongly
     connected components and reports the closed ones per parity coset.  The
-    certified region is ``prod [0, N_i]`` (exact) when every support
-    coordinate is nonnegative with maximum ``N_i <= window``, else
-    ``prod [0, window + margin]`` with membership asserted in ``[0, window]``.
+    certified region is ``prod [0, N_i]`` (exact, closed under the walk
+    whatever the window) when every support coordinate is nonnegative with
+    maximum ``N_i``, else ``prod [0, window + margin]``; either way members
+    are reported in ``[0, window]``.
 
     Mutual reachability between window states can require excursions far
     above the window (climbing happens along the axes, descending through
     the interior), so small margins under-certify.  The margin starts at the
     least ``4 * 2^k`` that holds every jump and doubles until the report
-    stabilizes, up to ``4 (window + 16)``; each report records it.  A coset
+    stabilizes; each report records it.  A report still changing at the cap
+    ``4 (window + 16)`` raises ``MeasureError``: enlarge the window.  A coset
     whose certified core holds no essential states yields no report (for
     example when every jump dwarfs the window, so nothing ever returns to
     it): enlarge the window.
@@ -202,9 +198,8 @@ def essential_classes(j: JointMeasure, window: int) -> list[EssentialClassReport
         raise MeasureError("essential classes need finite support") from e
     supp = np.unique(np.asarray(np.round(pts[:, :r]), dtype=np.int64), axis=0)
     dec = parity_group(j)
-    tops = supp.max(axis=0)
-    if (supp >= 0).all() and (tops <= window).all():
-        return _closed_classes(supp, dec, window, tops, 0)
+    if (supp >= 0).all():
+        return _closed_classes(supp, dec, window, supp.max(axis=0), 0)
     need = int(np.abs(supp).max())
     m, cap = 4, 4 * (window + 16)
     while window + m < need:
@@ -215,8 +210,11 @@ def essential_classes(j: JointMeasure, window: int) -> list[EssentialClassReport
     reports = None
     while True:
         cur = _closed_classes(supp, dec, window, np.full(r, window + m), m)
-        if cur == reports or m >= cap:
+        if cur == reports:
             return cur
+        if m >= cap:
+            raise MeasureError(f"the classes over window {window} still changed at "
+                               f"margin {m}, the cap: enlarge the window")
         reports, m = cur, 2 * m
 
 
@@ -235,11 +233,13 @@ def _closed_classes(supp: np.ndarray, dec: ParityDecomposition, window: int,
                        shape=(len(coords),) * 2)
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
 
-    # closure is asserted for the certified region only: every core member's
-    # one-step image must stay in its component (margin members may leak,
-    # that is what the windowed certificate concedes)
+    # closure is asserted for the certified region only: every state of the
+    # exact box, or every core member of a windowed one, must map into its
+    # component (margin members may leak, that is what the windowed
+    # certificate concedes)
     in_core = (coords <= np.minimum(box, window)).all(axis=1)
-    leaks = in_core & ((succs < 0) | (labels[succs] != labels)).any(axis=0)
+    checked = in_core if margin else True
+    leaks = checked & ((succs < 0) | (labels[succs] != labels)).any(axis=0)
     closed = np.ones(n_comp, dtype=bool)
     closed[labels[leaks]] = False
 

@@ -1081,10 +1081,9 @@ class JointMeasure:
         if np.any(col != np.round(col)):
             raise MeasureError("marginal with non-integer support points is not "
                                "representable as a lattice law")
-        acc: dict[int, float] = {}
-        for x, p in zip(col, self.probs):
-            acc[int(round(x))] = acc.get(int(round(x)), 0.0) + float(p)
-        return Measure1D.lattice(acc)
+        vals = np.unique(col)          # hash-table path; return_inverse would argsort
+        which = np.searchsorted(vals, col)
+        return Measure1D.lattice_arrays(vals, np.bincount(which, weights=self.probs))
 
     def sample(self, rng, size: int) -> np.ndarray:
         """``size`` i.i.d. increments as a ``(size, dim)`` array."""

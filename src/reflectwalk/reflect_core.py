@@ -208,14 +208,6 @@ _TABLE_CELLS = 512   # table size x columns above which per-step stepping wins
 _CELLS_PER_CALL = 256  # table cells gathered by a prefix scan in about one ufunc call's time
 
 
-def _support_bounds(law: JointMeasure, i: int) -> Optional[tuple[int, int]]:
-    """Support bounds of a reflected lattice coordinate with finite support, else None."""
-    m = law.marginal(i) if i < law.dims[0] else None
-    if m is None or not m.has_atoms or m.has_analytic_tail:
-        return None
-    return int(m.min_support()), int(m.max_support())
-
-
 def _table_plan(steps: int, n_cols: int, lo: int, hi: int, top: int):
     """``(sub-block length L, table size)`` of the table path, or None if slower.
 
@@ -242,25 +234,21 @@ def _walk_states(law: JointMeasure, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``y`` has shape ``(T, R, k)`` and covers the first ``k`` coordinates of
     ``law``; ``x`` is the ``(R, k)`` state carried in from the previous block.
     Row ``t`` is the state after step ``t + 1``: ``|x - y|`` on reflected
-    coordinates (by :func:`_table_walk` where :func:`_table_plan` finds it
-    faster, else :func:`_step_walk`), the running sum on free ones, equal bit
-    for bit to the literal fold.
+    coordinates (all by :func:`_table_walk` when each has finite lattice
+    support and :func:`_table_plan` finds it faster, else all by
+    :func:`_step_walk`), the running sum on free ones, equal bit for bit to
+    the literal fold.
     """
     out = np.empty(y.shape, dtype=np.result_type(y, x))
     r = min(law.n_reflected, y.shape[2])
-    bounds = [_support_bounds(law, i) for i in range(r)]
-    table = [i for i in range(r) if bounds[i] is not None]
-    plan = table and _table_plan(
-        y.shape[0], y.shape[1] * len(table), min(bounds[i][0] for i in table),
-        max(bounds[i][1] for i in table), int(x[:, table].max(initial=0)))
-    table = table if plan else []
-    step = [i for i in range(r) if i not in table]
-    if table:
-        cols = slice(0, r) if len(table) == r else table   # views, not copies
-        out[:, :, cols] = _table_walk(y[:, :, cols], x[:, cols], *plan)
-    if step:
-        cols = slice(0, r) if len(step) == r else step
-        out[:, :, cols] = _step_walk(y[:, :, cols], x[:, cols])
+    laws = [law.marginal(i) for i in range(r)] if r <= law.dims[0] else []
+    plan = laws and all(m.has_atoms and not m.has_analytic_tail for m in laws) and _table_plan(
+        y.shape[0], y.shape[1] * r, int(min(m.support[0] for m in laws)),
+        int(max(m.support[-1] for m in laws)), int(x[:, :r].max(initial=0)))
+    if plan:
+        out[:, :, :r] = _table_walk(y[:, :, :r], x[:, :r], *plan)
+    elif r:
+        out[:, :, :r] = _step_walk(y[:, :, :r], x[:, :r])
     free = out[:, :, r:]       # one cumulative sum: float rounding stays sequential
     free[:] = y[:, :, r:]
     free[:1] += x[:, r:]

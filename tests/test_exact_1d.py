@@ -90,6 +90,35 @@ def test_kernel_matrix_rejects_empty_size(size):
         ex.reflected_kernel_matrix(lattice({1: 0.5, 2: 0.5}), size)
 
 
+def _dense_invariant_masses(m):
+    """``mu(x)/2 + mu((x, inf))`` from a dense pmf and its reversed cumsum."""
+    top = int(m.support[-1])
+    pm = np.zeros(top + 1)
+    pm[m.support] = m.probs
+    tail = m.tail(top) if m.has_analytic_tail else 0.0
+    tails = np.concatenate([np.cumsum(pm[::-1])[::-1][1:], [0.0]]) + tail
+    masses = pm / 2.0 + tails
+    masses[0] = (1.0 - pm[0]) / 2.0
+    return masses
+
+
+def test_invariant_measure_equals_dense_tail_formula():
+    # the tail table read over the atom gaps adds the same terms in the same
+    # order as the dense formula: equal bit for bit, sparse and tailed laws too
+    rng = np.random.default_rng(21)
+    laws = [random_nonneg_lattice(rng, max_top) for max_top in (5, 30, 3000) for _ in range(20)]
+    laws += [lattice({1: 0.5, 10**5: 0.5}), lattice({0: 0.2, 3: 0.3, 70: 0.5}),
+             ms.wiener_hopf_log_tail(cutoff=50), power_tail_family(2.5, 500)]
+    geo = lambda x: 0.4 * 0.5 ** (np.asarray(x, dtype=float) - 9)
+    for s0 in (0, 1):
+        laws.append(ms.Measure1D.lattice_tailed([s0, 4, 9], [.3, .2, .1], geo,
+                                                pmf_fn=lambda x: 0.5 * geo(x)))
+    for m in laws:
+        nu = ex.invariant_measure_nonneg(m)
+        assert nu.support.tolist() == list(range(int(m.support[-1]) + 1))
+        assert np.array_equal(nu.masses, _dense_invariant_masses(m))
+
+
 def test_invariant_measure_continuous_uniform():
     u = ms.uniform(0, 1)
     nu = ex.invariant_measure_nonneg(u)
@@ -297,6 +326,32 @@ def test_exact_ladder_round_trip():
         assert got.get(x, 0.0) == pytest.approx(p, abs=1e-14)
 
 
+def _centred_skip_free(rng, top):
+    """Random centred law on ``{-1, 0, ..., top}`` with an atom at ``top``."""
+    pts = np.unique(np.append(rng.choice(np.arange(1, top + 1), size=min(top, 4)), top))
+    w = rng.dirichlet(np.ones(len(pts)))
+    down, zero = float(pts @ w), float(rng.random())
+    atoms = {int(x): float(v) for x, v in zip(pts, w)}
+    atoms.update({-1: down, 0: zero})
+    return lattice({x: v / (1 + down + zero) for x, v in atoms.items()})
+
+
+def test_exact_ladder_and_construction_equal_their_pointwise_formulas():
+    # ladder(x) = tail(x - 1) and mu(x) = mbar(x) - mbar(x + 1), one point at a time
+    rng = np.random.default_rng(8)
+    for top in (1, 2, 7, 40, 900):
+        m = _centred_skip_free(rng, top)
+        lad = ex.ladder_exact_skip_free(m).ladder
+        want = {0: 1.0 - m.prob(-1)}
+        want.update({x: m.tail(x - 1) for x in range(1, top + 1)})
+        assert lad.atoms_dict() == {x: p for x, p in want.items() if p > 0}
+        mu = ex.wiener_hopf_construct(lad)
+        vals = [lad.prob(x) for x in range(top + 2)]
+        want = {-1: 1.0 - vals[0]}
+        want.update({x: vals[x] - vals[x + 1] for x in range(top + 1)})
+        assert mu.atoms_dict() == {x: p for x, p in want.items() if p > 0}
+
+
 def test_exact_ladder_rejects_deep_and_drifting():
     with pytest.raises(ms.MeasureError):
         ex.ladder_exact_skip_free(lattice({-2: 0.5, 1: 0.5}))
@@ -466,3 +521,17 @@ def test_symmetric_equivalence_rejects_bad_input():
     with pytest.raises(ms.MeasureError):
         ex.symmetric_equivalence_check(lattice({-1: 0.25, 2: 0.75}), 10_000,
                                        0.0, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("n_budgets", [2, 6])
+def test_symmetric_equivalence_reads_the_last_two_budgets(monkeypatch, n_budgets):
+    # the halves are counts[-2] and counts[-1] - counts[-2] at any budget count
+    from reflectwalk import diagnostics
+
+    def report():
+        return ex.symmetric_equivalence_check(lattice({-1: 0.5, 1: 0.5}), 4000, 1.0,
+                                              np.random.default_rng(5), replicas=8)
+
+    want = report()
+    monkeypatch.setitem(diagnostics.THRESHOLDS, "n_budgets", n_budgets)
+    assert report() == want

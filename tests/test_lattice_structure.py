@@ -242,6 +242,65 @@ def test_margin_starts_at_the_least_that_holds_a_jump():
     assert [r.margin for r in ls.essential_classes(law, window=3)] == [64]
 
 
+def test_nonnegative_law_uses_the_exact_box_below_its_tops():
+    # the box [0, 3]^2 is closed whatever the window: (0, 0) reaches (2, 3),
+    # which leaves its component, so (0, 0) is transient at every window
+    rep, = ls.essential_classes(LAW_A, window=2)
+    assert (rep.certificate, rep.margin) == ("exact_bounded", 0)
+    assert rep.member_set() == {(i, jj) for i in range(3) for jj in range(3)} - {(0, 0)}
+    assert rep.transient_classes == [[(0, 0)]]
+
+
+def _closed_window_classes(pts, window):
+    """Closed classes of ``x -> |x - y|`` over ``prod [0, N_i]``, cut to the window,
+    by brute-force reachability."""
+    states = list(itertools.product(*[range(t + 1) for t in pts.max(axis=0)]))
+    reach = {}
+    for s in states:
+        seen, stack = {s}, [s]
+        while stack:
+            x = np.array(stack.pop())
+            for t in map(tuple, np.abs(x - pts).tolist()):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        reach[s] = seen
+    return {frozenset(t for t in reach[s] if max(t) <= window) for s in states
+            if max(s) <= window and all(s in reach[t] for t in reach[s])}
+
+
+def test_exact_box_classes_match_brute_force_above_the_window():
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        d = int(rng.integers(2, 4))
+        pts = rng.integers(0, 9 if d == 2 else 6, size=(int(rng.integers(2, 5)), d))
+        window = int(rng.integers(1, pts.max()))
+        try:
+            law = ms.JointMeasure((d, 0, 0, 0), points=pts.astype(float),
+                                  probs=np.full(len(pts), 1 / len(pts)))
+            reports = ls.essential_classes(law, window)
+        except ms.MeasureError:       # a coordinate without mass on (0, inf), or all even
+            continue
+        assert {r.certificate for r in reports} == {"exact_bounded"}
+        assert {frozenset(r.member_set()) for r in reports} == \
+            _closed_window_classes(pts, window)
+
+
+@pytest.mark.parametrize("window", [1, 6])
+def test_unsettled_classes_at_the_margin_cap_raise(window):
+    # the reports at margins 64 and 128 still differ, and 128 is past the cap
+    law = joint_finite([((2, -2), 0.5), ((32, 39), 0.5)])
+    with pytest.raises(ms.MeasureError, match="enlarge the window"):
+        ls.essential_classes(law, window=window)
+
+
+def test_classes_settled_below_the_cap_are_returned():
+    law = joint_finite([((2, -2), 0.5), ((32, 39), 0.5)])
+    reports = ls.essential_classes(law, window=20)
+    assert [r.margin for r in reports] == [128, 128]
+    assert {r.certificate for r in reports} == {"windowed"}
+
+
 def test_coset_confinement_of_trajectories():
     dec = ls.parity_group(LAW_C)
     spec = rc.WalkSpec(LAW_C)

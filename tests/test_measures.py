@@ -420,6 +420,22 @@ def test_marginal_two_sided_finite():
     assert j.marginal(1).atoms_dict() == {-1: 0.5, 2: 0.5}
 
 
+def test_marginal_adds_repeated_points_in_body_order():
+    # each atom's mass is the running sum over its rows in body order, as a
+    # dict accumulation would give it
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        pts = rng.integers(-4, 5, size=(int(rng.integers(1, 30)), 2)).astype(float)
+        pts[:, 0] = np.abs(pts[:, 0]) + 1
+        pts = np.concatenate([pts, pts[::2]])
+        j = ms.JointMeasure((2, 0, 0, 0), points=pts, probs=rng.dirichlet(np.ones(len(pts))))
+        for i in range(2):
+            acc = {}
+            for x, p in zip(pts[:, i].astype(int).tolist(), j.probs.tolist()):
+                acc[x] = acc.get(x, 0.0) + p
+            assert j.marginal(i).atoms_dict() == dict(sorted(acc.items()))
+
+
 def test_marginal_index_out_of_range():
     j = ms.JointMeasure.finite((2, 0, 0, 0), [((2, 3), 0.5), ((3, 2), 0.5)])
     with pytest.raises(ms.MeasureError):

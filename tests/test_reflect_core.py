@@ -186,6 +186,32 @@ def test_only_measures_convolves():
     assert users == []
 
 
+@pytest.mark.parametrize("mixed", [False, True])
+def test_engine_walks_all_reflected_coordinates_by_one_plan(monkeypatch, mixed):
+    # finite lattice factors go through the table path together; one
+    # coordinate without finite lattice support sends all of them per step
+    last = ms.wiener_hopf_log_tail(cutoff=20) if mixed else ms.Measure1D.lattice({1: .6, 4: .4})
+    law = ms.JointMeasure.product((3, 0, 0, 0), [ms.Measure1D.lattice({1: .5, 2: .5}),
+                                                 ms.Measure1D.lattice({0: .3, 3: .7}), last])
+    calls = []
+
+    def spy(name):
+        real = getattr(rc, name)
+
+        def walk(y, x, *plan):
+            calls.append((name, y.shape[2]))
+            return real(y, x, *plan)
+        return walk
+
+    for name in ("_table_walk", "_step_walk"):
+        monkeypatch.setattr(rc, name, spy(name))
+    rng = np.random.default_rng(6)
+    y = law.sample(rng, 600).reshape(300, 2, 3)
+    x = rng.integers(0, 5, size=(2, 3)).astype(float)
+    assert np.array_equal(rc._walk_states(law, y, x), fold(y, x))
+    assert calls == [("_step_walk" if mixed else "_table_walk", 3)]
+
+
 def test_engine_free_coordinates_are_sequential_sums():
     law = ms.JointMeasure.product((1, 0, 0, 1), [ms.Measure1D.lattice({1: .5, 2: .5}),
                                                  ms.uniform(-1.0, 1.3)])
