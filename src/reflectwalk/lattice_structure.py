@@ -182,10 +182,11 @@ def essential_classes(j: JointMeasure, window: int) -> list[EssentialClassReport
     the interior), so small margins under-certify.  The margin starts at the
     least ``4 * 2^k`` that holds every jump and doubles until the report
     stabilizes; each report records it.  A report still changing at the cap
-    ``4 (window + 16)`` raises ``MeasureError``: enlarge the window.  A coset
-    whose certified core holds no essential states yields no report (for
-    example when every jump dwarfs the window, so nothing ever returns to
-    it): enlarge the window.
+    ``4 (window + 16)`` raises ``MeasureError``: enlarge the window, as
+    does a jump (nonnegative laws too) beyond every margin up to the cap.
+    A coset whose certified core holds no essential states yields no report
+    (for example when every jump dwarfs the window, so nothing ever returns
+    to it): enlarge the window.
     """
     window = _at_least("window", window, 0)
     r, r2 = j.dims[:2]
@@ -198,8 +199,6 @@ def essential_classes(j: JointMeasure, window: int) -> list[EssentialClassReport
         raise MeasureError("essential classes need finite support") from e
     supp = np.unique(np.asarray(np.round(pts[:, :r]), dtype=np.int64), axis=0)
     dec = parity_group(j)
-    if (supp >= 0).all():
-        return _closed_classes(supp, dec, window, supp.max(axis=0), 0)
     need = int(np.abs(supp).max())
     m, cap = 4, 4 * (window + 16)
     while window + m < need:
@@ -207,6 +206,8 @@ def essential_classes(j: JointMeasure, window: int) -> list[EssentialClassReport
             raise MeasureError(f"window {window}+{m} cannot contain the one-step "
                                f"image of itself (needs at least {need})")
         m *= 2
+    if (supp >= 0).all():
+        return _closed_classes(supp, dec, window, supp.max(axis=0), 0)
     reports = None
     while True:
         cur = _closed_classes(supp, dec, window, np.full(r, window + m), m)

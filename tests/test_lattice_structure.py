@@ -251,6 +251,21 @@ def test_nonnegative_law_uses_the_exact_box_below_its_tops():
     assert rep.transient_classes == [[(0, 0)]]
 
 
+@pytest.mark.parametrize("top", [130, 300, 50_000])
+def test_nonnegative_law_beyond_the_margin_cap_is_refused(top):
+    # the exact box side is tied to the window as the windowed one is: at
+    # window 1 the margins stop at 128, so a top above 1 + 128 is refused
+    law = joint_finite([((1, top), 0.5), ((top, 1), 0.5)])
+    with pytest.raises(ms.MeasureError, match="cannot contain"):
+        ls.essential_classes(law, window=1)
+
+
+def test_nonnegative_law_at_the_margin_cap_uses_the_exact_box():
+    law = joint_finite([((1, 129), 0.5), ((129, 1), 0.5)])
+    reports = ls.essential_classes(law, window=1)
+    assert {(r.certificate, r.margin) for r in reports} == {("exact_bounded", 0)}
+
+
 def _closed_window_classes(pts, window):
     """Closed classes of ``x -> |x - y|`` over ``prod [0, N_i]``, cut to the window,
     by brute-force reachability."""
