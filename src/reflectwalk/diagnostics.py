@@ -400,7 +400,9 @@ def _wald_cycle_check(spec: WalkSpec, cycles: int, drift: np.ndarray, rng):
 # local return-probability exponents
 # ---------------------------------------------------------------------------
 
-def _slope_fit(ns, phat, reps):
+def _slope_fit(ns, phat, reps) -> dict:
+    """``phat`` with the weighted least-squares slope of ``log phat`` on
+    ``log ns`` and its standard error, as the exponent probes report them."""
     ns = np.asarray(ns, dtype=float)
     phat = np.asarray(phat, dtype=float)
     keep = phat > 0
@@ -414,9 +416,8 @@ def _slope_fit(ns, phat, reps):
     W = np.diag(w)
     cov = np.linalg.inv(A.T @ W @ A)
     beta = cov @ (A.T @ W @ ly)
-    slope = float(beta[0])
-    se = float(math.sqrt(cov[0, 0]))
-    return slope, se
+    return {"phat": phat.tolist(), "slope": float(beta[0]),
+            "slope_se": float(math.sqrt(cov[0, 0]))}
 
 
 def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
@@ -461,30 +462,28 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
         ind = _factor_return_indicators(m, int(y[fi]), ns, replicas, rng, jumps)
         per_factor.append(ind)
         hits &= ind
-    out = {"grid": ns.tolist(), "replicas": replicas, "factors": []}
-    for fi in range(len(factors)):
-        ph = per_factor[fi].mean(axis=1)
-        slope, se = _slope_fit(ns, ph, replicas)
-        out["factors"].append({"phat": ph.tolist(), "slope": slope,
-                               "slope_se": se})
+    out = {"grid": ns.tolist(), "replicas": replicas,
+           "factors": [_slope_fit(ns, ind.mean(axis=1), replicas) for ind in per_factor]}
     if len(factors) > 1:
-        ph = hits.mean(axis=1)
-        slope, se = _slope_fit(ns, ph, replicas)
-        out["joint"] = {"phat": ph.tolist(), "slope": slope, "slope_se": se}
+        out["joint"] = _slope_fit(ns, hits.mean(axis=1), replicas)
     return out
 
 
-def _factor_return_indicators(m: Measure1D, y: int, ns: np.ndarray, replicas: int,
-                              rng, jumps: Optional[LatticeSumSampler]) -> np.ndarray:
+def _factor_return_indicators(m: Optional[Measure1D], y: int, ns: np.ndarray,
+                              replicas: int, rng, jumps) -> np.ndarray:
     """Indicator matrix ``[grid point, replica]`` of ``X_n = y``.
 
-    ``jumps`` is the sum sampler of a symmetric ``m``, and ``None`` otherwise.
+    ``jumps`` is ``None`` for the reflected walk of ``m``; otherwise ``m`` is
+    unread and the folded free walk jumps once per grid gap by
+    ``jumps.sample(counts, rng)`` (a lattice or subordinator sum sampler).
     """
     if jumps is not None:
-        # folded free walk: one exact jump of the partial sum per grid gap
-        s = np.cumsum([jumps.sample(np.full(replicas, gap), rng)
-                       for gap in np.diff(ns, prepend=0)], axis=0)
-        return np.abs(s) == y
+        s = np.zeros(replicas, dtype=np.int64)
+        out = np.empty((len(ns), replicas), dtype=bool)
+        for i, gap in enumerate(np.diff(ns, prepend=0)):
+            s += jumps.sample(np.full(replicas, gap), rng)
+            out[i] = np.abs(s) == y
+        return out
     # general centred law: the reflected walk, read at the grid times
     law = JointMeasure.product((1, 0, 0, 0), [m])
     out = np.full((len(ns), replicas), y == 0)
@@ -599,9 +598,10 @@ class SubordinatorSumSampler:
         pmf = np.asarray(self.sub.pmf(ks), dtype=float)
         self.head = LatticeSumSampler(Measure1D.lattice_arrays(ks, pmf / pmf.sum()))
 
-    def sample_sum(self, m: int, replicas: int, rng) -> np.ndarray:
-        """``replicas`` independent samples of a sum of ``m`` increments."""
-        n_large = rng.binomial(int(m), self.q_tail, size=replicas)
+    def sample_sum(self, m, replicas: int, rng) -> np.ndarray:
+        """``replicas`` independent sums of ``m`` increments (an int, or one
+        count per replica)."""
+        n_large = rng.binomial(m, self.q_tail, size=replicas)
         total = self.head.sample(m - n_large, rng)
         cnt = int(n_large.sum())
         if cnt:
@@ -611,6 +611,12 @@ class SubordinatorSumSampler:
             total = total + (cs[ends] - cs[ends - n_large])
         return total
 
+    def sample(self, counts, rng) -> np.ndarray:
+        """Subordinated fair walk displacement after ``counts[i]`` increments
+        per row ``i``: ``2 Bin(dt, 1/2) - dt`` given the accrued time ``dt``."""
+        dt = self.sample_sum(counts, len(counts), rng)
+        return 2 * rng.binomial(dt, 0.5) - dt
+
 
 def subordinated_return_exponent(alpha: float, rng, n_max: int = 1 << 14,
                                  replicas: int = 1_000_000,
@@ -618,43 +624,25 @@ def subordinated_return_exponent(alpha: float, rng, n_max: int = 1 << 14,
     """Regression estimate of the return-probability exponent at even times.
 
     Each replica is one path of the subordinated fair walk observed on the
-    doubling grid ``n = 2^6 .. n_max``: the random time change accumulates
-    through the exact hierarchical sum sampler and the embedded walk moves
-    by exact binomial jumps given the accrued time.  The log return
-    frequency is regressed on ``log n``; the theoretical slope is
+    doubling grid ``n = 2^6 .. n_max``, ``chunk`` replicas at a time: the
+    grid walker of the null probe jumps it through
+    :meth:`SubordinatorSumSampler.sample` once per grid gap.  The log return
+    frequency at ``2n`` is regressed on ``log n``; the theoretical slope is
     ``-1/(2 alpha)``.
     """
     rng = make_rng(rng)
-    ns = []
-    n = 64
-    while n <= n_max:
-        ns.append(n)
-        n *= 2
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = np.asarray([1 << k for k in range(6, int(n_max).bit_length())], dtype=np.int64)
     replicas = _at_least("replicas", replicas)
+    chunk = _at_least("chunk", chunk)
     sampler = SubordinatorSumSampler(alpha)
     hits = np.zeros(len(ns), dtype=np.int64)
-    done = 0
-    while done < replicas:
-        b = min(chunk, replicas - done)
-        s = np.zeros(b, dtype=np.int64)
-        prev = 0
-        for gi, nn in enumerate(ns):
-            m = int(2 * nn - 2 * prev)
-            dt = sampler.sample_sum(m, b, rng)
-            ups = rng.binomial(dt, 0.5)
-            s += 2 * ups - dt
-            hits[gi] += int(np.count_nonzero(s == 0))
-            prev = int(nn)
-        done += b
-    phat = hits / replicas
-    slope, se = _slope_fit(ns, phat, replicas)
+    for done in range(0, replicas, chunk):
+        hits += _factor_return_indicators(None, 0, 2 * ns, min(chunk, replicas - done),
+                                          rng, sampler).sum(axis=1)
     return {
         "alpha": float(alpha),
         "grid": ns.tolist(),
-        "phat": phat.tolist(),
-        "slope": slope,
-        "slope_se": se,
+        **_slope_fit(ns, hits / replicas, replicas),
         "expected_exponent": -1.0 / (2.0 * alpha),
         "replicas": replicas,
     }

@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import (GuideTable, JointMeasure, Measure1D, MeasureError, _at_least,
-                       dyadic_series)
+from .measures import JointMeasure, Measure1D, MeasureError, _at_least, dyadic_series
 from . import measures
 from .rng import make_rng
 
@@ -485,8 +484,8 @@ def lifted_invariant_measure(m: Measure1D, ladder: LadderDecomposition, query,
     nu_bar = invariant_measure_nonneg(ladder.ladder)
     rng = make_rng(rng)
     pred = _query_predicate(query)
-    cdf = np.cumsum(nu_bar.normalized_probabilities())
-    starts = nu_bar.support[GuideTable(cdf).draw(rng, n)].astype(np.int64)
+    starts = Measure1D.lattice_arrays(nu_bar.support,
+                                      nu_bar.normalized_probabilities()).sample(rng, n)
     counts = pred(starts.astype(float)).astype(float)  # k = 0 term
     finished = 0
     for rows, paths, first in _first_records(m, n, rng, step_cap):

@@ -181,9 +181,13 @@ def essential_classes(j: JointMeasure, window: int) -> list[EssentialClassReport
     above the window (climbing happens along the axes, descending through
     the interior), so small margins under-certify.  The margin starts at the
     least ``4 * 2^k`` that holds every jump and doubles until the report
-    stabilizes; each report records it.  A report still changing at the cap
-    ``4 (window + 16)`` raises ``MeasureError``: enlarge the window, as
-    does a jump (nonnegative laws too) beyond every margin up to the cap.
+    stabilizes; each report records it.  A report that stabilizes is evidence,
+    not a proof: ``{(7,8): .5, (2,-1): .5}`` at window 4 settles at margin 8
+    with 16 members and 9 window states marked transient, while margins 16
+    and up, and window 6, put every window state in one closed class.  A
+    report still changing at the cap ``4 (window + 16)`` raises
+    ``MeasureError``: enlarge the window, as does a jump (nonnegative laws
+    too) beyond every margin up to the cap.
     A coset whose certified core holds no essential states yields no report
     (for example when every jump dwarfs the window, so nothing ever returns
     to it): enlarge the window.
@@ -311,34 +315,25 @@ def constant_map_witness(m: Measure1D, verified_range: int = 50) -> ConstantMapW
         raise MeasureError("no positive support element")
     b = min(positives)
 
-    word_of: dict[int, ContractionWord] = {}
+    word_of: dict[int, ContractionWord] = {}     # generator: word realising it
     for a in supp:
-        if a == 0:
-            continue
-        if a > 0:
-            word_of.setdefault(a, ContractionWord(np.array([a], dtype=np.int64)))
-        else:
-            q = (-a) // b + 1
-            lifted = a + q * b
+        if a != 0:                      # a negative a is lifted by q letters b
+            q = 0 if a > 0 else (-a) // b + 1
             letters = np.array([a] + [b] * q, dtype=np.int64)
-            word_of.setdefault(lifted, ContractionWord(letters))
+            word_of.setdefault(a + q * b, ContractionWord(letters))
 
     ys_all = sorted(word_of)
-    # drop generators that do not refine the running gcd
+    # drop generators that do not refine the running gcd; dchain: running gcds
     ys: list[int] = []
+    dchain: list[int] = []
     g = 0
     for y in ys_all:
         if math.gcd(g, y) < g or g == 0:
-            ys.append(y)
             g = math.gcd(g, y)
+            ys.append(y)
+            dchain.append(g)
     if g != 1:
         raise MeasureError(f"support gcd is {g}, not 1")
-
-    dchain = []
-    g = 0
-    for y in ys:
-        g = math.gcd(g, y)
-        dchain.append(g)
 
     euclid: list[ContractionWord] = [word_of[ys[0]]]
     for k in range(1, len(ys)):
@@ -362,7 +357,7 @@ def constant_map_witness(m: Measure1D, verified_range: int = 50) -> ConstantMapW
 
     g_final = euclid[-1]
     h = g_final.then(g_final)
-    k = int(verified_range)
+    k = _at_least("verified_range", verified_range, 0)
     top = 2 * k - 1
     domain_top = max(top, max(abs(x) for x in supp), b)
     base = np.arange(0, domain_top + 1, dtype=np.int64)

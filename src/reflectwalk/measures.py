@@ -111,7 +111,7 @@ class Measure1D:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def lattice(cls, atoms, name=None, symmetric=None) -> "Measure1D":
+    def lattice(cls, atoms, name=None) -> "Measure1D":
         """Finite lattice law from ``{point: prob}`` or ``[(point, prob)]``.
 
         Repeated points merge; a non-integer point raises ``MeasureError``.
@@ -122,11 +122,10 @@ class Measure1D:
             if x != int(x):          # checked before any float array can round x
                 raise MeasureError(f"non-integer lattice atom {x!r}")
             merged[int(x)] = merged.get(int(x), 0.0) + p
-        return cls.lattice_arrays(list(merged), list(merged.values()),
-                                  name=name, symmetric=symmetric)
+        return cls.lattice_arrays(list(merged), list(merged.values()), name=name)
 
     @classmethod
-    def lattice_arrays(cls, support, probs, name=None, symmetric=None) -> "Measure1D":
+    def lattice_arrays(cls, support, probs, name=None) -> "Measure1D":
         """Finite lattice law from parallel arrays (fast path for big supports)."""
         support = _int_support(support)
         probs = np.asarray(probs, dtype=float)
@@ -139,8 +138,7 @@ class Measure1D:
         if len(support) == 0:
             raise MeasureError("empty support")
         return cls("lattice", support=support, probs=probs,
-                   normalized=bool(np.gcd.reduce(np.abs(support)) == 1),
-                   symmetric=symmetric, name=name)
+                   normalized=bool(np.gcd.reduce(np.abs(support)) == 1), name=name)
 
     @classmethod
     def lattice_tailed(cls, support, probs, tail_fn, pmf_fn=None,
@@ -280,15 +278,9 @@ class Measure1D:
 
     def is_nontrivial_positive(self) -> bool:
         """Whether the law puts positive mass on ``(0, inf)``."""
-        if self.has_atoms:
-            mass = float(self.probs[self.support > 0].sum())
-            if self.has_analytic_tail:
-                mass += float(self._tail_fn(int(self.support[-1])))
-            return mass > 0.0
-        if self.kind == "continuous":
-            return self.tail(0.0) > 0.0
-        # sampler-backed integer laws in this package are symmetric around 0
-        return True
+        if self.is_lattice and not self.has_atoms:
+            return True   # sampler-backed integer laws here are symmetric around 0
+        return self.tail(0) > 0.0
 
     # -- sampling -----------------------------------------------------------
 
@@ -576,8 +568,7 @@ def gcd_normalize(m: Measure1D) -> tuple[Measure1D, int]:
         raise MeasureError("degenerate support {0}")
     if g == 1:
         return m, 1          # every constructor flags gcd-1 laws normalized
-    atoms = {int(x) // g: float(p) for x, p in zip(m.support, m.probs)}
-    return Measure1D.lattice(atoms, name=m.name), g
+    return Measure1D.lattice_arrays(m.support // g, m.probs, name=m.name), g
 
 
 class GuideTable:

@@ -217,7 +217,8 @@ def _table_plan(steps: int, n_cols: int, lo: int, hi: int, top: int):
     gathered maps of ``size * n_cols`` cells, balanced by
     ``L = sqrt(T * cells / _CELLS_PER_CALL)``.  With negative letters a walk
     at ``x >= L * hi`` cannot reflect within ``L`` steps: tables cover
-    ``[0, L * hi)`` and a sub-block translates ``x -> x - S`` above.
+    ``[0, L * hi)`` and a sub-block translates ``x -> x - S`` above; laws
+    whose int32 maps would pass ``2^31`` (they reach ``L * (hi - lo)``) step.
     """
     if lo >= 0:
         size = max(hi, top) + 1
@@ -225,7 +226,8 @@ def _table_plan(steps: int, n_cols: int, lo: int, hi: int, top: int):
             return None
         return max(1, math.isqrt(steps * size * n_cols // _CELLS_PER_CALL)), size
     sub = math.isqrt(8 * _TABLE_CELLS // (hi * n_cols))
-    return (sub, sub * hi) if sub >= 16 else None     # shorter ones do not pay
+    # shorter sub-blocks do not pay
+    return (sub, sub * hi) if sub >= 16 and sub * (hi - lo) < 1 << 31 else None
 
 
 def _walk_states(law: JointMeasure, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -388,11 +390,12 @@ def parity_return_times(spec: WalkSpec, start, count: int, rng,
     if spec.r1 < 1:
         raise MeasureError("parity returns need at least one lattice "
                            "reflecting coordinate")
+    count = _at_least("count", count, 0)
     rng = make_rng(rng)
     blocks = _walk_blocks(spec.law, spec.check_start(start)[None, :], rng)
     par = 0
-    times = np.empty(int(count), dtype=np.int64)
-    states = np.empty((int(count), spec.r))
+    times = np.empty(count, dtype=np.int64)
+    states = np.empty((count, spec.r))
     got = 0
     while got < count:
         k, y, block = next(blocks)
@@ -573,10 +576,11 @@ def contraction_distance_profile(spec: WalkSpec, x, y, n: int, rng) -> np.ndarra
     lattice coordinates the difference keeps the parity of the start
     difference forever.
     """
+    n = _at_least("n", n, 0)
     rng = make_rng(rng)
     xs = spec.check_start(x)[:spec.r]
     ys = spec.check_start(y)[:spec.r]
-    draws = spec.law.sample(rng, int(n))[:, None, :spec.r]
-    pair = _walk_states(spec.law, np.broadcast_to(draws, (int(n), 2, spec.r)),
+    draws = spec.law.sample(rng, n)[:, None, :spec.r]
+    pair = _walk_states(spec.law, np.broadcast_to(draws, (n, 2, spec.r)),
                         np.stack([xs, ys]))
     return np.sqrt(np.sum((pair[:, 0] - pair[:, 1]) ** 2, axis=1))

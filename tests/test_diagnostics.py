@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reflectwalk import exact_1d as ex
+from reflectwalk import lattice_structure as ls
 from reflectwalk import measures as ms
 from reflectwalk import reflect_core as rc
 import reflectwalk.diagnostics as dg
@@ -516,3 +517,29 @@ EMPTY_SIZES = {   # name: (the size the message names, the call)
 def test_empty_sizes_raise_measure_error(size, call):
     with pytest.raises(ms.MeasureError, match=size):
         call()
+
+
+BAD_SIZES = {   # name: (the size the message names, the call)
+    "subordinated_chunk_zero": ("chunk", lambda: dg.subordinated_return_exponent(
+        0.6, 1, n_max=1024, replicas=10, chunk=0)),
+    "subordinated_chunk": ("chunk", lambda: dg.subordinated_return_exponent(
+        0.6, 1, n_max=1024, replicas=10, chunk=-1)),
+    "parity_count": ("count", lambda: rc.parity_return_times(spec_of(M12), [0], -1, 1)),
+    "contraction_n": ("n", lambda: rc.contraction_distance_profile(
+        spec_of(M12), [0], [1], -1, 1)),
+    "witness_range": ("verified_range", lambda: ls.constant_map_witness(
+        M12, verified_range=-1)),
+}
+
+
+@pytest.mark.parametrize("size, call", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+def test_sizes_below_their_least_raise_measure_error(size, call):
+    with pytest.raises(ms.MeasureError, match=size):
+        call()
+
+
+def test_zero_sizes_give_empty_results():
+    times, states = rc.parity_return_times(spec_of(M12), [0], 0, 1)
+    assert times.shape == (0,) and states.shape == (0, 1)
+    assert rc.contraction_distance_profile(spec_of(M12), [0], [1], 0, 1).shape == (0,)
+    assert ls.constant_map_witness(M12, verified_range=0).table.shape == (1, 0)

@@ -187,6 +187,15 @@ def test_classify_two_sided_cases():
         "transient_to_plus_infinity"
 
 
+@pytest.mark.parametrize("a, verdict", [(1.8, "null_recurrent"), (1.3, "undecided")])
+def test_classify_two_sided_upward_drift_with_infinite_mean(a, verdict):
+    # pmf ~ (x+2)^-a: E(Y+) diverges for a <= 2, E(sqrt(Y+)) for a <= 1.5
+    v = ex.classify_positive_recurrence(power_tail_family(a), "two_sided")
+    assert v.verdict == verdict
+    assert math.isinf(v.moments["E(Y+)"]) and v.moments["E(Y-)"] == 0.0
+    assert math.isfinite(v.moments["E(sqrt(Y+))"]) == (verdict == "null_recurrent")
+
+
 def test_classify_centred_laws_with_rounded_means():
     # centred laws on {-1, 0, 1, 2}: mu(-1) = mu(1) + 2 mu(2); the computed
     # drift moments differ by rounding, sometimes with E(Y-) > E(Y+)
