@@ -13,10 +13,13 @@ One binary, subcommand per capability::
     reflectwalk validate   --config cfg.yaml
 
 Configs are YAML mappings (see the schema dicts below and the demos
-directory).  Every run writes a ``metadata.json`` echoing the fully resolved
-configuration, including the master seed and all defaults, so any artifact
-can be regenerated from its metadata file alone:
-``reflectwalk <sub> --config metadata.json`` reproduces it bit for bit.
+directory).  Every run writes a ``metadata.json`` echoing the resolved
+configuration: the master seed and the subcommand's defaults from
+``DEFAULTS``.  An experiment entry is echoed as given: the defaults written
+inline in its probe branch are not added, and the seed derived for it
+appears only in the entry's own JSON.  Any artifact can be regenerated from
+its metadata file alone: ``reflectwalk <sub> --config metadata.json``
+reproduces it bit for bit.
 
 Batch experiment files may list several experiments; ``--threads`` caps the
 worker pool that runs batch entries in parallel.  Each entry draws its seed
@@ -27,11 +30,13 @@ depend on scheduling.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__, diagnostics, exact_1d, lattice_structure, measures
@@ -52,11 +57,6 @@ DEFAULTS = {
     "backward": {"horizon": 500, "samples": 1000, "parity": None, "seed": 0},
     "experiment": {"seed": 0},
 }
-
-
-def _fmt(x) -> str:
-    """Full binary64 round-trip formatting."""
-    return repr(float(x))
 
 
 def _load_config(path):
@@ -81,9 +81,29 @@ def _resolve(sub: str, cfg: dict, args) -> dict:
     return out
 
 
-def _json(payload) -> str:
+def _plain(obj):
+    """What ``json`` cannot encode, as plain lists, numbers and dicts."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, reflect_core.ContractionWord):
+        return obj.letters.ravel().tolist()
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def _json(payload, indent=2) -> str:
     """The one JSON layout of every payload, printed or written."""
-    return json.dumps(payload, indent=2, sort_keys=True, default=str)
+    return json.dumps(payload, indent=indent, sort_keys=True, default=_plain)
+
+
+def _csv(header: str, rows) -> str:
+    """The one CSV layout: floats in full binary64 round-trip form, anything
+    else by ``str``, a cell holding a comma quoted."""
+    def cell(x):
+        text = repr(float(x)) if isinstance(x, float) else str(x)
+        return f'"{text}"' if "," in text else text
+    return "\n".join([header] + [",".join(map(cell, row)) for row in rows])
 
 
 def _write(outdir: Path | None, name: str, text: str):
@@ -121,18 +141,13 @@ def _cmd_simulate(cfg, outdir):
 
 
 def _cmd_invariant(cfg, outdir):
-    m = measures.measure_from_config(cfg["measure"])
-    nu = exact_1d.invariant_measure_nonneg(m)
-    lines = ["x,mass"]
+    nu = exact_1d.invariant_measure_nonneg(measures.measure_from_config(cfg["measure"]))
     if nu.kind == "lattice":
-        for x, mass in zip(nu.support, nu.masses):
-            lines.append(f"{int(x)},{_fmt(mass)}")
+        rows = list(zip(nu.support, nu.masses))
     else:
-        grid = cfg.get("grid", [i / 20 for i in range(21)])
-        for x in grid:
-            lines.append(f"{_fmt(x)},{_fmt(nu.density(float(x)))}")
-    lines.append(f"total_mass,{_fmt(nu.total_mass)}")
-    text = "\n".join(lines)
+        grid = map(float, cfg.get("grid", [i / 20 for i in range(21)]))
+        rows = [(x, nu.density(x)) for x in grid]
+    text = _csv("x,mass", rows + [("total_mass", nu.total_mass)])
     print(text)
     _write(outdir, "invariant.csv", text)
     return {}
@@ -166,15 +181,11 @@ def _cmd_ladder(cfg, outdir):
         lad = exact_1d.ladder_monte_carlo(m, int(cfg["samples"]),
                                           make_rng(int(cfg["seed"])),
                                           step_cap=int(cfg["step_cap"]))
-    lines = ["height,prob"]
-    for x, p in lad.ladder.atoms_dict().items():
-        lines.append(f"{x},{_fmt(p)}")
-    text = "\n".join(lines)
-    print(text)
-    print(f"method,{lad.method}")
-    if lad.capped_excursions:
-        print(f"capped_excursions,{lad.capped_excursions}")
-    _write(outdir, "ladder.csv", text)
+    atoms = list(lad.ladder.atoms_dict().items())
+    notes = [("method", lad.method)] + (
+        [("capped_excursions", lad.capped_excursions)] if lad.capped_excursions else [])
+    print(_csv("height,prob", atoms + notes))       # the printed table adds its notes
+    _write(outdir, "ladder.csv", _csv("height,prob", atoms))
     return {"method": lad.method, "capped_excursions": lad.capped_excursions}
 
 
@@ -187,24 +198,8 @@ def _cmd_classes(cfg, outdir):
     j = _joint_of(cfg)
     reports = lattice_structure.essential_classes(j, cfg["window"])
     dec = lattice_structure.parity_group(j)
-    text = _json({
-        "schema_version": SCHEMA_VERSION,
-        "parity_group": [list(map(int, g)) for g in dec.group],
-        "n_cosets": dec.n_cosets,
-        "cosets": [[list(map(int, e)) for e in cs] for cs in dec.cosets],
-        "classes": [
-            {
-                "coset_index": r.coset_index,
-                "certificate": r.certificate,
-                "window": r.window,
-                "margin": r.margin,
-                "members": [list(map(int, mm)) for mm in r.members],
-                "transient_classes": [[list(map(int, p)) for p in cls]
-                                      for cls in r.transient_classes],
-            }
-            for r in reports
-        ],
-    })
+    text = _json({"schema_version": SCHEMA_VERSION, "parity_group": dec.group,
+                  "n_cosets": dec.n_cosets, "cosets": dec.cosets, "classes": reports})
     print(text)
     _write(outdir, "classes.json", text)
     return {}
@@ -223,16 +218,9 @@ def _cmd_witness(cfg, outdir):
     for kk in (1, 2, w.verified_k):
         row = w.table[kk][: 2 * kk]
         print(f"  h^{kk} on 0..{2 * kk - 1}: {row.tolist()}")
-    _write(outdir, "witness.json", _json({
-        "schema_version": SCHEMA_VERSION,
-        "generators": w.generators,
-        "generator_words": [wd.letters.ravel().tolist() for wd in w.generator_words],
-        "gcd_chain": w.gcd_chain,
-        "parity_map": w.parity_map.letters.ravel().tolist(),
-        "verified_k": w.verified_k,
-        "checks_passed": w.checks_passed,
-        "table": w.table.tolist(),
-    }))
+    payload = dict(vars(w), schema_version=SCHEMA_VERSION)
+    del payload["euclid_words"]
+    _write(outdir, "witness.json", _json(payload))
     if not w.checks_passed:
         raise MeasureError("witness verification failed")
     return {"checks_passed": w.checks_passed}
@@ -244,12 +232,10 @@ def _cmd_backward(cfg, outdir):
     res = reflect_core.backward_sample(spec, parity, int(cfg["horizon"]),
                                        make_rng(int(cfg["seed"])),
                                        n_samples=int(cfg["samples"]))
-    lines = ["sample," + ",".join(f"x{i}" for i in range(res.values.shape[1]))
-             + ",converged,blocks"]
-    for i, (v, c, b) in enumerate(zip(res.values, res.converged, res.blocks_used)):
-        lines.append(f"{i}," + ",".join(_fmt(x) for x in v)
-                     + f",{int(c)},{int(b)}")
-    _write(outdir, "backward.csv", "\n".join(lines))
+    n, r = res.values.shape
+    header = ",".join(["sample"] + [f"x{i}" for i in range(r)] + ["converged", "blocks"])
+    _write(outdir, "backward.csv", _csv(header, zip(
+        range(n), *res.values.T, res.converged.astype(int), res.blocks_used)))
     conv = float(res.converged.mean())
     print(f"samples: {len(res.values)}, converged fraction: {conv}")
     return {"converged_fraction": conv}
@@ -265,7 +251,7 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
     result: dict = {"schema_version": SCHEMA_VERSION, "probe": probe,
                     "name": name, "seed": seed,
                     "thresholds": dict(diagnostics.THRESHOLDS)}
-    raw_rows: list[str] = []
+    table = None                        # (header, rows) of the entry's CSV
     if probe == "occupation":
         spec = reflect_core.WalkSpec(_joint_of(entry))
         m = spec.law.marginal(0)
@@ -274,7 +260,7 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
             spec, nu, int(entry.get("steps", 1_000_000)),
             int(entry.get("burn_in", 10_000)), rng)
         result["tv_distance"] = summary = tv
-        raw_rows = ["state,visits"] + [f"\"{k}\",{v}" for k, v in sorted(occ.items())]
+        table = "state,visits", sorted(occ.items())
     elif probe == "return_time":
         spec = reflect_core.WalkSpec(_joint_of(entry))
         center = entry.get("window_center", [0.0] * spec.r)
@@ -282,8 +268,8 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
         stats, ev = diagnostics.return_time_stats(
             spec, entry.get("start", [0.0] * spec.dim), (center, radius),
             int(entry.get("budget", 100_000)), int(entry.get("replicas", 32)), rng)
-        result["evidence"], summary = ev.__dict__, ev.category
-        raw_rows = ["return_time"] + [str(t) for t in stats.return_times[:10000]]
+        result["evidence"], summary = ev, ev.category
+        table = "return_time", zip(stats.return_times)
     elif probe == "symmetrization":
         j = _joint_of(entry)
         mode = entry.get("mode", "exact_enumeration")
@@ -309,8 +295,7 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
             spec, int(entry.get("budget", 200_000)),
             int(entry.get("replicas", 32)), rng,
             wald_cycles=int(entry.get("wald_cycles", 100_000)))
-        result["evidence"], summary = ev.__dict__, ev.category
-        result["wald"] = wald
+        result["evidence"], result["wald"], summary = ev, wald, ev.category
     elif probe == "null_probe":
         factors = [measures.measure_from_config(c) for c in entry["factors"]]
         out = diagnostics.product_null_recurrence_probe(
@@ -319,8 +304,7 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
             int(entry.get("replicas", 100_000)), rng)
         result["probe_result"] = out
         summary = out.get("joint", out["factors"][0])["slope"]
-        raw_rows = ["n,phat"] + [f"{n},{_fmt(p)}" for n, p in
-                                 zip(out["grid"], out["factors"][0]["phat"])]
+        table = "n,phat", zip(out["grid"], out["factors"][0]["phat"])
     elif probe == "dimension":
         j = _joint_of(entry)
         out = diagnostics.dimension_transience_probe(
@@ -330,21 +314,19 @@ def _run_one_experiment(entry: dict, outdir: Path, master_seed: int, index: int)
             burn_in=entry.get("burn_in"))
         dists = out.pop("min_distance_after_burn_in")
         result["probe_result"], summary = out, out["escape_fraction"]
-        raw_rows = ["replica,min_distance_after_burn_in"] + [
-            f"{i},{_fmt(v)}" for i, v in enumerate(dists)]
+        table = "replica,min_distance_after_burn_in", enumerate(dists)
     elif probe == "subordinated_exponent":
         out = diagnostics.subordinated_return_exponent(
             float(entry["alpha"]), rng,
             n_max=int(entry.get("n_max", 1 << 14)),
             replicas=int(entry.get("replicas", 1_000_000)))
         result["probe_result"], summary = out, out["slope"]
-        raw_rows = ["n,phat"] + [f"{n},{_fmt(p)}" for n, p in
-                                 zip(out["grid"], out["phat"])]
+        table = "n,phat", zip(out["grid"], out["phat"])
     else:
         raise MeasureError(f"unknown probe {probe!r}")
     _write(outdir, f"{name}.json", _json(result))
-    if raw_rows:
-        _write(outdir, f"{name}.csv", "\n".join(raw_rows))
+    if table:
+        _write(outdir, f"{name}.csv", _csv(*table))
     return name, summary
 
 
@@ -366,30 +348,12 @@ def _cmd_experiment(cfg, outdir):
 
 
 def _cmd_validate(cfg, outdir):
-    checks = []
-
-    def check(name, ok, message):
-        checks.append({"check": name, "status": "ok" if ok else "failed",
-                       "message": message})
-
     try:
-        j = _joint_of(cfg)
-        r1, r2, s1, s2 = j.dims
-        check("dims_free", s1 + s2 <= 2,
-              f"s={s1 + s2}: only 0, 1 or 2 free coordinates are meaningful "
-              "(more makes the free part transient outright)")
-        check("dims_reflected", r1 + r2 >= 1,
-              f"r={r1 + r2}: at least one reflected coordinate required")
-        for i in range(r1 + r2):
-            m = j.marginal(i)
-            if m.is_lattice and m.has_atoms and not m.has_analytic_tail:
-                _, kappa = measures.gcd_normalize(m)
-                check(f"normalized_{i}", kappa == 1,
-                      f"support gcd is {kappa}; auto-normalization would "
-                      f"divide the lattice by {kappa}" if kappa != 1 else
-                      "support gcd is 1")
+        checks = list(reflect_core.WalkSpec.checks(_joint_of(cfg)))
     except MeasureError as e:
-        check("construct", False, str(e))
+        checks = [("construct", False, str(e))]
+    checks = [{"check": name, "status": "ok" if ok else "failed", "message": message}
+              for name, ok, message in checks]
     report = {"schema_version": SCHEMA_VERSION,
               "ok": all(c["status"] == "ok" for c in checks),
               "checks": checks}
@@ -431,8 +395,8 @@ def main(argv=None) -> int:
     try:
         extra = COMMANDS[args.subcommand](cfg, outdir)
     except MeasureError as e:
-        json.dump({"error": type(e).__name__, "message": str(e)}, sys.stderr)
-        sys.stderr.write("\n")
+        print(_json({"error": type(e).__name__, "message": str(e)}, indent=None),
+              file=sys.stderr)
         return 2
     _write(outdir, "metadata.json", _json(
         {"tool": "reflectwalk", "version": __version__,

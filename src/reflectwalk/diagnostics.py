@@ -42,6 +42,7 @@ THRESHOLDS = {
     "burn_in_fraction": 0.10,
     "n_budgets": 4,
 }
+RETURN_TIMES_KEPT = 10_000  # visit times of replica 0 kept in TrajectoryStats
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,8 @@ class TrajectoryStats:
     """Raw return statistics behind an evidence category."""
 
     target: str
-    return_times: np.ndarray          # visit times, first replica (capped)
+    return_times: np.ndarray          # replica 0's first RETURN_TIMES_KEPT visit times
+    visits: int                       # replica 0's visits, kept or not
     max_displacement: float
     budget: int
     replicas: int
@@ -115,7 +117,8 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
     boolean block.  Returns the nested budgets ``B/2^(n-1), ..., B/2, B``
     (``n = THRESHOLDS["n_budgets"]``, as ints), the pooled counts at each, the
     escape fraction (replicas with no visit after the burn-in), and, unless
-    ``record`` is false, replica 0's visit times and the largest displacement.
+    ``record`` is false, replica 0's first ``RETURN_TIMES_KEPT`` visit times,
+    the largest displacement and replica 0's number of visits.
     """
     rng = make_rng(rng)
     budget = int(budget)
@@ -127,7 +130,7 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
     burn = int(budget * THRESHOLDS["burn_in_fraction"])
     counts = np.zeros(len(budgets), dtype=np.int64)
     visited_after_burn = np.zeros(replicas, dtype=bool)
-    times0, maxdisp = ([], 0.0) if record else (None, None)
+    times0, maxdisp, visits0 = ([], 0.0, 0) if record else (None, None, None)
     for k, y, block in _walk_blocks(law, np.tile(start, (replicas, 1)), rng, budget):
         hits = in_target(block[:, :, :r], block[:, :, r:])
         ks = np.arange(k + 1, k + len(block) + 1)
@@ -135,12 +138,14 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
         counts += (np.count_nonzero(hits, axis=1) * (ks <= budgets[:, None])).sum(axis=1)
         visited_after_burn |= hits[ks > burn].any(axis=0)
         if record:
-            times0.extend(ks[hits[:, 0]][:100000 - len(times0)].tolist())
+            at = ks[hits[:, 0]]
+            times0.extend(at[:RETURN_TIMES_KEPT - len(times0)].tolist())
+            visits0 += len(at)
             maxdisp = max(maxdisp, float(block.max()), -float(block.min()))
         del y, block     # so the next draws do not coexist with this block
     escape = float(np.mean(~visited_after_burn))
     return (budgets.tolist(), counts.tolist(), escape,
-            np.asarray(times0) if record else None, maxdisp)
+            np.asarray(times0) if record else None, maxdisp, visits0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,8 @@ def return_time_stats(spec: WalkSpec, start, window, budget: int,
 
     ``window`` is ``(center, radius)`` in the sup norm on the reflected
     part (radius 0 means exact lattice hits).  Returns
-    ``(TrajectoryStats, RecurrenceEvidence)``.
+    ``(TrajectoryStats, RecurrenceEvidence)``; the stats record ``rng`` as
+    their seed when it is an int.
     """
     center, radius = window
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -214,15 +220,16 @@ def return_time_stats(spec: WalkSpec, start, window, budget: int,
     def in_target(x, z):
         return (np.abs(x - center) <= radius).all(axis=-1)
 
-    budgets, counts, escape, times0, maxdisp = _run_return_experiment(
+    seed = rng if isinstance(rng, (int, np.integer)) else None
+    budgets, counts, escape, times0, maxdisp, visits0 = _run_return_experiment(
         spec.law, spec.check_start(start), in_target, budget, replicas, rng)
     totals = [b * replicas for b in budgets]
     ev = categorize(budgets, counts, totals, escape)
     stats = TrajectoryStats(
         target=f"sup-ball(center={center.tolist()}, radius={radius})",
-        return_times=times0, max_displacement=maxdisp,
+        return_times=times0, visits=visits0, max_displacement=maxdisp,
         budget=int(budget), replicas=int(replicas),
-        counts_per_budget=counts, budgets=budgets)
+        counts_per_budget=counts, budgets=budgets, seed=seed)
     return stats, ev
 
 
@@ -352,7 +359,7 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
     def in_target(x, z):
         return (x == xc).all(axis=-1) & (np.abs(z) <= free_radius).all(axis=-1)
 
-    budgets, counts, escape, _, _ = _run_return_experiment(
+    budgets, counts, escape, _, _, _ = _run_return_experiment(
         spec.law, start, in_target, budget, replicas, rng, record=False)
     totals = [b * replicas for b in budgets]
     ev = categorize(budgets, counts, totals, escape)
@@ -441,7 +448,7 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
     for m in factors:
         if not (m.is_lattice and m.has_atoms and not m.has_analytic_tail):
             raise MeasureError("probe needs finite lattice laws")
-        if abs(m.mean()) > 1e-12:
+        if m.drift_sign() != 0:
             raise MeasureError("probe needs centred laws")
         if not m.normalized:
             raise MeasureError("probe needs gcd-normalized laws")

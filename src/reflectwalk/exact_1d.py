@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import JointMeasure, Measure1D, MeasureError, _at_least, dyadic_series
+from .measures import (JointMeasure, Measure1D, MeasureError, _at_least, _drift_sign,
+                       dyadic_series)
 from . import measures
 from .rng import make_rng
 
@@ -190,11 +191,11 @@ def classify_positive_recurrence(m: Measure1D, case: str) -> RecurrenceVerdict:
     mom = {"E(Y+)": eplus, "E(Y-)": eminus}
     if math.isinf(eplus) and math.isinf(eminus):
         return RecurrenceVerdict("undecided", mom, note="both drift moments infinite")
-    centred = math.isfinite(eplus) and abs(eplus - eminus) <= 1e-12 * max(1.0, eplus)
-    if eminus > eplus and not centred:
+    drift = _drift_sign(eplus, eminus)
+    if drift < 0:
         return RecurrenceVerdict("transient_to_plus_infinity", mom,
                                  note="negative drift: finitely many reflections")
-    if centred:
+    if drift == 0:
         if eplus == 0.0:
             raise MeasureError("degenerate law concentrated at 0")
         m32 = m.moment(1.5, "positive")
@@ -349,11 +350,11 @@ def ladder_exact_skip_free(m: Measure1D) -> LadderDecomposition:
     p_down = m.prob(-1)
     if p_down == 0.0:
         return LadderDecomposition(m, m, "exact_skip_free")
-    mean = m.mean()
-    if mean < -1e-12:
+    drift = m.drift_sign()
+    if drift < 0:
         raise MeasureError("drift to -infinity: the walk has only finitely "
                            "many weak records")
-    if mean > 1e-12:
+    if drift > 0:
         raise MeasureError("positive drift with descents: the closed-form "
                            "inversion assumes a centred law; use "
                            "ladder_monte_carlo")
@@ -374,13 +375,13 @@ def ladder_monte_carlo(m: Measure1D, samples: int, rng,
     if not m.is_lattice:
         raise MeasureError("Monte Carlo ladder needs a lattice law")
     try:
-        drift = m.mean()
+        drift = m.drift_sign()
     except MeasureError:
         if m.has_atoms:
             raise
-        drift = 0.0  # sampler-backed law: a drift shows as capped excursions
-    if drift < -1e-9:
-        raise MeasureError(f"drift {drift:.4g} < 0: weak records dry up "
+        drift = 0  # sampler-backed law: a drift shows as capped excursions
+    if drift < 0:
+        raise MeasureError(f"drift {m.mean():.4g} < 0: weak records dry up "
                            "and excursions do not terminate")
     samples = _at_least("samples", samples)
     heights = [np.zeros(0, dtype=np.int64)]
@@ -478,7 +479,7 @@ def lifted_invariant_measure(m: Measure1D, ladder: LadderDecomposition, query,
     if not (m.is_lattice and ladder.ladder.is_lattice):
         raise MeasureError("lifting needs a lattice law")
     n = _at_least("samples", samples, 2)      # the standard error needs two
-    if m.mean() <= 1e-12:
+    if m.drift_sign() <= 0:
         raise MeasureError("lifting requires strictly positive drift "
                            "(positive recurrent two-sided case)")
     nu_bar = invariant_measure_nonneg(ladder.ladder)
@@ -565,7 +566,7 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
 
     stats = []
     for dims in ((0, 0, lat, 1 - lat), (lat, 1 - lat, 0, 0)):   # free, then reflected
-        _, counts, escape, _, _ = _run_return_experiment(
+        _, counts, escape, _, _, _ = _run_return_experiment(
             JointMeasure.product(dims, [m]), np.zeros(1), in_window, horizon,
             replicas, rng, record=False)
         visits = [counts[-2], counts[-1] - counts[-2]]  # first and late half

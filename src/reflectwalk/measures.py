@@ -30,6 +30,7 @@ from .rng import make_rng
 
 ATOM_SUM_TOL = 1e-12
 TAILED_SUM_TOL = 1e-9
+CENTRED_RTOL = 1e-12  # a law is centred when E(Y+) and E(Y-) agree to this, relative
 
 # Dyadic-block divergence test (dyadic_series): a series is declared
 # divergent when this many consecutive block ratios fail to drop below
@@ -51,6 +52,16 @@ _HALLEY_STEPS = 20  # cap on the Halley steps of _lambert_w_lower
 
 class MeasureError(ValueError):
     """Raised for malformed measures or operations they do not support."""
+
+
+def _drift_sign(eplus: float, eminus: float) -> int:
+    """Sign of ``E(Y+) - E(Y-)``, 0 for a centred law: the package's one
+    centring rule, ``|E(Y+) - E(Y-)| <= CENTRED_RTOL * max(1, E(Y+))``."""
+    if math.isinf(eplus) and math.isinf(eminus):
+        raise MeasureError("mean undefined: both tails have infinite mass")
+    if math.isfinite(eplus) and abs(eplus - eminus) <= CENTRED_RTOL * max(1.0, eplus):
+        return 0
+    return -1 if eminus > eplus else 1
 
 
 def _at_least(name: str, value, least: int = 1) -> int:
@@ -133,7 +144,7 @@ class Measure1D:
         support, probs = support[order], probs[order]
         if len(np.unique(support)) != len(support):
             raise MeasureError("duplicate support points")
-        keep = probs > 0.0
+        keep = ~(probs <= 0.0)         # a NaN stays, for _validate to refuse
         support, probs = support[keep], probs[keep]
         if len(support) == 0:
             raise MeasureError("empty support")
@@ -196,15 +207,15 @@ class Measure1D:
         if self.kind == "lattice" and self.support is not None:
             if len(self.support) == 0:
                 raise MeasureError("empty support")
-            if np.any(self.probs < 0):
-                raise MeasureError("negative atom probability")
+            if not np.all(self.probs >= 0):
+                raise MeasureError("atom probabilities must be nonnegative numbers")
             total = float(self.probs.sum())
             if self._tail_fn is None:
-                if abs(total - 1.0) > ATOM_SUM_TOL:
+                if not abs(total - 1.0) <= ATOM_SUM_TOL:
                     raise MeasureError(f"atom probabilities sum to {total}, not 1")
             else:
                 tail_mass = float(self._tail_fn(int(self.support[-1])))
-                if abs(total + tail_mass - 1.0) > TAILED_SUM_TOL:
+                if not abs(total + tail_mass - 1.0) <= TAILED_SUM_TOL:
                     raise MeasureError(
                         f"prefix mass {total} + analytic tail {tail_mass} != 1")
         if self.kind == "continuous" and (self._sampler is None or self._tail_fn is None):
@@ -321,6 +332,14 @@ class Measure1D:
         if math.isinf(pos) and math.isinf(neg):
             raise MeasureError("mean undefined: both tails have infinite mass")
         return pos - neg
+
+    def drift_sign(self) -> int:
+        """-1, 0 or 1 as the drift is down, centred or up (:func:`_drift_sign`);
+        a declared mean stands for both drift moments."""
+        if "declared_mean" in self.meta:
+            mean = self.mean()
+            return _drift_sign(max(mean, 0.0), max(-mean, 0.0))
+        return _drift_sign(self.moment(1.0, "positive"), self.moment(1.0, "negative"))
 
     def moment(self, p: float, part: str = "full") -> float:
         """``E|Y|^p``, ``E (Y^+)^p`` or ``E (Y^-)^p``; ``inf`` when divergent.
@@ -1019,9 +1038,9 @@ class JointMeasure:
         if self.points is not None:
             if self.points.ndim != 2 or self.points.shape[1] != d:
                 raise MeasureError(f"support points must have {d} coordinates")
-            if np.any(self.probs < 0):
-                raise MeasureError("negative probability")
-            if abs(float(self.probs.sum()) - 1.0) > ATOM_SUM_TOL:
+            if not np.all(self.probs >= 0):
+                raise MeasureError("probabilities must be nonnegative numbers")
+            if not abs(float(self.probs.sum()) - 1.0) <= ATOM_SUM_TOL:
                 raise MeasureError(f"probabilities sum to {self.probs.sum()}, not 1")
             for i in self.lattice_coords():
                 col = self.points[:, i]

@@ -71,28 +71,41 @@ class WalkSpec:
     def dim(self):
         return self.law.dim
 
-    def __post_init__(self):
-        r1, r2, s1, s2 = self.law.dims
-        if r1 + r2 < 1:
-            raise MeasureError("a walk spec needs at least one reflected coordinate")
-        if s1 + s2 > 2:
-            raise MeasureError("only 0, 1 or 2 free coordinates are supported "
-                               "(more are transient outright)")
+    @staticmethod
+    def checks(law: JointMeasure):
+        """The conditions on ``law``, as ``(name, ok, message)`` triples.
+
+        At most two free coordinates, at least one reflected one, then a
+        gcd-1 support for each finite reflecting lattice marginal (sampler-
+        backed and tailed families are built normalized).  A walk spec
+        refuses the first that fails; ``reflectwalk validate`` lists them all.
+        """
+        r1, r2, s1, s2 = law.dims
+        yield ("dims_free", s1 + s2 <= 2,
+               f"s={s1 + s2}: only 0, 1 or 2 free coordinates are meaningful "
+               "(more makes the free part transient outright)")
+        yield ("dims_reflected", r1 + r2 >= 1,
+               f"r={r1 + r2}: at least one reflected coordinate required")
         for i in range(r1):
-            mi = self.law.marginal(i)
-            if not mi.normalized:
-                raise MeasureError(
-                    f"reflecting lattice marginal {i} is not gcd-normalized")
+            m = law.marginal(i)
+            if m.has_atoms and not m.has_analytic_tail:
+                kappa = measures.gcd_normalize(m)[1]
+                yield (f"normalized_{i}", kappa == 1, "support gcd is 1" if kappa == 1
+                       else f"support gcd is {kappa}; auto-normalization would "
+                            f"divide the lattice by {kappa}")
+
+    def __post_init__(self):
+        for name, ok, message in self.checks(self.law):
+            if not ok:
+                raise MeasureError(f"{name}: {message}")
 
     def check_start(self, start) -> np.ndarray:
         start = np.atleast_1d(np.asarray(start, dtype=float))
         if start.shape != (self.dim,):
             raise MeasureError(f"start must have {self.dim} coordinates")
-        r1, r2, s1, s2 = self.law.dims
         if np.any(start[:self.r] < 0):
             raise MeasureError("reflected coordinates must start >= 0")
-        lat = list(range(r1)) + list(range(self.r, self.r + s1))
-        if any(start[i] != round(start[i]) for i in lat):
+        if any(start[i] != round(start[i]) for i in self.law.lattice_coords()):
             raise MeasureError("lattice coordinates must start at integers")
         return start
 
@@ -150,9 +163,7 @@ class ContractionWord:
         return ContractionWord(np.vstack([self.letters, other.letters]))
 
     def power(self, k: int) -> "ContractionWord":
-        if k < 1:
-            raise ValueError("power needs k >= 1")
-        return ContractionWord(np.vstack([self.letters] * k))
+        return ContractionWord(np.vstack([self.letters] * _at_least("power", k)))
 
     def to_text(self) -> str:
         """Whitespace-separated increments, one line per letter if multi-d."""

@@ -89,6 +89,41 @@ def test_validate_reports_failures(tmp_path, capsys):
     assert "divide the lattice by 2" in msg
 
 
+def test_validate_reports_what_walk_spec_refuses(tmp_path, capsys):
+    # a finite joint law with a continuous reflected coordinate: WalkSpec takes
+    # it whatever the gcd of its values, so validate must pass it too
+    for i, (atoms, refused) in enumerate([
+            ([[[2.0], 0.5], [[4.0], 0.5]], False),
+            ([[[2, 1], 0.5], [[4, 3], 0.5]], True)]):
+        dims = [2, 0, 0, 0] if len(atoms[0][0]) == 2 else [0, 1, 0, 0]
+        cfg = {"joint": {"dims": dims, "atoms": atoms}}
+        rc, out, _ = run_cli(capsys, "validate", "--config",
+                             write_yaml(tmp_path / f"v{i}.yaml", cfg))
+        assert rc == 0 and json.loads(out)["ok"] is not refused
+        rc, _, err = run_cli(capsys, "simulate", "--config",
+                             write_yaml(tmp_path / f"s{i}.yaml", dict(cfg, steps=5)),
+                             "--out", str(tmp_path / f"s{i}"))
+        assert (rc == 2) is refused
+
+
+def test_json_writes_numpy_scalars_as_numbers():
+    import numpy as np
+    text = cli._json({"n": np.int64(3), "x": np.float32(0.5), "ok": np.bool_(True),
+                      "a": np.arange(2)})
+    assert json.loads(text) == {"n": 3, "x": 0.5, "ok": True, "a": [0, 1]}
+
+
+def test_ladder_auto_refuses_a_slightly_downward_law(tmp_path, capsys):
+    # mean -5e-10 is a drift by the one centring rule, so the Monte Carlo
+    # fallback refuses it as the exact inversion does
+    cfg = write_yaml(tmp_path / "c.yaml", {
+        "measure": {"atoms": [[-1, 0.5 + 2.5e-10], [1, 0.5 - 2.5e-10]]},
+        "samples": 200, "step_cap": 10_000})
+    rc, out, err = run_cli(capsys, "ladder", "--config", cfg)
+    assert rc == 2 and out == ""
+    assert "drift" in json.loads(err)["message"]
+
+
 CLASSES_LAW_B = {"joint": {"dims": [2, 0, 0, 0],
                            "atoms": [[[-1, 2], 0.5], [[2, -1], 0.5]]}}
 

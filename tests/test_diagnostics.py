@@ -120,9 +120,10 @@ def test_return_experiment_without_records_counts_the_same():
     full = dg._run_return_experiment(law, np.zeros(1), at_zero, 20_000, 4, 5)
     bare = dg._run_return_experiment(law, np.zeros(1), at_zero, 20_000, 4, 5,
                                      record=False)
-    assert bare[:3] == full[:3] and bare[3:] == (None, None)
-    assert len(full[3]) > 0 and full[4] > 0
-    # the nested budgets, as ints (JSON writes numpy ints as strings)
+    assert bare[:3] == full[:3] and bare[3:] == (None, None, None)
+    assert len(full[3]) > 0 and full[4] > 0 and full[5] >= len(full[3])
+    # the nested budgets as plain ints: results hold Python numbers, not
+    # numpy scalars
     assert full[0] == [2500, 5000, 10_000, 20_000]
     assert all(type(b) is int for b in full[0])
 
@@ -132,6 +133,21 @@ def test_evidence_deterministic_given_seed():
     b = dg.return_time_stats(spec_of(PM1), [0.0], ((0.0,), 0.0), 50_000, 8, 99)
     assert a[1] == b[1]
     assert np.array_equal(a[0].return_times, b[0].return_times)
+
+
+def test_return_times_keep_a_capped_prefix_and_count_every_visit():
+    stats, _ = dg.return_time_stats(spec_of(M12), [0.0], ((0.0,), 0.0), 40_000, 2, 11)
+    times = stats.return_times
+    # M12 visits 0 at a third of its steps: far more than the cap
+    assert len(times) == dg.RETURN_TIMES_KEPT < stats.visits
+    assert stats.visits == pytest.approx(40_000 / 3, rel=0.05)
+    assert np.all(np.diff(times) > 0) and times[0] >= 1
+    assert stats.seed == 11
+    gen = np.random.default_rng(11)
+    assert dg.return_time_stats(spec_of(M12), [0.0], ((0.0,), 0.0), 4000, 2, gen)[0].seed is None
+    # a short run keeps every visit
+    short, _ = dg.return_time_stats(spec_of(M12), [0.0], ((0.0,), 0.0), 3000, 2, 11)
+    assert len(short.return_times) == short.visits
 
 
 # ---------------------------------------------------------------------------

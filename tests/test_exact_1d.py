@@ -196,18 +196,46 @@ def test_classify_two_sided_upward_drift_with_infinite_mean(a, verdict):
     assert math.isfinite(v.moments["E(sqrt(Y+))"]) == (verdict == "null_recurrent")
 
 
-def test_classify_centred_laws_with_rounded_means():
-    # centred laws on {-1, 0, 1, 2}: mu(-1) = mu(1) + 2 mu(2); the computed
-    # drift moments differ by rounding, sometimes with E(Y-) > E(Y+)
+def rounded_centred_laws():
+    """Centred laws on {-1, 0, 1, 2}: mu(-1) = mu(1) + 2 mu(2); the computed
+    drift moments differ by rounding, sometimes with E(Y-) > E(Y+)."""
     rng = np.random.default_rng(2024)
-    downward = 0
     for _ in range(200):
         w0, w1, w2 = rng.dirichlet(np.ones(3))
         s = 1.0 / (w0 + 2 * w1 + 3 * w2)
-        m = lattice({-1: s * (w1 + 2 * w2), 0: s * w0, 1: s * w1, 2: s * w2})
+        yield lattice({-1: s * (w1 + 2 * w2), 0: s * w0, 1: s * w1, 2: s * w2})
+
+
+def test_classify_centred_laws_with_rounded_means():
+    downward = 0
+    for m in rounded_centred_laws():
         downward += m.moment(1.0, "negative") > m.moment(1.0, "positive")
         assert ex.classify_positive_recurrence(m, "two_sided").verdict == "null_recurrent"
     assert downward > 0
+
+
+def test_every_centring_check_follows_drift_sign():
+    # mean -5e-10 is a downward drift at every site, the Monte Carlo ladder
+    # included; the rounded laws are centred at every site
+    from reflectwalk import diagnostics as dg
+    ladder = ex.ladder_exact_skip_free(lattice({1: 0.5, 2: 0.5}))
+    drifted = lattice({-1: .5 + 2.5e-10, 1: .5 - 2.5e-10})
+    assert drifted.drift_sign() == -1
+    for m in [drifted, *rounded_centred_laws()]:
+        centred = m.drift_sign() == 0
+        verdict = ex.classify_positive_recurrence(m, "two_sided").verdict
+        assert verdict == ("null_recurrent" if centred else "transient_to_plus_infinity")
+        sites = [lambda: ex.ladder_exact_skip_free(m),
+                 lambda: ex.ladder_monte_carlo(m, 20, 1, step_cap=10_000),
+                 lambda: dg.product_null_recurrence_probe([m], [0], [4, 8, 16], 200, 1)]
+        for site in sites:
+            if centred:
+                site()
+            else:
+                with pytest.raises(ms.MeasureError, match="drift|centred"):
+                    site()
+        with pytest.raises(ms.MeasureError, match="positive drift"):
+            ex.lifted_invariant_measure(m, ladder, {0}, 10, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,39 @@ def test_lattice_sum_validation():
         ms.Measure1D.lattice_arrays([0, 1], [0.7, -0.2])
 
 
+def test_nan_probabilities_raise():
+    # dropping the NaN atom would leave {1: .5, 3: .5}, which sums to 1
+    nan = float("nan")
+    with pytest.raises(ms.MeasureError, match="nonnegative"):
+        ms.Measure1D.lattice({1: .5, 2: nan, 3: .5})
+    with pytest.raises(ms.MeasureError, match="nonnegative"):
+        ms.Measure1D.lattice_arrays([1, 2, 3], [.5, nan, .5])
+    with pytest.raises(ms.MeasureError, match="nonnegative"):
+        ms.Measure1D.lattice_tailed([0, 1], [.5, nan], tail_fn=lambda x: .5)
+    with pytest.raises(ms.MeasureError, match="!= 1"):
+        ms.Measure1D.lattice_tailed([0, 1], [.5, .4], tail_fn=lambda x: nan)
+
+
+def test_nan_joint_probabilities_raise():
+    # a NaN weight would make every draw return the first point
+    nan = float("nan")
+    with pytest.raises(ms.MeasureError, match="nonnegative"):
+        ms.JointMeasure.finite((0, 0, 2, 0), [((1, 2), .5), ((2, 1), nan), ((1, 1), .5)])
+    with pytest.raises(ms.MeasureError, match="sum to"):
+        ms.JointMeasure.finite((0, 0, 2, 0), [((1, 2), .5), ((2, 1), float("inf"))])
+
+
+def test_drift_sign_is_the_relative_centring_rule():
+    assert lattice({-1: .5, 1: .5}).drift_sign() == 0
+    assert lattice({-1: .4, 1: .6}).drift_sign() == 1
+    assert lattice({-1: .6, 1: .4}).drift_sign() == -1
+    # mean -5e-10 is a drift, 1e-12 relative to max(1, E(Y+)) is not
+    assert lattice({-1: .5 + 2.5e-10, 1: .5 - 2.5e-10}).drift_sign() == -1
+    assert lattice({-100: .5 + 2.5e-14, 100: .5 - 2.5e-14}).drift_sign() == 0
+    assert ms.subordinated(0.5).drift_sign() == 0          # declared mean
+    assert ms.wiener_hopf_log_tail(1000).drift_sign() == 1
+
+
 def test_non_integer_lattice_atoms_raise():
     with pytest.raises(ms.MeasureError, match="non-integer"):
         ms.Measure1D.lattice([(1.5, 0.5), (2, 0.5)])

@@ -71,6 +71,42 @@ def test_walkspec_rejects_unnormalized_and_extra_free():
             (1, 0, 3, 0), [ms.Measure1D.lattice({1: 0.5, 2: 0.5})] + [pm1] * 3))
 
 
+def test_walkspec_refuses_its_first_failed_check():
+    pm1 = ms.Measure1D.lattice({-1: 0.5, 1: 0.5})
+    m24 = ms.Measure1D.lattice({2: 0.5, 4: 0.5})
+    cases = [
+        ((0, 0, 1, 0), [pm1], "dims_reflected"),
+        ((0, 0, 3, 0), [pm1] * 3, "dims_free"),          # r = 0 and s = 3: first one
+        ((1, 0, 3, 0), [m24] + [pm1] * 3, "dims_free"),
+        ((2, 0, 0, 0), [pm1, m24], "normalized_1"),
+    ]
+    for dims, factors, name in cases:
+        law = ms.JointMeasure.product(dims, factors)
+        failed = [n for n, ok, _ in rc.WalkSpec.checks(law) if not ok]
+        assert failed[0] == name
+        with pytest.raises(ms.MeasureError, match=f"^{name}: "):
+            rc.WalkSpec(law)
+    # a finite joint law whose reflecting marginal has gcd 2
+    with pytest.raises(ms.MeasureError, match="divide the lattice by 2"):
+        rc.WalkSpec(ms.JointMeasure.finite((2, 0, 0, 0), [((2, 1), .5), ((4, 3), .5)]))
+    # sampler-backed, tailed and continuous reflecting marginals are not gcd-checked
+    for m, dims in ((ms.subordinated(0.5), (1, 0, 0, 0)),
+                    (ms.wiener_hopf_log_tail(1000), (1, 0, 0, 0)),
+                    (ms.uniform(0.0, 2.0), (0, 1, 0, 0))):
+        law = ms.JointMeasure.product(dims, [m])
+        assert [n for n, _, _ in rc.WalkSpec.checks(law)] == ["dims_free", "dims_reflected"]
+        rc.WalkSpec(law)
+    # a continuous reflected coordinate of a finite law: integer values, gcd 2
+    rc.WalkSpec(ms.JointMeasure.finite((0, 1, 0, 0), [((2.0,), .5), ((4.0,), .5)]))
+
+
+def test_power_refuses_with_measure_error():
+    word = rc.ContractionWord([1, 2])
+    assert len(word.power(3)) == 6
+    with pytest.raises(ms.MeasureError, match="power must be at least 1"):
+        word.power(0)
+
+
 def test_replay_determinism():
     a = rc.simulate(SPEC_12, [0.0], 500, 123)
     b = rc.simulate(SPEC_12, [0.0], 500, 123)
