@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .measures import (JointMeasure, LatticeSumSampler, Measure1D, MeasureError,
-                       SubordinatorAlpha, _at_least, subordinator_tail)
+                       SubordinatorAlpha, _at_least, _fill, subordinator_tail)
+from . import measures
 from .reflect_core import WalkSpec, _walk_blocks
 from .exact_1d import InvariantMeasure1D
 from .rng import make_rng
@@ -246,8 +247,10 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
     the free walk started at ``x``.  Exact mode enumerates all increment
     words (finite-support laws) and returns the largest state discrepancy;
     Monte Carlo mode returns ``(tv, se)``, the estimated total-variation
-    distance and its standard error.  At ``n = 0`` both laws are the point
-    mass at ``|x|``, so the result is 0.
+    distance and its standard error; it draws ``_BLOCK_DRAWS // n`` samples
+    (at least one) per block and merges the blocks' state tables at the end,
+    so it holds ``O(_BLOCK_DRAWS)`` draws plus the tables.  At ``n = 0`` both
+    laws are the point mass at ``|x|``, so the result is 0.
     """
     if mode not in ("exact_enumeration", "monte_carlo"):
         raise MeasureError(f"unknown mode {mode!r}")
@@ -267,19 +270,28 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
         if len(pts) ** n > 2_000_000:
             raise MeasureError("enumeration too large; use monte_carlo mode")
         words = np.indices((len(pts),) * n, dtype=np.int32).reshape(n, -1)  # [step, word]
-        steps, weights = (pts[w] for w in words), np.prod(probs[words], axis=0)
+        blocks = [((pts[w] for w in words), np.prod(probs[words], axis=0))]
     elif mode == "monte_carlo":
-        steps = j.sample(make_rng(rng), samples * n).reshape(samples, n, d).swapaxes(0, 1)
-        weights = np.full(samples, 1.0 / samples)
-    refl, free = np.abs(x), x
-    for y in steps:
-        refl, free = np.abs(refl - y), free + y
-    # one weighted histogram: reflected mass minus folded free mass per state;
-    # rows compare as raw bytes (fast), exact since states are never -0.0 or NaN
-    rows = np.round(np.concatenate([refl, np.abs(free)]), 9)
-    _, state = np.unique(rows.view(np.dtype((np.void, rows.itemsize * d))).ravel(),
-                         return_inverse=True)
-    diff = np.abs(np.bincount(state, np.concatenate([weights, -weights])))
+        rng = make_rng(rng)
+        per = max(1, measures._BLOCK_DRAWS // n)           # samples per block
+        blocks = ((j.sample(rng, k * n).reshape(k, n, d).swapaxes(0, 1),
+                   np.full(k, 1.0 / samples))
+                  for k in (min(per, samples - lo) for lo in range(0, samples, per)))
+    # per block, a weighted histogram: reflected mass minus folded free mass per
+    # state, rows compared as raw bytes (fast; exact, since states are never
+    # -0.0 or NaN); the block tables merge once at the end
+    keys, masses = [], []
+    for steps, weights in blocks:
+        refl, free = np.abs(x), x
+        for y in steps:
+            refl, free = np.abs(refl - y), free + y
+        rows = np.round(np.concatenate([refl, np.abs(free)]), 9)
+        key, state = np.unique(rows.view(np.dtype((np.void, rows.itemsize * d))).ravel(),
+                               return_inverse=True)
+        keys.append(key)
+        masses.append(np.bincount(state, np.concatenate([weights, -weights])))
+    _, state = np.unique(np.concatenate(keys), return_inverse=True)
+    diff = np.abs(np.bincount(state, np.concatenate(masses)))
     if mode == "exact_enumeration":
         return float(diff.max())
     return float(0.5 * diff.sum()), math.sqrt(len(diff) / (4.0 * samples))
@@ -592,7 +604,10 @@ class SubordinatorSumSampler:
     tail (:meth:`SubordinatorAlpha.conditional_tail_sample`), and the sum of
     the bounded remainder comes from a :class:`LatticeSumSampler` of the head
     law.  This gives per-replica exact samples of a sum of ``2^15``
-    heavy-tailed variables in a handful of vectorized operations.
+    heavy-tailed variables in a handful of vectorized operations.  Rows are
+    summed ``_BLOCK_DRAWS`` at a time and each row block's tail values are
+    drawn ``_BLOCK_DRAWS`` at a time, so a call holds its result plus
+    ``O(_BLOCK_DRAWS)`` however many large increments it draws.
     """
 
     HEAD_CUT = 4096      # increments above this come from the exact tail
@@ -608,14 +623,25 @@ class SubordinatorSumSampler:
     def sample_sum(self, m, replicas: int, rng) -> np.ndarray:
         """``replicas`` independent sums of ``m`` increments (an int, or one
         count per replica)."""
-        n_large = rng.binomial(m, self.q_tail, size=replicas)
+        m = np.broadcast_to(np.asarray(m, dtype=np.int64), (replicas,))
+        return _fill(replicas, lambda lo, hi: self._row_block_sum(m[lo:hi], rng))
+
+    def _row_block_sum(self, m: np.ndarray, rng) -> np.ndarray:
+        n_large = rng.binomial(m, self.q_tail)
         total = self.head.sample(m - n_large, rng)
-        cnt = int(n_large.sum())
-        if cnt:
-            draws = self.sub.conditional_tail_sample(rng, cnt, self.HEAD_CUT)
-            cs = np.concatenate([[0], np.cumsum(draws)])
-            ends = np.cumsum(n_large)
-            total = total + (cs[ends] - cs[ends - n_large])
+        # row i's large values are draws ends[i-1]:ends[i] of one stream, read
+        # block by block: its running sum at the row ends, differenced
+        ends = np.cumsum(n_large)
+        at_ends = np.zeros(len(m), dtype=np.int64)
+        carry, count = 0, int(n_large.sum())
+        for lo in range(0, count, measures._BLOCK_DRAWS):
+            hi = min(lo + measures._BLOCK_DRAWS, count)
+            cs = np.cumsum(self.sub.conditional_tail_sample(rng, hi - lo, self.HEAD_CUT))
+            cs += carry            # int64 wraps alike in cs and at_ends: differences hold
+            i, j = np.searchsorted(ends, [lo, hi], side="right")
+            at_ends[i:j] = cs[ends[i:j] - lo - 1]
+            carry = cs[-1]
+        total += np.diff(at_ends, prepend=0)
         return total
 
     def sample(self, counts, rng) -> np.ndarray:

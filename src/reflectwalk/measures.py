@@ -14,6 +14,9 @@ on the measure objects so every consumer sees one consistent law.
 Probabilities are binary64 throughout; "exact" means within the stated
 tolerances (1e-12 for finite atom tables, 1e-9 for prefix-plus-analytic-tail
 families).
+
+Bulk draws are made ``_BLOCK_DRAWS`` at a time (:func:`_fill`); a result of
+more than one block is a mapping of its own (:func:`_empty`).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,7 +44,11 @@ DIVERGENCE_DECAY = 0.95
 _TERMWISE_MAX = 1 << 12  # blocks up to this many points are summed term by term
 _MAX_BLOCK_EXP = 64
 _CHUNK = 1 << 15  # atoms per step of a pass over an atom table (O(_CHUNK) temporaries)
-_BLOCK_DRAWS = 1 << 15  # increments per block of a chunked walk (O(_BLOCK_DRAWS) temporaries)
+# The one memory budget of every bulk draw and walk: draws are made, and walks
+# stepped, in blocks of at most this many increments (or rows), so that a call
+# holds its result plus O(_BLOCK_DRAWS) temporaries at any size (_fill here,
+# reflect_core._walk_blocks for the walkers; every chunk size derives from it).
+_BLOCK_DRAWS = 1 << 15
 # Gauss-Legendre rule of a series block (_gauss_legendre): the result comes
 # from the finer rule and is kept where the coarser one agrees to this
 # relative tolerance; a piece that disagrees is halved up to this many times.
@@ -75,6 +83,42 @@ def _at_least(name: str, value, least: int = 1) -> int:
 # ---------------------------------------------------------------------------
 # one-dimensional measures
 # ---------------------------------------------------------------------------
+
+def _empty(shape, dtype=float) -> np.ndarray:
+    """An uninitialised array; one of more than ``_BLOCK_DRAWS`` rows is a
+    private anonymous mapping of its own (where the OS offers one) instead of
+    a block of the malloc heap.
+
+    Freeing a mapped result returns its pages at once, so the results of
+    successive bulk calls leave no holes in the heap for later allocations
+    to land in, and peak memory does not depend on the heap's history.
+    """
+    if shape[0] <= _BLOCK_DRAWS or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty(shape, dtype)
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    pages = mmap.mmap(-1, count * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(pages, dtype, count).reshape(shape)
+
+
+def _fill(n: int, draw, out=None) -> np.ndarray:
+    """``n`` rows made by ``draw(lo, hi)``, rows ``lo:hi``, ``_BLOCK_DRAWS`` at a time.
+
+    Each block is written straight into ``out`` (allocated by :func:`_empty`
+    after the first block's dtype and row shape when None; without ``out``,
+    a single block is the result), so a call holds its result plus one
+    block.  Blocks of ``rng.random`` draws form the same stream as one call.
+    """
+    if out is None and n <= _BLOCK_DRAWS:
+        return draw(0, n)
+    for lo in range(0, max(n, 1), _BLOCK_DRAWS):      # one block at least
+        hi = min(lo + _BLOCK_DRAWS, n)
+        block = draw(lo, hi)
+        if out is None:
+            out = _empty((n,) + block.shape[1:], block.dtype)
+        out[lo:hi] = block
+    return out
+
 
 def _int_support(support) -> np.ndarray:
     """``support`` as int64, uncopied if it already is; non-integers raise."""
@@ -296,25 +340,36 @@ class Measure1D:
     # -- sampling -----------------------------------------------------------
 
     def sample(self, rng, size=None):
-        """Draw from the law using ``rng`` (a ``numpy.random.Generator``)."""
+        """Draw from the law using ``rng`` (a ``numpy.random.Generator``).
+
+        Draws are made in blocks of ``_BLOCK_DRAWS`` (:func:`_fill`), a
+        sampler called once per block.  An analytic-tail law draws its ``n``
+        uniforms first, inverts them block by block, then draws every tail
+        value in one call, in position order, so its stream is that of one
+        block at any size.
+        """
         rng = make_rng(rng)
-        if self._sampler is not None:
-            return self._sampler(rng, size)
         n = 1 if size is None else int(np.prod(size))
-        if self.has_analytic_tail:
-            u = rng.random(n)
-            out = np.empty(n, dtype=np.int64)
-            in_table = u < self._table.cdf[-1]
-            out[in_table] = self.support[self._table.search(u[in_table])]
-            n_tail = int((~in_table).sum())
-            if n_tail:
+        if self._sampler is not None:
+            out = _fill(n, lambda lo, hi: self._sampler(rng, hi - lo))
+        elif self.has_analytic_tail:
+            u = rng.random(out=_empty((n,)))
+            last, tail_at = len(self.support) - 1, []
+
+            def invert(lo, hi):
+                block = u[lo:hi]
+                tail_at.append(lo + np.flatnonzero(block >= self._table.cdf[-1]))
+                return self.support[np.minimum(self._table.search(block), last)]
+            out = _fill(n, invert, u.view(np.int64))   # each block read, then overwritten
+            tail_at = np.concatenate(tail_at)
+            if tail_at.size:
                 if self._tail_sampler is None:
                     raise MeasureError("analytic-tail family lacks a tail sampler")
-                out[~in_table] = self._tail_sampler(rng, n_tail)
+                out[tail_at] = self._tail_sampler(rng, tail_at.size)
         else:
-            out = self.support[self._table.draw(rng, n)]
+            out = _fill(n, lambda lo, hi: self.support[self._table.draw(rng, hi - lo)])
         if size is None:
-            return int(out[0])
+            return out[0].item()
         return out.reshape(size)
 
     @functools.cached_property
@@ -811,15 +866,16 @@ class SubordinatorAlpha:
         return np.maximum(b, 1.0 / self.CAP)
 
     def sample(self, rng, size) -> np.ndarray:
-        """Exact tau_alpha increments, one Beta and one geometric draw each."""
-        rng = make_rng(rng)
-        return np.minimum(rng.geometric(self._mixing(rng, size)), self.CAP)
+        """Exact tau_alpha increments: :meth:`conditional_tail_sample` at 0."""
+        return self.conditional_tail_sample(rng, size, 0)
 
     def conditional_tail_sample(self, rng, size, threshold: int) -> np.ndarray:
-        """Draw ``T`` conditioned on ``T > threshold``, exactly."""
+        """Draw ``T`` conditioned on ``T > threshold``, exactly: per block of
+        ``_BLOCK_DRAWS``, the Beta draws and then the geometric ones."""
         rng = make_rng(rng)
         h = int(threshold)
-        return h + np.minimum(rng.geometric(self._mixing(rng, size, h)), self.CAP - h)
+        return _fill(int(size), lambda lo, hi: h + np.minimum(
+            rng.geometric(self._mixing(rng, hi - lo, h)), self.CAP - h))
 
 
 def subordinated_increment_sampler(alpha: float, rng, size=None):
@@ -1057,7 +1113,11 @@ class JointMeasure:
         else:
             raise MeasureError("joint measure needs finite support or factors")
         for i in range(r1 + r2):
-            if not self.marginal(i).is_nontrivial_positive():
+            if self.factors is not None:
+                positive = self.factors[i].is_nontrivial_positive()
+            else:       # read off the column: a continuous one has no lattice marginal
+                positive = np.any(self.probs[self.points[:, i] > 0] > 0)
+            if not positive:
                 raise MeasureError(
                     f"reflecting coordinate {i} has no mass on (0, inf)")
 
@@ -1100,10 +1160,10 @@ class JointMeasure:
         rng = make_rng(rng)
         n = int(size)
         if self.points is not None:
-            return self.points[self._table.draw(rng, n)]
-        out = np.empty((n, len(self.factors)))
-        for i, f in enumerate(self.factors):
-            out[:, i] = f.sample(rng, n)
+            return _fill(n, lambda lo, hi: self.points[self._table.draw(rng, hi - lo)])
+        out = _empty((n, len(self.factors)))
+        for i, f in enumerate(self.factors):        # a factor's blocks, then the next's
+            _fill(n, lambda lo, hi: f.sample(rng, hi - lo), out[:, i])
         return out
 
     @functools.cached_property

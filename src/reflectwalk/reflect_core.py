@@ -11,6 +11,10 @@ so the walk observed at the successive times when all lattice coordinate
 sums return to even parity is again an iterated system of independent random
 contractions; those induced blocks are what :func:`induced_word` and
 :func:`backward_sample` manipulate.
+
+Every walk runs in blocks of at most ``measures._BLOCK_DRAWS`` increments
+(:func:`_walk_blocks`; ``backward_sample`` walks that many window cells of
+samples at once), so a call holds its result plus ``O(_BLOCK_DRAWS)``.
 """
 
 from __future__ import annotations
@@ -329,11 +333,13 @@ def _table_walk(y: np.ndarray, x: np.ndarray, sub: int, size: int) -> np.ndarray
     return states.reshape(nb * sub, n_cols)[:steps].reshape(y.shape)
 
 
-def _walk_blocks(law: JointMeasure, x: np.ndarray, rng, steps: Optional[int] = None):
+def _walk_blocks(law: JointMeasure, x: np.ndarray, rng, steps: Optional[int] = None,
+                 shared: bool = False):
     """State blocks of the ``R`` walks carried in ``x``: ``steps`` steps, or forever.
 
     The one chunk loop of the walk engine: each block draws ``T * R``
-    increments in one time-major ``law.sample`` call, with
+    increments in one time-major ``law.sample`` call (``T`` with ``shared``:
+    a synchronous coupling, every walk driven by the same increments), with
     ``T = max(1, min(8192, measures._BLOCK_DRAWS // R))`` so that a block's
     draws, states and table temporaries stay ``O(_BLOCK_DRAWS)`` at any
     replica count, and steps them through :func:`_walk_states`.  Yields
@@ -346,7 +352,10 @@ def _walk_blocks(law: JointMeasure, x: np.ndarray, rng, steps: Optional[int] = N
     k = 0
     while steps is None or k < steps:
         b = chunk if steps is None else min(chunk, steps - k)
-        y = law.sample(rng, b * n_rep).reshape(b, n_rep, law.dim)
+        if shared:
+            y = np.broadcast_to(law.sample(rng, b)[:, None, :], (b, n_rep, law.dim))
+        else:
+            y = law.sample(rng, b * n_rep).reshape(b, n_rep, law.dim)
         states = _walk_states(law, y, x)
         x = states[-1].copy()
         yield k, y, states
@@ -359,7 +368,8 @@ def simulate(spec: WalkSpec, start, n: int, rng) -> Trajectory:
 
     Increments are i.i.d. draws from the joint law; the first ``r``
     coordinates are reflected, the remaining ``s`` evolve as exact running
-    sums.
+    sums.  The trajectory is written block by block from
+    :func:`_walk_blocks`, so a call holds it plus ``O(_BLOCK_DRAWS)``.
     """
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = make_rng(rng)
@@ -369,12 +379,8 @@ def simulate(spec: WalkSpec, start, n: int, rng) -> Trajectory:
         raise MeasureError("step count must be nonnegative")
     states = np.empty((n + 1, spec.dim))
     states[0] = start
-    if n == 0:
-        return Trajectory(start, states, seed, 0)
-    draws = spec.law.sample(rng, n)
-    carry = np.where(np.arange(spec.dim) < spec.r, start, 0.0)  # free sums: start + cumsum
-    states[1:] = _walk_states(spec.law, draws[:, None, :], carry[None, :])[:, 0]
-    states[1:, spec.r:] += start[spec.r:]
+    for k, _, block in _walk_blocks(spec.law, start[None, :], rng, n):
+        states[k + 1:k + 1 + len(block)] = block[:, 0]
     return Trajectory(start, states, seed, n)
 
 
@@ -512,7 +518,11 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     the sequence into induced blocks.  At a block end the sample stops when
     ``b`` is constant on the parity class, which certifies the backward limit
     for every start in the window; after ``horizon`` blocks the sample is
-    flagged unconverged instead of being silently returned.
+    flagged unconverged instead of being silently returned, and so is a
+    sample still open after ``horizon * 64 * 2^r`` draws (``guard_fired``).
+    Samples are walked ``_BLOCK_DRAWS // (window size * r)`` at a time, a
+    finished sample's slot going to the next one, so a call holds its result
+    plus ``O(_BLOCK_DRAWS)``.
 
     Only nonnegative bounded lattice reflected parts are supported: certified
     coalescence needs a finite window closed under the walk.  A negative
@@ -539,15 +549,29 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     xs = np.arange(max(2, *(int(m.max_support()) for m in marginals)) + 1)[:, None]
     cls, cols = np.array(parity), np.arange(r1)     # b[:, cls, cols]: least class points
     off_class = (xs & 1) != cls
-    b = np.tile(xs.astype(np.int32), (n_samples, 1, r1))
-    rows = np.arange(n_samples)[:, None, None] * b[0].size + cols   # flat row offsets
-    live = np.arange(n_samples)
-    par = np.zeros(n_samples, dtype=np.int64)       # parity code of the open block
+    cap = max(1, measures._BLOCK_DRAWS // (len(xs) * r1))   # samples walked at once
+    fresh = np.broadcast_to(xs.astype(np.int32), (cap, len(xs), r1))   # b at time 0
+    rows = np.arange(cap)[:, None, None] * (len(xs) * r1) + cols   # flat row offsets
+    guard = horizon * 64 * max(1, 2 ** r1)          # steps allowed per sample
     values = np.empty((n_samples, r1))
     converged = np.zeros(n_samples, dtype=bool)
     blocks_used = np.zeros(n_samples, dtype=np.int64)
+    # per walked sample: its index, b, the open block's parity code, its first step
+    none = np.zeros(0, dtype=np.int64)
+    live, b, par, born = none, fresh[:0], none, none
     moving = _moving_law(spec.law, r1)
-    for _ in range(horizon * 64 * max(1, 2 ** r1)):
+    started, step, guard_fired = 0, 0, False
+    while True:
+        new = min(cap - live.size, n_samples - started)
+        if new:                  # freed slots go to the next samples, in order
+            live = np.concatenate([live, np.arange(started, started + new)])
+            b = np.concatenate([b, fresh[:new]])
+            par = np.concatenate([par, np.zeros(new, dtype=np.int64)])
+            born = np.concatenate([born, np.full(new, step)])
+            started += new
+        if live.size == 0:
+            break
+        step += 1
         y = moving.sample(rng, live.size).astype(np.int64)
         idx = xs - y[:, None, :]                     # flat index of b[s, |x - y|, i]
         np.abs(idx, out=idx)
@@ -555,24 +579,26 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         idx += rows[:live.size]
         b = b.take(idx)
         par ^= _parity_codes(y, r1)
+        done = np.zeros(live.size, dtype=bool)
         end = np.flatnonzero(par == 0)
-        if end.size == 0:
-            continue
-        at = live[end]
-        blocks_used[at] += 1
-        b_end = b[end]
-        top = b_end[:, cls, cols]
-        coal = ((b_end == top[:, None, :]) | off_class).all(axis=(1, 2))
-        stop = coal | (blocks_used[at] == horizon)
-        values[at[stop]], converged[at[stop]] = top[stop], coal[stop]
-        keep = np.ones(live.size, dtype=bool)
-        keep[end[stop]] = False
-        live, b, par = live[keep], b[keep], par[keep]
-        if live.size == 0:
-            break
-    values[live] = b[:, cls, cols]
+        if end.size:
+            at = live[end]
+            blocks_used[at] += 1
+            b_end = b[end]
+            top = b_end[:, cls, cols]
+            coal = ((b_end == top[:, None, :]) | off_class).all(axis=(1, 2))
+            stop = coal | (blocks_used[at] == horizon)
+            values[at[stop]], converged[at[stop]] = top[stop], coal[stop]
+            done[end[stop]] = True
+        if step - born[0] >= guard:                  # born[0]: the oldest sample's
+            spent = ~done & (step - born >= guard)
+            values[live[spent]] = b[spent][:, cls, cols]
+            done |= spent
+            guard_fired = True
+        if done.any():
+            live, b, par, born = live[~done], b[~done], par[~done], born[~done]
     return BackwardResult(values=values, converged=converged, blocks_used=blocks_used,
-                          parity=parity, guard_fired=live.size > 0)
+                          parity=parity, guard_fired=guard_fired)
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +615,9 @@ def contraction_distance_profile(spec: WalkSpec, x, y, n: int, rng) -> np.ndarra
     """
     n = _at_least("n", n, 0)
     rng = make_rng(rng)
-    xs = spec.check_start(x)[:spec.r]
-    ys = spec.check_start(y)[:spec.r]
-    draws = spec.law.sample(rng, n)[:, None, :spec.r]
-    pair = _walk_states(spec.law, np.broadcast_to(draws, (n, 2, spec.r)),
-                        np.stack([xs, ys]))
-    return np.sqrt(np.sum((pair[:, 0] - pair[:, 1]) ** 2, axis=1))
+    pair = np.stack([spec.check_start(x), spec.check_start(y)])
+    out = np.empty(n)
+    for k, _, block in _walk_blocks(spec.law, pair, rng, n, shared=True):
+        gap = block[:, 0, :spec.r] - block[:, 1, :spec.r]
+        out[k:k + len(block)] = np.sqrt(np.sum(gap ** 2, axis=1))
+    return out

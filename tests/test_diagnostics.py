@@ -188,6 +188,30 @@ def test_symmetrization_exact_two_dimensional():
                                        "exact_enumeration") < 1e-12
 
 
+def test_symmetrization_blocks_merge_to_the_one_block_histogram(monkeypatch):
+    # a finite law draws one stream at any block size, so the merged block
+    # tables hold the same states and masses as one table
+    j = ms.JointMeasure.finite((0, 0, 2, 0), [((a, b), 0.25) for a in (-1, 1) for b in (-2, 2)])
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 1 << 30)
+    tv, se = dg.symmetrization_check(j, [1.0, 0.0], 5, "monte_carlo", rng=7, samples=3000)
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 64)        # 12 samples per block
+    tv_blocks, se_blocks = dg.symmetrization_check(j, [1.0, 0.0], 5, "monte_carlo", rng=7,
+                                                   samples=3000)
+    assert se_blocks == se and tv_blocks == pytest.approx(tv, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 13])
+def test_symmetrization_holds_the_block_budget(monkeypatch, traced_peak, budget):
+    if budget is not None:
+        monkeypatch.setattr(ms, "_BLOCK_DRAWS", budget)
+    pm2 = ms.Measure1D.lattice({-2: .25, -1: .25, 1: .25, 2: .25})
+    j = ms.JointMeasure.product((0, 0, 2, 0), [PM1, pm2])
+    (tv, se), peak = traced_peak(lambda: dg.symmetrization_check(
+        j, [1, 0], 6, "monte_carlo", rng=3, samples=100_000))
+    assert tv <= 3 * se
+    assert peak <= 16 * 8 * ms._BLOCK_DRAWS
+
+
 def test_symmetrization_rejects_asymmetric():
     j = ms.JointMeasure.finite((0, 0, 2, 0), [((-1, 1), 0.5), ((1, -1), 0.5)])
     with pytest.raises(ms.MeasureError):
@@ -459,6 +483,33 @@ def test_sum_sampler_sums_beyond_two_to_the_sixteen():
     for t in np.quantile(halves, [0.1, 0.5, 0.9, 0.99]):
         pw, ph = (whole > t).mean(), (halves > t).mean()
         assert abs(pw - ph) < 5 * math.sqrt(2 * ph * (1 - ph) / n), (t, pw, ph)
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 13])
+def test_sum_sampler_holds_the_block_budget(monkeypatch, traced_peak, budget):
+    # about 10^6 large increments: 20 000 sums of 2^14 at tail(4096) = 3.1e-3
+    if budget is not None:
+        monkeypatch.setattr(ms, "_BLOCK_DRAWS", budget)
+    ss = dg.SubordinatorSumSampler(0.6)
+    ss.sample_sum(1 << 14, 10, np.random.default_rng(1))        # builds the head levels
+    assert 20_000 * (1 << 14) * ss.q_tail > 10 ** 6
+    out, peak = traced_peak(lambda: ss.sample_sum(1 << 14, 20_000, np.random.default_rng(2)))
+    assert out.shape == (20_000,) and out.min() >= 1 << 14
+    assert peak <= out.nbytes + 16 * 8 * ms._BLOCK_DRAWS
+
+
+def test_sum_sampler_rows_and_tails_in_blocks_keep_the_law(monkeypatch):
+    # blocks of 64 rows and 64 large values: the row sums stay those of the
+    # increments, checked against brute-force sums of tau draws
+    n, m = 20_000, 256
+    brute = ms.SubordinatorAlpha(0.4).sample(np.random.default_rng(4), n * m)
+    brute = brute.reshape(n, m).sum(axis=1)
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 64)
+    fast = dg.SubordinatorSumSampler(0.4).sample_sum(m, n, np.random.default_rng(3))
+    assert fast.min() >= m
+    for t in np.quantile(brute, [0.1, 0.5, 0.9, 0.99]):
+        pf, pb = (fast > t).mean(), (brute > t).mean()
+        assert abs(pf - pb) < 5 * math.sqrt(2 * pb * (1 - pb) / n), (t, pf, pb)
 
 
 def test_subordinated_exponent_probe_small_scale():

@@ -1,6 +1,7 @@
 """Tests for increment-law construction, moments, tails and samplers."""
 
 import math
+import mmap
 import tracemalloc
 import warnings
 
@@ -503,6 +504,16 @@ def test_joint_rejects_trivial_reflecting_marginal():
         ms.JointMeasure.finite((2, 0, 0, 0), [((0, 1), 0.5), ((-1, 2), 0.5)])
 
 
+def test_finite_joint_law_with_a_continuous_reflected_coordinate():
+    # the reflected-mass check reads the column: no lattice marginal is built
+    j = ms.JointMeasure.finite((0, 1, 0, 0), [((0.5,), .5), ((1.5,), .5)])
+    assert j.n_reflected == 1 and j.lattice_coords() == []
+    with pytest.raises(ms.MeasureError, match="no mass on"):
+        ms.JointMeasure.finite((0, 1, 0, 0), [((-0.5,), .5), ((0.0,), .5)])
+    with pytest.raises(ms.MeasureError, match="no mass on"):
+        ms.JointMeasure.finite((0, 1, 0, 0), [((0.5,), 0.0), ((-1.5,), 1.0)])
+
+
 def test_fully_symmetric_examples():
     j = ms.JointMeasure.finite((0, 0, 2, 0), [((-1, 1), 0.5), ((1, -1), 0.5)])
     assert not j.is_fully_symmetric()
@@ -914,6 +925,76 @@ def test_joint_finite_draws_equal_searchsorted_inversion():
     got = j.sample(np.random.default_rng(79), 50_000)
     u = np.random.default_rng(79).random(50_000)
     assert np.array_equal(got, j.points[_searchsorted_draws(np.cumsum(j.probs), u)])
+
+
+TABLE_LAWS = {   # laws whose draws are table inversions of one rng.random stream
+    "lattice": lambda: lattice({-2: .2, 1: .3, 3: .5}),
+    "tailed": lambda: ms.wiener_hopf_log_tail(1000),
+    "joint_finite": lambda: ms.JointMeasure.finite(
+        (1, 0, 1, 0), [((1, -1), .2), ((2, 0), .3), ((-1, 3), .1), ((4, 4), .4)]),
+    "joint_product": lambda: ms.JointMeasure.product(
+        (1, 0, 1, 0), [lattice({1: .5, 2: .5}), lattice({-2: .2, 1: .3, 3: .5})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_LAWS))
+def test_table_draws_do_not_depend_on_the_block_budget(monkeypatch, name):
+    law = TABLE_LAWS[name]()
+    whole = law.sample(np.random.default_rng(83), 5000)
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 64)
+    assert np.array_equal(law.sample(np.random.default_rng(83), 5000), whole)
+
+
+BULK_DRAWS = {
+    "subordinated": lambda rng: ms.subordinated(0.6).sample(rng, 10 ** 6),
+    "tau": lambda rng: ms.SubordinatorAlpha(0.6).sample(rng, 10 ** 6),
+    "tau_tail": lambda rng: ms.SubordinatorAlpha(0.6).conditional_tail_sample(
+        rng, 10 ** 6, 4096),
+    "lattice": lambda rng: lattice({-2: .2, 1: .3, 3: .5}).sample(rng, 10 ** 6),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 13])
+@pytest.mark.parametrize("name", sorted(BULK_DRAWS))
+def test_bulk_draws_hold_their_result_plus_the_block_budget(monkeypatch, traced_peak,
+                                                             name, budget):
+    if budget is not None:
+        monkeypatch.setattr(ms, "_BLOCK_DRAWS", budget)
+    out, peak = traced_peak(lambda: BULK_DRAWS[name](np.random.default_rng(89)))
+    assert out.shape == (10 ** 6,)
+    assert peak <= out.nbytes + 16 * 8 * ms._BLOCK_DRAWS
+
+
+MAPPED_DRAWS = dict(BULK_DRAWS,
+                    joint_finite=lambda rng: TABLE_LAWS["joint_finite"]().sample(rng, 10 ** 6),
+                    joint_product=lambda rng: TABLE_LAWS["joint_product"]().sample(rng, 10 ** 6))
+
+
+def _buffer(a):
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+@pytest.mark.parametrize("name", sorted(MAPPED_DRAWS))
+def test_bulk_results_are_private_mappings_beside_one_block(monkeypatch, traced_peak, name):
+    # a result of more than one block lives outside the malloc heap, so the
+    # traced allocations of the call are its blocks alone
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 1 << 13)
+    out, peak = traced_peak(lambda: MAPPED_DRAWS[name](np.random.default_rng(97)))
+    assert len(out) == 10 ** 6 and out.flags.writeable
+    assert isinstance(_buffer(out), mmap.mmap)
+    assert peak <= 16 * 8 * ms._BLOCK_DRAWS
+
+
+def test_tailed_draws_invert_their_uniforms_in_place(traced_peak):
+    # the n uniforms are the result's buffer: the call holds neither beside
+    # its blocks and its one tail draw (about 2% of the draws here)
+    law = ms.wiener_hopf_log_tail(10 ** 5)
+    law.sample(np.random.default_rng(0), 10)                # builds the tables
+    out, peak = traced_peak(lambda: law.sample(np.random.default_rng(101), 10 ** 6))
+    assert out.dtype == np.int64 and isinstance(_buffer(out), mmap.mmap)
+    assert peak < out.nbytes / 2
 
 
 def test_guide_table_on_the_subordinator_tail_table():

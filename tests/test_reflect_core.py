@@ -1,6 +1,7 @@
 """Tests for the simulation core, contraction words and backward sampling."""
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,58 @@ def test_walk_blocks_hold_at_most_the_block_budget(monkeypatch, budget, replicas
         assert y.shape == states.shape and y.shape[1] == replicas
         assert len(y) * replicas <= ms._BLOCK_DRAWS or len(y) == 1
         assert len(y) == 8192 or (len(y) + 1) * replicas > ms._BLOCK_DRAWS
+
+
+@pytest.mark.parametrize("law, start", [
+    (SPEC_12.law, [3]),
+    (ms.JointMeasure.finite((1, 0, 1, 0), [((1, 2), .3), ((2, -1), .7)]), [0, 5]),
+    (ms.JointMeasure.finite((0, 1, 0, 1), [((0.5, 0.25), .5), ((1.5, -0.75), .5)]),
+     [0.25, 1.0]),
+], ids=["lattice", "finite-free", "finite-continuous"])
+def test_simulate_equals_the_literal_fold_of_its_draws(monkeypatch, law, start):
+    # 1000 steps in blocks of 64: the draws are one stream, the trajectory one fold
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 64)
+    traj = rc.simulate(rc.WalkSpec(law), start, 1000, 97)
+    r = law.n_reflected
+    x = np.array(start, dtype=float)
+    want = [x]
+    for y in law.sample(np.random.default_rng(97), 1000):
+        x = np.concatenate([np.abs(x[:r] - y[:r]), x[r:] + y[r:]])
+        want.append(x)
+    assert np.array_equal(traj.states, np.array(want))
+
+
+def test_contraction_profile_equals_the_literal_fold_of_its_draws(monkeypatch):
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 64)
+    law = ms.JointMeasure.finite((2, 0, 0, 0), [((2, 3), .5), ((3, 2), .5)])
+    dist = rc.contraction_distance_profile(rc.WalkSpec(law), [0, 1], [4, 4], 500, 101)
+    a, b = np.array([0.0, 1.0]), np.array([4.0, 4.0])
+    want = []
+    for y in law.sample(np.random.default_rng(101), 500):
+        a, b = np.abs(a - y), np.abs(b - y)
+        want.append(np.sqrt(np.sum((a - b) ** 2)))
+    assert np.array_equal(dist, want)
+
+
+SPEC_125 = spec_1d({1: 0.5, 2: 0.3, 5: 0.2})
+BULK_WALKS = {   # name: (call, bytes of its result)
+    "simulate": (lambda: rc.simulate(SPEC_125, [0], 10 ** 6, 4), lambda t: t.states.nbytes),
+    "contraction": (lambda: rc.contraction_distance_profile(SPEC_125, [0], [5], 10 ** 6, 6),
+                    lambda d: d.nbytes),
+    "backward": (lambda: rc.backward_sample(SPEC_125, [0], 500, 5, n_samples=10 ** 5),
+                 lambda res: res.values.nbytes + res.converged.nbytes + res.blocks_used.nbytes),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 13])
+@pytest.mark.parametrize("name", sorted(BULK_WALKS))
+def test_bulk_walks_hold_their_result_plus_the_block_budget(monkeypatch, traced_peak,
+                                                            name, budget):
+    if budget is not None:
+        monkeypatch.setattr(ms, "_BLOCK_DRAWS", budget)
+    call, result_bytes = BULK_WALKS[name]
+    out, peak = traced_peak(call)
+    assert peak <= result_bytes(out) + 16 * 8 * ms._BLOCK_DRAWS
 
 
 def test_only_the_core_steps_walks():
@@ -686,6 +739,20 @@ def test_backward_guard_shows_in_result():
                              n_samples=2000)
     assert res.guard_fired
     assert not res.converged.all()
+
+
+def test_backward_guard_counts_the_draws_of_each_sample(monkeypatch):
+    # 64 samples are walked at once, so most start long after the first; a
+    # sample is still spent after its own 128 draws: a one-block horizon is
+    # spent exactly when an odd first letter is followed by 127 even ones
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 3 * 64)
+    n = 20_000
+    res = rc.backward_sample(spec_1d({1: 0.01, 2: 0.99}), [0], horizon=1, rng=0,
+                             n_samples=n)
+    spent = np.count_nonzero(res.blocks_used == 0)
+    p = 0.01 * 0.99 ** 127
+    assert res.guard_fired and not res.converged[res.blocks_used == 0].any()
+    assert abs(spent - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (spent, n * p)
 
 
 def test_word_text_format():
