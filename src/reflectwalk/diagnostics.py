@@ -32,7 +32,7 @@ import numpy as np
 from .measures import (JointMeasure, LatticeSumSampler, Measure1D, MeasureError,
                        SubordinatorAlpha, _at_least, _fill, subordinator_tail)
 from . import measures
-from .reflect_core import WalkSpec, _walk_blocks
+from .reflect_core import WalkSpec, _first_hits, _walk_blocks
 from .exact_1d import InvariantMeasure1D
 from .rng import make_rng
 
@@ -115,11 +115,12 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
     ``start`` is a checked start of a walk with increment law ``law``.
     ``in_target(X, Z)`` maps (steps, replicas, r) blocks of reflected states
     and (steps, replicas, s) blocks of free states to a (steps, replicas)
-    boolean block.  Returns the nested budgets ``B/2^(n-1), ..., B/2, B``
-    (``n = THRESHOLDS["n_budgets"]``, as ints), the pooled counts at each, the
-    escape fraction (replicas with no visit after the burn-in), and, unless
-    ``record`` is false, replica 0's first ``RETURN_TIMES_KEPT`` visit times,
-    the largest displacement and replica 0's number of visits.
+    boolean block.  Returns the :func:`categorize` verdict on the pooled
+    counts at the nested budgets ``B/2^(n-1), ..., B/2, B`` (``n =
+    THRESHOLDS["n_budgets"]``, as ints) and the escape fraction (replicas with
+    no visit after the burn-in), then replica 0's first ``RETURN_TIMES_KEPT``
+    visit times, the largest displacement and replica 0's visit count (``None``
+    each when ``record`` is false).
     """
     rng = make_rng(rng)
     budget = int(budget)
@@ -144,9 +145,10 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
             visits0 += len(at)
             maxdisp = max(maxdisp, float(block.max()), -float(block.min()))
         del y, block     # so the next draws do not coexist with this block
-    escape = float(np.mean(~visited_after_burn))
-    return (budgets.tolist(), counts.tolist(), escape,
-            np.asarray(times0) if record else None, maxdisp, visits0)
+    budgets = budgets.tolist()
+    ev = categorize(budgets, counts.tolist(), [b * replicas for b in budgets],
+                    float(np.mean(~visited_after_burn)))
+    return ev, np.asarray(times0) if record else None, maxdisp, visits0
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +219,22 @@ def return_time_stats(spec: WalkSpec, start, window, budget: int,
     """
     center, radius = window
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (spec.r,):
+        raise MeasureError(f"window center must have {spec.r} coordinates")
+    if not radius >= 0:
+        raise MeasureError(f"window radius must be >= 0, got {radius}")
 
     def in_target(x, z):
         return (np.abs(x - center) <= radius).all(axis=-1)
 
     seed = rng if isinstance(rng, (int, np.integer)) else None
-    budgets, counts, escape, times0, maxdisp, visits0 = _run_return_experiment(
+    ev, times0, maxdisp, visits0 = _run_return_experiment(
         spec.law, spec.check_start(start), in_target, budget, replicas, rng)
-    totals = [b * replicas for b in budgets]
-    ev = categorize(budgets, counts, totals, escape)
     stats = TrajectoryStats(
         target=f"sup-ball(center={center.tolist()}, radius={radius})",
         return_times=times0, visits=visits0, max_displacement=maxdisp,
         budget=int(budget), replicas=int(replicas),
-        counts_per_budget=counts, budgets=budgets, seed=seed)
+        counts_per_budget=ev.return_counts, budgets=ev.budgets, seed=seed)
     return stats, ev
 
 
@@ -261,10 +265,12 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
         samples = _at_least("samples", samples)
     if not j.is_fully_symmetric():
         raise MeasureError("symmetrization needs a fully symmetric law")
-    if n == 0:
-        return 0.0 if mode == "exact_enumeration" else (0.0, 0.0)
     d = j.dim
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (d,):
+        raise MeasureError(f"start must have {d} coordinates")
+    if n == 0:
+        return 0.0 if mode == "exact_enumeration" else (0.0, 0.0)
     if mode == "exact_enumeration":
         pts, probs = j.atoms()
         if len(pts) ** n > 2_000_000:
@@ -360,6 +366,9 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
     """
     if spec.s not in (1, 2):
         raise MeasureError("experiment needs 1 or 2 free coordinates")
+    if spec.dims[1]:
+        raise MeasureError("experiment needs lattice reflected coordinates: a "
+                           "continuous one never returns exactly to its start")
     wald_cycles = _at_least("wald_cycles", wald_cycles, 2)     # the SE needs two
     rng = make_rng(rng)
     r1, r2, sl1, sl2 = spec.law.dims
@@ -371,11 +380,8 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
     def in_target(x, z):
         return (x == xc).all(axis=-1) & (np.abs(z) <= free_radius).all(axis=-1)
 
-    budgets, counts, escape, _, _, _ = _run_return_experiment(
-        spec.law, start, in_target, budget, replicas, rng, record=False)
-    totals = [b * replicas for b in budgets]
-    ev = categorize(budgets, counts, totals, escape)
-
+    ev = _run_return_experiment(spec.law, start, in_target, budget, replicas, rng,
+                                record=False)[0]
     drift = np.array([spec.law.marginal(r + i).mean() for i in range(s)])
     wald = _wald_cycle_check(spec, wald_cycles, drift, rng)
     return ev, wald
@@ -384,21 +390,11 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
 def _wald_cycle_check(spec: WalkSpec, cycles: int, drift: np.ndarray, rng):
     """Mean of Z over i.i.d. return cycles of X vs E(cycle) * E(V)."""
     r = spec.r
-    blocks = _walk_blocks(spec.law, np.zeros((1, spec.dim)), rng)
-    times = [np.zeros(1, dtype=np.int64)]     # return times of X to 0
-    zs = [np.zeros((1, spec.s))]              # Z at those times
-    got = 0
-    while got < cycles:
-        k, _, block = next(blocks)
-        if k > 1 << 31:
-            raise MeasureError("start state not revisited within the guard budget")
-        block = block[:, 0]
-        ret = np.nonzero((block[:, :r] == 0).all(axis=1))[0][:cycles - got]
-        times.append(k + 1 + ret)
-        zs.append(block[ret, r:])
-        got += ret.size
-    gaps = np.diff(np.concatenate(times)).astype(float)
-    zs = np.diff(np.concatenate(zs), axis=0)
+    times, states = _first_hits(     # the returns of X to 0
+        spec.law, np.zeros(spec.dim), rng, cycles, lambda x: (x[:, :r] == 0).all(axis=1),
+        1 << 31, "start state not revisited within the guard budget")
+    gaps = np.diff(times, prepend=0).astype(float)
+    zs = np.diff(states[:, r:], axis=0, prepend=0)
     # per-cycle deviations D_k = Z_k - gap_k * E(V) are i.i.d. centred under
     # the identity; test the pooled mean against 3 SE componentwise
     dev = zs - gaps[:, None] * drift[None, :]
@@ -456,6 +452,8 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
     """
     rng = make_rng(rng)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    if y.shape != (len(factors),):
+        raise MeasureError(f"target must have one coordinate per factor ({len(factors)})")
     ns = np.asarray(sorted(int(n) for n in n_grid), dtype=np.int64)
     for m in factors:
         if not (m.is_lattice and m.has_atoms and not m.has_analytic_tail):
@@ -544,6 +542,8 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
         raise MeasureError("dimension probe needs a fully symmetric law")
     if j.dims[1] + j.dims[3] > 0:
         raise MeasureError("dimension probe needs lattice coordinates only")
+    if not window_radius >= 0:
+        raise MeasureError(f"window radius must be >= 0, got {window_radius}")
     rng = make_rng(rng)
     if j.is_finite:
         parts = [(j.probs, j.points.astype(np.int64))]

@@ -566,9 +566,9 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
 
     stats = []
     for dims in ((0, 0, lat, 1 - lat), (lat, 1 - lat, 0, 0)):   # free, then reflected
-        _, counts, escape, _, _, _ = _run_return_experiment(
-            JointMeasure.product(dims, [m]), np.zeros(1), in_window, horizon,
-            replicas, rng, record=False)
+        ev = _run_return_experiment(JointMeasure.product(dims, [m]), np.zeros(1),
+                                    in_window, horizon, replicas, rng, record=False)[0]
+        counts, escape = ev.return_counts, ev.escape_fraction
         visits = [counts[-2], counts[-1] - counts[-2]]  # first and late half
         if escape >= THRESHOLDS["escape_fraction_transient"]:
             cat = "transient_evidence"

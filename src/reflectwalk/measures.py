@@ -43,11 +43,11 @@ DIVERGENCE_BLOCKS = 20
 DIVERGENCE_DECAY = 0.95
 _TERMWISE_MAX = 1 << 12  # blocks up to this many points are summed term by term
 _MAX_BLOCK_EXP = 64
-_CHUNK = 1 << 15  # atoms per step of a pass over an atom table (O(_CHUNK) temporaries)
-# The one memory budget of every bulk draw and walk: draws are made, and walks
-# stepped, in blocks of at most this many increments (or rows), so that a call
-# holds its result plus O(_BLOCK_DRAWS) temporaries at any size (_fill here,
-# reflect_core._walk_blocks for the walkers; every chunk size derives from it).
+# The one memory budget of every bulk draw, walk and atom-table pass: draws
+# are made, walks stepped and atom tables walked in blocks of at most this many
+# increments (or rows, or atoms), so that a call holds its result plus
+# O(_BLOCK_DRAWS) temporaries at any size (_fill here, reflect_core._walk_blocks
+# for the walkers; every chunk size derives from it).
 _BLOCK_DRAWS = 1 << 15
 # Gauss-Legendre rule of a series block (_gauss_legendre): the result comes
 # from the finer rule and is kept where the coarser one agrees to this
@@ -399,16 +399,16 @@ class Measure1D:
     def moment(self, p: float, part: str = "full") -> float:
         """``E|Y|^p``, ``E (Y^+)^p`` or ``E (Y^-)^p``; ``inf`` when divergent.
 
-        The atom table's part is ``sum |x|^p p(x)``, formed in place ``_CHUNK``
-        atoms at a time (so a long table costs ``O(_CHUNK)`` temporaries) and
-        added by numpy's pairwise sum per chunk, not by ``np.dot``: a threaded
-        BLAS may run a ``ddot`` over a long table on its thread pool and take
-        milliseconds for microseconds of work.  Divergence on infinite-support
-        families is decided by the dyadic-block test: the series is declared
-        divergent when the block sums over ``[2^m, 2^(m+1))`` fail to decay
-        geometrically (ratio above ``DIVERGENCE_DECAY``) for
-        ``DIVERGENCE_BLOCKS`` consecutive blocks; each block beyond the table
-        is one :func:`_series_block_sum`.
+        The atom table's part is ``sum |x|^p p(x)``, formed in place
+        ``_BLOCK_DRAWS`` atoms at a time (so a long table costs
+        ``O(_BLOCK_DRAWS)`` temporaries) and added by numpy's pairwise sum per
+        chunk, not by ``np.dot``: a threaded BLAS may run a ``ddot`` over a
+        long table on its thread pool and take milliseconds for microseconds
+        of work.  Divergence on infinite-support families is decided by the
+        dyadic-block test: the series is declared divergent when the block
+        sums over ``[2^m, 2^(m+1))`` fail to decay geometrically (ratio above
+        ``DIVERGENCE_DECAY``) for ``DIVERGENCE_BLOCKS`` consecutive blocks;
+        each block beyond the table is one :func:`_series_block_sum`.
         """
         if p < 0:
             raise MeasureError("moment order must be nonnegative")
@@ -419,8 +419,8 @@ class Measure1D:
         if not self.has_atoms:
             raise MeasureError("moment of a sampler-backed law is not available")
         finite_part = 0.0
-        for k in range(0, len(self.support), _CHUNK):
-            vals = self.support[k:k + _CHUNK].astype(float)
+        for k in range(0, len(self.support), _BLOCK_DRAWS):
+            vals = self.support[k:k + _BLOCK_DRAWS].astype(float)
             if part == "negative":
                 np.negative(vals, out=vals)
             if part == "full":
@@ -428,7 +428,7 @@ class Measure1D:
             else:
                 np.maximum(vals, 0.0, out=vals)
             vals **= p
-            vals *= self.probs[k:k + _CHUNK]
+            vals *= self.probs[k:k + _BLOCK_DRAWS]
             finite_part += float(vals.sum())
         if not self.has_analytic_tail or part == "negative":
             return finite_part
@@ -455,10 +455,10 @@ class Measure1D:
         is ``sum width * value**power`` over the pieces between its edges and
         the atoms inside it: the piece from the lower edge to the first atom,
         then one piece per atom, the last cut at the upper edge.  The atoms
-        are walked in steps of ``_CHUNK``, so no pass allocates more than
-        ``O(_CHUNK)`` however long the table; the result can differ from one
-        sum over the whole block in the last bits.  Beyond the table of an
-        analytic-tail family a block goes through :func:`_series_block_sum`
+        are walked in steps of ``_BLOCK_DRAWS``, so no pass allocates more
+        than ``O(_BLOCK_DRAWS)`` however long the table; the result can differ
+        from one sum over the whole block in the last bits.  Beyond the table
+        of an analytic-tail family a block goes through :func:`_series_block_sum`
         (a checked Gauss-Legendre rule, no ``quad``) only when the caller asks
         for it.  For a continuous law a block is the integral of
         ``tail(x)**power`` over ``[e_j, e_(j+1)]``, with the support ends as
@@ -498,8 +498,8 @@ class Measure1D:
         ib = int(np.searchsorted(s, b, side="left"))
         lead = (float(suffix[ia - 1]) if ia > 0 else mass) + extra
         total = ((int(s[ia]) if ia < ib else b) - a) * lead ** power
-        for k in range(ia, ib, _CHUNK):
-            k1 = min(k + _CHUNK, ib)
+        for k in range(ia, ib, _BLOCK_DRAWS):
+            k1 = min(k + _BLOCK_DRAWS, ib)
             width = np.diff(s[k:k1 + 1] if k1 < ib else np.append(s[k:ib], b))
             level = suffix[k:k1] + extra
             level **= power

@@ -141,26 +141,14 @@ class ContractionWord:
     def evaluate(self, x):
         """Apply the word to ``x`` (scalar, vector, or batch of points).
 
-        ``x`` may have shape ``()``, ``(r,)`` or ``(k, r)``; the result has
-        the same shape.
+        ``x`` may have shape ``()``, ``(r,)`` or ``(k, r)``, or any shape when
+        ``r = 1``; the result has the same shape.
         """
-        scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
-        pt = np.atleast_1d(np.asarray(x, dtype=self.letters.dtype if
-                                      np.issubdtype(self.letters.dtype, np.floating)
-                                      else np.int64))
-        if pt.ndim == 1 and self.width == 1 and pt.shape[0] != 1:
-            pt = pt[:, None]       # batch of scalar points
-            squeeze = True
-        else:
-            squeeze = False
-        cur = np.array(pt, copy=True)
-        for row in self.letters:
+        floating = np.issubdtype(self.letters.dtype, np.floating)
+        cur = np.array(x, dtype=self.letters.dtype if floating else np.int64)
+        for row in self.letters[:, 0] if self.width == 1 else self.letters:
             cur = np.abs(cur - row)
-        if squeeze:
-            cur = cur[:, 0]
-        if scalar:
-            return cur.ravel()[0]
-        return cur.reshape(np.shape(x))
+        return cur[()]
 
     def then(self, other: "ContractionWord") -> "ContractionWord":
         """The composition 'self first, then other'."""
@@ -340,7 +328,7 @@ def _walk_blocks(law: JointMeasure, x: np.ndarray, rng, steps: Optional[int] = N
     The one chunk loop of the walk engine: each block draws ``T * R``
     increments in one time-major ``law.sample`` call (``T`` with ``shared``:
     a synchronous coupling, every walk driven by the same increments), with
-    ``T = max(1, min(8192, measures._BLOCK_DRAWS // R))`` so that a block's
+    ``T = max(1, measures._BLOCK_DRAWS // R)`` so that a block's
     draws, states and table temporaries stay ``O(_BLOCK_DRAWS)`` at any
     replica count, and steps them through :func:`_walk_states`.  Yields
     ``(k, y, states)``: ``k`` steps precede the block, ``y`` and ``states``
@@ -348,7 +336,7 @@ def _walk_blocks(law: JointMeasure, x: np.ndarray, rng, steps: Optional[int] = N
     is the state after step ``k + t + 1``.
     """
     n_rep = x.shape[0]
-    chunk = max(1, min(8192, measures._BLOCK_DRAWS // n_rep))
+    chunk = max(1, measures._BLOCK_DRAWS // n_rep)
     k = 0
     while steps is None or k < steps:
         b = chunk if steps is None else min(chunk, steps - k)
@@ -361,6 +349,27 @@ def _walk_blocks(law: JointMeasure, x: np.ndarray, rng, steps: Optional[int] = N
         yield k, y, states
         del y, states        # so the next draws do not coexist with this block
         k += b
+
+
+def _first_hits(law: JointMeasure, start: np.ndarray, rng, count: int, hit,
+                max_steps: int, why: str):
+    """Times ``(count,)`` and states ``(count, dim)`` of the first ``count``
+    steps of one walk from ``start`` where ``hit`` (``(T, dim)`` states to
+    ``T`` booleans) holds; a block from step ``max_steps`` on raises
+    ``MeasureError(why)``."""
+    blocks = _walk_blocks(law, start[None, :], rng)
+    times = np.empty(count, dtype=np.int64)
+    states = np.empty((count, law.dim))
+    got = 0
+    while got < count:
+        k, _, block = next(blocks)
+        if k >= max_steps:
+            raise MeasureError(why)
+        at = np.flatnonzero(hit(block[:, 0]))[:count - got]
+        times[got:got + at.size] = k + 1 + at
+        states[got:got + at.size] = block[at, 0]
+        got += at.size
+    return times, states
 
 
 def simulate(spec: WalkSpec, start, n: int, rng) -> Trajectory:
@@ -400,31 +409,21 @@ def parity_return_times(spec: WalkSpec, start, count: int, rng,
     """Successive times at which all lattice-coordinate sums are even.
 
     Returns ``(times, states)`` where ``times[j]`` is the ``j``-th time the
-    parity vector of the increment sums returns to zero (so the reflected
-    state is back in the parity class of the start) and ``states[j]`` is the
-    reflected state then.  The gaps between successive times are i.i.d.
+    parity vector of the increment sums returns to zero and ``states[j]`` is
+    the reflected state then.  As ``|x - y| = x + y (mod 2)``, these are the
+    times at which the state is back in the parity class of the start.  The
+    gaps between successive times are i.i.d.
     """
     if spec.r1 < 1:
         raise MeasureError("parity returns need at least one lattice "
                            "reflecting coordinate")
     count = _at_least("count", count, 0)
-    rng = make_rng(rng)
-    blocks = _walk_blocks(spec.law, spec.check_start(start)[None, :], rng)
-    par = 0
-    times = np.empty(count, dtype=np.int64)
-    states = np.empty((count, spec.r))
-    got = 0
-    while got < count:
-        k, y, block = next(blocks)
-        if k >= max_steps:
-            raise MeasureError("parity returns exhausted the step budget")
-        pars = par ^ np.bitwise_xor.accumulate(_parity_codes(y[:, 0], spec.r1))
-        hit = np.flatnonzero(pars == 0)[:count - got]
-        times[got:got + hit.size] = k + 1 + hit
-        states[got:got + hit.size] = block[hit, 0, :spec.r]
-        got += hit.size
-        par = pars[-1]
-    return times, states
+    start = spec.check_start(start)
+    code = _parity_codes(start, spec.r1)
+    times, states = _first_hits(spec.law, start, make_rng(rng), count,
+                                lambda x: _parity_codes(x, spec.r1) == code, max_steps,
+                                "parity returns exhausted the step budget")
+    return times, states[:, :spec.r]
 
 
 def induced_word(spec: WalkSpec, rng, max_steps: int = 1 << 22) -> ContractionWord:
@@ -514,12 +513,13 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     code 0, so letters are drawn from the reflected part's law given that it
     is not zero (one draw per step): the backward limit keeps its law,
     and ``blocks_used`` counts only blocks made of moving letters.  The
-    times at which the parity codes of the drawn increments XOR to zero cut
-    the sequence into induced blocks.  At a block end the sample stops when
-    ``b`` is constant on the parity class, which certifies the backward limit
-    for every start in the window; after ``horizon`` blocks the sample is
-    flagged unconverged instead of being silently returned, and so is a
-    sample still open after ``horizon * 64 * 2^r`` draws (``guard_fired``).
+    times at which the increment sums are even cut the sequence into induced
+    blocks: as ``|x - y| = x + y (mod 2)``, they are those at which ``b[0]``
+    is even.  At a block end the sample stops when ``b`` is constant on the
+    parity class, which certifies the backward limit for every start in the
+    window; after ``horizon`` blocks the sample is flagged unconverged
+    instead of being silently returned, and so is a sample still open after
+    ``horizon * 64 * 2^r`` draws (``guard_fired``).
     Samples are walked ``_BLOCK_DRAWS // (window size * r)`` at a time, a
     finished sample's slot going to the next one, so a call holds its result
     plus ``O(_BLOCK_DRAWS)``.
@@ -556,9 +556,9 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
     values = np.empty((n_samples, r1))
     converged = np.zeros(n_samples, dtype=bool)
     blocks_used = np.zeros(n_samples, dtype=np.int64)
-    # per walked sample: its index, b, the open block's parity code, its first step
+    # per walked sample: its index, b, its first step
     none = np.zeros(0, dtype=np.int64)
-    live, b, par, born = none, fresh[:0], none, none
+    live, b, born = none, fresh[:0], none
     moving = _moving_law(spec.law, r1)
     started, step, guard_fired = 0, 0, False
     while True:
@@ -566,7 +566,6 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         if new:                  # freed slots go to the next samples, in order
             live = np.concatenate([live, np.arange(started, started + new)])
             b = np.concatenate([b, fresh[:new]])
-            par = np.concatenate([par, np.zeros(new, dtype=np.int64)])
             born = np.concatenate([born, np.full(new, step)])
             started += new
         if live.size == 0:
@@ -578,9 +577,8 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         idx *= r1
         idx += rows[:live.size]
         b = b.take(idx)
-        par ^= _parity_codes(y, r1)
         done = np.zeros(live.size, dtype=bool)
-        end = np.flatnonzero(par == 0)
+        end = np.flatnonzero(~(b[:, 0] & 1).any(axis=1))   # b[s, 0]: parity of the sum
         if end.size:
             at = live[end]
             blocks_used[at] += 1
@@ -596,7 +594,7 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
             done |= spent
             guard_fired = True
         if done.any():
-            live, b, par, born = live[~done], b[~done], par[~done], born[~done]
+            live, b, born = live[~done], b[~done], born[~done]
     return BackwardResult(values=values, converged=converged, blocks_used=blocks_used,
                           parity=parity, guard_fired=guard_fired)
 

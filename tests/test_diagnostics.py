@@ -120,12 +120,12 @@ def test_return_experiment_without_records_counts_the_same():
     full = dg._run_return_experiment(law, np.zeros(1), at_zero, 20_000, 4, 5)
     bare = dg._run_return_experiment(law, np.zeros(1), at_zero, 20_000, 4, 5,
                                      record=False)
-    assert bare[:3] == full[:3] and bare[3:] == (None, None, None)
-    assert len(full[3]) > 0 and full[4] > 0 and full[5] >= len(full[3])
+    assert bare[0] == full[0] and bare[1:] == (None, None, None)
+    assert len(full[1]) > 0 and full[2] > 0 and full[3] >= len(full[1])
     # the nested budgets as plain ints: results hold Python numbers, not
     # numpy scalars
-    assert full[0] == [2500, 5000, 10_000, 20_000]
-    assert all(type(b) is int for b in full[0])
+    assert full[0].budgets == [2500, 5000, 10_000, 20_000]
+    assert all(type(b) is int for b in full[0].budgets)
 
 
 def test_evidence_deterministic_given_seed():
@@ -602,6 +602,38 @@ BAD_SIZES = {   # name: (the size the message names, the call)
 @pytest.mark.parametrize("size, call", BAD_SIZES.values(), ids=BAD_SIZES.keys())
 def test_sizes_below_their_least_raise_measure_error(size, call):
     with pytest.raises(ms.MeasureError, match=size):
+        call()
+
+
+BAD_INPUTS = {   # name: (words of the message, the call); none may broadcast
+    "return_center_too_long": ("center", lambda: dg.return_time_stats(
+        spec_of(M12), [0], ((0, 5), 0), 2000, 2, 1)),
+    "return_center_too_short": ("center", lambda: dg.return_time_stats(
+        spec_of(M12, M12), [0, 0], ((1,), 0), 2000, 2, 1)),
+    "return_center_of_three": ("center", lambda: dg.return_time_stats(
+        spec_of(M12, M12), [0, 0], ((0, 0, 0), 1), 2000, 2, 1)),
+    "return_radius": ("radius", lambda: dg.return_time_stats(
+        spec_of(M12), [0], ((0,), -1), 2000, 2, 1)),
+    "symmetrization_start_exact": ("start", lambda: dg.symmetrization_check(
+        PLANE, [1], 2, "exact_enumeration")),
+    "symmetrization_start_mc": ("start", lambda: dg.symmetrization_check(
+        PLANE, [1], 2, "monte_carlo", rng=1, samples=100)),
+    "null_target_short": ("target", lambda: dg.product_null_recurrence_probe(
+        [PM1, PM1], [0], [64, 128, 256], 10, 1)),
+    "null_target_long": ("target", lambda: dg.product_null_recurrence_probe(
+        [PM1], [0, 0], [64, 128, 256], 10, 1)),
+    # an exact return of a continuous coordinate never comes
+    "free_experiment_continuous": ("lattice reflected", lambda: (
+        dg.reflected_plus_free_experiment(spec_of(ms.uniform(0, 1), PM1, dims=(0, 1, 1, 0)),
+                                          2000, 2, 1, wald_cycles=2))),
+    "dimension_radius": ("radius", lambda: dg.dimension_transience_probe(
+        PLANE, 10_000, 4, 1, window_radius=-1)),
+}
+
+
+@pytest.mark.parametrize("words, call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_walker_input_raises_measure_error(words, call):
+    with pytest.raises(ms.MeasureError, match=words):
         call()
 
 

@@ -247,9 +247,9 @@ def test_tail_block_sums_match_brute_force(name, make, edges):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_tail_block_sums_and_moments_across_chunks(monkeypatch, chunk):
-    # passes over the atom table go _CHUNK atoms at a time; tiny chunks put
-    # chunk ends inside blocks, on edges and on the table's last atom
-    monkeypatch.setattr(ms, "_CHUNK", chunk)
+    # passes over the atom table go _BLOCK_DRAWS atoms at a time; tiny chunks
+    # put chunk ends inside blocks, on edges and on the table's last atom
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", chunk)
     for name, make, edges in _BLOCK_SUM_CASES:
         m = make()
         if len(m.support) > 200:

@@ -190,9 +190,10 @@ def test_two_sided_walks_with_far_letters_match_literal_fold(lo, seed):
 
 
 @given(st.lists(lattice_laws(), min_size=1, max_size=2), st.sampled_from([1, 3, 40]),
-       st.integers(8193, 20_000), st.integers(0, 6), st.integers(0, 2**32 - 1))
+       st.integers(1, 8000), st.integers(0, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
-def test_walk_blocks_match_literal_fold(laws, replicas, steps, top, seed):
+def test_walk_blocks_match_literal_fold(laws, replicas, extra, top, seed):
+    steps = ms._BLOCK_DRAWS // replicas + extra      # one full block and more
     law = ms.JointMeasure.product((len(laws), 0, 0, 0), laws)
     rng = np.random.default_rng(seed)
     x = rng.integers(0, top + 1, size=(replicas, len(laws))).astype(float)
@@ -215,7 +216,7 @@ def test_walk_blocks_hold_at_most_the_block_budget(monkeypatch, budget, replicas
     for _, y, states in itertools.islice(blocks, 3):
         assert y.shape == states.shape and y.shape[1] == replicas
         assert len(y) * replicas <= ms._BLOCK_DRAWS or len(y) == 1
-        assert len(y) == 8192 or (len(y) + 1) * replicas > ms._BLOCK_DRAWS
+        assert (len(y) + 1) * replicas > ms._BLOCK_DRAWS
 
 
 @pytest.mark.parametrize("law, start", [
@@ -407,6 +408,64 @@ def test_parity_return_times_match_simulation(spec, start, count):
         assert np.array_equal(states, traj.states[times, :spec.r])
 
 
+def xor_parity_returns(spec, start, count, seed):
+    """The first ``count`` times at which the XOR of the increments' parity
+    codes is 0, with the reflected states then, read from the increments of
+    the engine's block stream."""
+    blocks = rc._walk_blocks(spec.law, np.array(start, dtype=float)[None, :],
+                             np.random.default_rng(seed))
+    par, times, states = 0, [], []
+    while len(times) < count:
+        k, y, block = next(blocks)
+        pars = par ^ np.bitwise_xor.accumulate(rc._parity_codes(y[:, 0], spec.r1))
+        hit = np.flatnonzero(pars == 0)[:count - len(times)]
+        times.extend(k + 1 + hit)
+        states.extend(block[hit, 0, :spec.r])
+        par = pars[-1]
+    return np.array(times, dtype=np.int64), np.array(states).reshape(-1, spec.r)
+
+
+@pytest.mark.parametrize("law, start", [
+    (SPEC_12.law, [3.0]),
+    (ms.JointMeasure.finite((2, 0, 0, 0), [((2, 3), .5), ((3, 2), .3), ((1, 1), .2)]),
+     [1.0, 4.0]),
+    (ms.JointMeasure.product((2, 0, 0, 0), [ms.Measure1D.lattice({1: .4, 2: .6}),
+                                            ms.Measure1D.lattice({-1: .5, 3: .5})]),
+     [5.0, 0.0]),
+    (ms.JointMeasure.product((1, 0, 1, 0), [ms.Measure1D.lattice({1: .7, 4: .3}),
+                                            ms.Measure1D.lattice({-1: .5, 1: .5})]),
+     [1.0, 3.0]),
+    (ms.JointMeasure.product((1, 1, 0, 1), [ms.Measure1D.lattice({0: .2, 1: .5, 2: .3}),
+                                            ms.uniform(0, 1), ms.uniform(-1, 1)]),
+     [2.0, 0.5, -1.0]),
+], ids=["finite-odd", "finite-2d", "product-2d", "product-free", "product-continuous"])
+def test_parity_return_times_equal_the_xor_of_codes(law, start):
+    # returns read from the state equal returns of the carried increment code,
+    # over more than one block of draws
+    spec = rc.WalkSpec(law)
+    for seed in range(3):
+        times, states = rc.parity_return_times(spec, start, 20_000, seed)
+        want_times, want_states = xor_parity_returns(spec, start, 20_000, seed)
+        assert times.tolist() == want_times.tolist()
+        assert np.array_equal(states, want_states)
+    assert times[-1] > ms._BLOCK_DRAWS
+
+
+def test_first_hits_budget_and_empty_count():
+    law = ms.JointMeasure.product((1, 0, 1, 0), [ms.Measure1D.lattice({1: .5, 2: .5}),
+                                                 ms.Measure1D.lattice({1: 1.0})])
+    times, states = rc._first_hits(law, np.zeros(2), 0, 0, lambda x: x[:, 0] == 0, 1, "none")
+    assert times.shape == (0,) and times.dtype == np.int64 and states.shape == (0, 2)
+    # the free coordinate never returns: the scan raises once a block starts
+    # at the step budget
+    with pytest.raises(ms.MeasureError, match="no return"):
+        rc._first_hits(law, np.zeros(2), 0, 1, lambda x: x[:, 1] == 0, 3 * ms._BLOCK_DRAWS,
+                       "no return")
+    times, states = rc._first_hits(law, np.zeros(2), 0, 5, lambda x: x[:, 1] % 3 == 0,
+                                   1, "none")
+    assert times.tolist() == [3, 6, 9, 12, 15] and states[:, 1].tolist() == times.tolist()
+
+
 def test_parity_return_requires_lattice_reflection():
     j = ms.JointMeasure.product((0, 1, 0, 0), [ms.uniform(0, 1)])
     with pytest.raises(ms.MeasureError):
@@ -503,6 +562,27 @@ def test_backward_joint_law_matches_conditioned_occupation():
     tv = 0.5 * sum(abs(emp_bw.get(s, 0.0) - emp_occ.get(s, 0.0))
                    for s in states)
     assert tv < 0.05, (tv, emp_bw, emp_occ)
+
+
+@pytest.mark.parametrize("letters", [
+    np.array([[2], [5], [1]]), np.array([[2.5], [0.5], [4.0]]),
+    np.array([[2, 1, 0], [0, 3, 1], [1, 1, 4]]), np.array([[0.5, 2.0, 1.0], [3.0, 0.25, 1.5]]),
+], ids=["int-1d", "float-1d", "int-3d", "float-3d"])
+def test_evaluate_equals_the_literal_fold(letters):
+    w = rc.ContractionWord(letters)
+    r = w.width
+    dtype = letters.dtype if letters.dtype.kind == "f" else np.int64
+    rng = np.random.default_rng(r)
+    shapes = [(), (1,), (4,), (4, 1)] if r == 1 else [(r,), (4, r)]
+    points = [rng.integers(0, 7, size=shape).astype(dtype) for shape in shapes]
+    for x in points + ([3, np.int64(3)] if r == 1 else []):
+        want = np.array(x, dtype=dtype)
+        for row in letters:
+            want = np.abs(want - (row[0] if r == 1 else row))
+        got = w.evaluate(x)
+        assert np.shape(got) == np.shape(x) and np.asarray(got).dtype == dtype
+        assert np.array_equal(got, want)
+        assert np.ndim(x) > 0 or np.isscalar(got)      # a point in, a scalar out
 
 
 def test_single_even_letter_preserves_parity():
@@ -731,6 +811,65 @@ def test_backward_two_dimensional_matches_exact_class_law(law, parity):
     assert set(emp) <= set(exact)
     for x, p in exact.items():
         assert abs(emp.get(x, 0.0) - p) <= 5 * np.sqrt(p * (1 - p) / n), (x, p, emp)
+
+
+def xor_backward_sample(spec, parity, horizon, seed, n_samples):
+    """``backward_sample`` for at most one slot block of samples, one sample
+    and one step at a time, block ends found by carrying the XOR of the
+    letters' parity codes."""
+    r1 = spec.r1
+    rng = np.random.default_rng(seed)
+    moving = rc._moving_law(spec.law, r1)
+    xs = np.arange(max(2, *(int(m.max_support()) for m in spec.reflected_marginals())) + 1)
+    cls, cols = np.array(parity), np.arange(r1)
+    on_class = (xs[:, None] & 1) == cls
+    b = [np.tile(xs[:, None], (1, r1)) for _ in range(n_samples)]
+    par = [0] * n_samples
+    values = np.empty((n_samples, r1))
+    converged = np.zeros(n_samples, dtype=bool)
+    blocks = np.zeros(n_samples, dtype=np.int64)
+    live, step = list(range(n_samples)), 0
+    while live:
+        step += 1
+        done = set()
+        for s, y in zip(live, moving.sample(rng, len(live)).astype(np.int64)):
+            b[s] = b[s][np.abs(xs[:, None] - y), cols]
+            par[s] ^= int(rc._parity_codes(y, r1))
+            top = b[s][cls, cols]
+            if par[s] == 0:
+                blocks[s] += 1
+                coal = bool(((b[s] == top) | ~on_class).all())
+                if coal or blocks[s] == horizon:
+                    values[s], converged[s] = top, coal
+                    done.add(s)
+                    continue
+            if step >= horizon * 64 * 2 ** r1:
+                values[s] = top
+                done.add(s)
+        live = [s for s in live if s not in done]
+    return values, converged, blocks
+
+
+@pytest.mark.parametrize("law, parity, horizon, n", [
+    (SPEC_12.law, [1], 3, 300),
+    (ms.JointMeasure.product((1, 0, 0, 0), [ms.Measure1D.lattice({0: .3, 1: .2, 3: .5})]),
+     [0], 2, 300),
+    (ms.JointMeasure.product((1, 0, 0, 0), [ms.Measure1D.lattice({1: .01, 2: .99})]),
+     [0], 1, 2000),                             # the draw guard fires
+    (ms.JointMeasure.finite((2, 0, 1, 0), [((2, 3, 1), .4), ((3, 2, -1), .3),
+                                           ((0, 0, 2), .1), ((1, 2, 0), .2)]),
+     [1, 0], 4, 300),
+], ids=["fair-odd", "zero-letter", "guard", "finite-2d-free"])
+def test_backward_sample_equals_the_xor_of_codes(law, parity, horizon, n):
+    # block ends read from b[0] equal block ends of the carried increment code
+    spec = rc.WalkSpec(law)
+    for seed in range(3):
+        res = rc.backward_sample(spec, parity, horizon, seed, n_samples=n)
+        values, converged, blocks = xor_backward_sample(spec, parity, horizon, seed, n)
+        assert res.guard_fired == (n == 2000)
+        assert np.array_equal(res.values, values)
+        assert np.array_equal(res.converged, converged)
+        assert np.array_equal(res.blocks_used, blocks)
 
 
 def test_backward_guard_shows_in_result():
