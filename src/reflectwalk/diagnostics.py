@@ -218,9 +218,7 @@ def return_time_stats(spec: WalkSpec, start, window, budget: int,
     their seed when it is an int.
     """
     center, radius = window
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != (spec.r,):
-        raise MeasureError(f"window center must have {spec.r} coordinates")
+    center = measures._coords("window center", center, spec.r)
     if not radius >= 0:
         raise MeasureError(f"window radius must be >= 0, got {radius}")
 
@@ -251,10 +249,10 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
     the free walk started at ``x``.  Exact mode enumerates all increment
     words (finite-support laws) and returns the largest state discrepancy;
     Monte Carlo mode returns ``(tv, se)``, the estimated total-variation
-    distance and its standard error; it draws ``_BLOCK_DRAWS // n`` samples
-    (at least one) per block and merges the blocks' state tables at the end,
-    so it holds ``O(_BLOCK_DRAWS)`` draws plus the tables.  At ``n = 0`` both
-    laws are the point mass at ``|x|``, so the result is 0.
+    distance and its standard error.  Both walk ``_BLOCK_DRAWS // n`` words or
+    samples (at least one) per block and merge the blocks' state tables at
+    the end, holding ``O(_BLOCK_DRAWS)`` steps plus the tables.  At ``n = 0``
+    both laws are the point mass at ``|x|``, so the result is 0.
     """
     if mode not in ("exact_enumeration", "monte_carlo"):
         raise MeasureError(f"unknown mode {mode!r}")
@@ -266,28 +264,30 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
     if not j.is_fully_symmetric():
         raise MeasureError("symmetrization needs a fully symmetric law")
     d = j.dim
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (d,):
-        raise MeasureError(f"start must have {d} coordinates")
+    x = measures._coords("start", x, d)
     if n == 0:
         return 0.0 if mode == "exact_enumeration" else (0.0, 0.0)
+    per = max(1, measures._BLOCK_DRAWS // n)           # words or samples per block
     if mode == "exact_enumeration":
         pts, probs = j.atoms()
-        if len(pts) ** n > 2_000_000:
+        total = len(pts) ** n
+        if total > 2_000_000:
             raise MeasureError("enumeration too large; use monte_carlo mode")
-        words = np.indices((len(pts),) * n, dtype=np.int32).reshape(n, -1)  # [step, word]
-        blocks = [((pts[w] for w in words), np.prod(probs[words], axis=0))]
-    elif mode == "monte_carlo":
-        rng = make_rng(rng)
-        per = max(1, measures._BLOCK_DRAWS // n)           # samples per block
-        blocks = ((j.sample(rng, k * n).reshape(k, n, d).swapaxes(0, 1),
-                   np.full(k, 1.0 / samples))
-                  for k in (min(per, samples - lo) for lo in range(0, samples, per)))
+        place = len(pts) ** np.arange(n - 1, -1, -1)[:, None]    # step i: digit i of a word
+    else:
+        rng, total = make_rng(rng), samples
     # per block, a weighted histogram: reflected mass minus folded free mass per
     # state, rows compared as raw bytes (fast; exact, since states are never
     # -0.0 or NaN); the block tables merge once at the end
     keys, masses = [], []
-    for steps, weights in blocks:
+    for lo in range(0, total, per):
+        k = min(per, total - lo)
+        if mode == "exact_enumeration":
+            words = np.arange(lo, lo + k) // place % len(pts)     # [step, word]
+            steps, weights = pts[words], np.prod(probs[words], axis=0)
+        else:
+            steps = j.sample(rng, k * n).reshape(k, n, d).swapaxes(0, 1)
+            weights = np.full(k, 1.0 / samples)
         refl, free = np.abs(x), x
         for y in steps:
             refl, free = np.abs(refl - y), free + y
@@ -380,9 +380,9 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
     def in_target(x, z):
         return (x == xc).all(axis=-1) & (np.abs(z) <= free_radius).all(axis=-1)
 
+    drift = np.array([spec.law.marginal(r + i).mean() for i in range(s)])
     ev = _run_return_experiment(spec.law, start, in_target, budget, replicas, rng,
                                 record=False)[0]
-    drift = np.array([spec.law.marginal(r + i).mean() for i in range(s)])
     wald = _wald_cycle_check(spec, wald_cycles, drift, rng)
     return ev, wald
 
@@ -451,9 +451,7 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
     errors.
     """
     rng = make_rng(rng)
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if y.shape != (len(factors),):
-        raise MeasureError(f"target must have one coordinate per factor ({len(factors)})")
+    y = measures._coords("target", y, len(factors), np.int64)
     ns = np.asarray(sorted(int(n) for n in n_grid), dtype=np.int64)
     for m in factors:
         if not (m.is_lattice and m.has_atoms and not m.has_analytic_tail):
@@ -542,8 +540,8 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
         raise MeasureError("dimension probe needs a fully symmetric law")
     if j.dims[1] + j.dims[3] > 0:
         raise MeasureError("dimension probe needs lattice coordinates only")
-    if not window_radius >= 0:
-        raise MeasureError(f"window radius must be >= 0, got {window_radius}")
+    if not 0 <= window_radius < math.inf:
+        raise MeasureError(f"window radius must be finite and >= 0, got {window_radius}")
     rng = make_rng(rng)
     if j.is_finite:
         parts = [(j.probs, j.points.astype(np.int64))]
@@ -624,6 +622,7 @@ class SubordinatorSumSampler:
         """``replicas`` independent sums of ``m`` increments (an int, or one
         count per replica)."""
         m = np.broadcast_to(np.asarray(m, dtype=np.int64), (replicas,))
+        _at_least("counts", m.min(initial=0), 0)
         return _fill(replicas, lambda lo, hi: self._row_block_sum(m[lo:hi], rng))
 
     def _row_block_sum(self, m: np.ndarray, rng) -> np.ndarray:

@@ -544,19 +544,19 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
 
     Both processes run ``replicas`` independent trajectories for ``horizon``
     steps under the same budget; visits to the window around 0 are counted in
-    each half of the budget.  Evidence categories: ``transient_evidence``
-    when at least 90% of replicas never visit after a 10% burn-in;
-    ``recurrent_evidence`` when at most half the replicas do that (even null
-    recurrent walks park a fifth of their paths away from 0 on any finite
-    budget, by the arcsine law) and the late half of the budget still
-    collects at least one visit per replica on average; else
+    each half of the budget.  Evidence categories: ``transient_evidence`` by
+    ``diagnostics.categorize`` (at least 90% of replicas never visit after a
+    10% burn-in); ``recurrent_evidence`` when at most half the replicas do
+    that (even null recurrent walks park a fifth of their paths away from 0
+    on any finite budget, by the arcsine law) and the late half of the budget
+    still collects at least one visit per replica on average; else
     ``inconclusive``.  Horizons below 1000 steps are refused.
     """
     if not m.is_symmetric():
         raise MeasureError("law is not symmetric")
     if m.has_atoms and len(m.support) == 1 and m.support[0] == 0:
         raise MeasureError("degenerate law delta_0")
-    from .diagnostics import THRESHOLDS, _run_return_experiment  # it imports exact_1d
+    from .diagnostics import _run_return_experiment  # it imports exact_1d
     rng = make_rng(rng)
     horizon = int(horizon)
     lat = int(m.is_lattice)
@@ -570,12 +570,9 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
                                     in_window, horizon, replicas, rng, record=False)[0]
         counts, escape = ev.return_counts, ev.escape_fraction
         visits = [counts[-2], counts[-1] - counts[-2]]  # first and late half
-        if escape >= THRESHOLDS["escape_fraction_transient"]:
-            cat = "transient_evidence"
-        elif escape <= 0.5 and visits[1] >= replicas:
-            cat = "recurrent_evidence"
-        else:
-            cat = "inconclusive"
+        cat = ("transient_evidence" if ev.category == "transient_evidence" else
+               "recurrent_evidence" if escape <= 0.5 and visits[1] >= replicas else
+               "inconclusive")
         stats.append((cat, visits, escape))
     (fcat, fv, fe), (rcat, rv, re_) = stats
     return SymmetricEquivalenceReport(

@@ -80,6 +80,14 @@ def _at_least(name: str, value, least: int = 1) -> int:
     return value
 
 
+def _coords(name: str, value, d: int, dtype=float) -> np.ndarray:
+    """``value`` as a ``(d,)`` array; any other length raises ``MeasureError``."""
+    out = np.atleast_1d(np.asarray(value, dtype=dtype))
+    if out.shape != (d,):
+        raise MeasureError(f"{name} must have {d} coordinates, got shape {out.shape}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # one-dimensional measures
 # ---------------------------------------------------------------------------
@@ -343,24 +351,23 @@ class Measure1D:
         """Draw from the law using ``rng`` (a ``numpy.random.Generator``).
 
         Draws are made in blocks of ``_BLOCK_DRAWS`` (:func:`_fill`), a
-        sampler called once per block.  An analytic-tail law draws its ``n``
-        uniforms first, inverts them block by block, then draws every tail
-        value in one call, in position order, so its stream is that of one
-        block at any size.
+        sampler called once per block.  An analytic-tail law draws and
+        inverts its uniforms block by block, then draws every tail value in
+        one call, in position order; blocks of uniforms form one stream, so
+        its stream is that of one block at any size.
         """
         rng = make_rng(rng)
         n = 1 if size is None else int(np.prod(size))
         if self._sampler is not None:
             out = _fill(n, lambda lo, hi: self._sampler(rng, hi - lo))
         elif self.has_analytic_tail:
-            u = rng.random(out=_empty((n,)))
             last, tail_at = len(self.support) - 1, []
 
             def invert(lo, hi):
-                block = u[lo:hi]
-                tail_at.append(lo + np.flatnonzero(block >= self._table.cdf[-1]))
-                return self.support[np.minimum(self._table.search(block), last)]
-            out = _fill(n, invert, u.view(np.int64))   # each block read, then overwritten
+                u = rng.random(hi - lo)
+                tail_at.append(lo + np.flatnonzero(u >= self._table.cdf[-1]))
+                return self.support[np.minimum(self._table.search(u), last)]
+            out = _fill(n, invert)
             tail_at = np.concatenate(tail_at)
             if tail_at.size:
                 if self._tail_sampler is None:
@@ -379,21 +386,21 @@ class Measure1D:
     # -- moments ------------------------------------------------------------
 
     def mean(self) -> float:
-        """Signed first moment; honours a declared mean for sampler-backed laws."""
-        if "declared_mean" in self.meta:
+        """Signed first moment; a sampler-backed law has only the mean it declares."""
+        if self.is_lattice and not self.has_atoms:
+            if "declared_mean" not in self.meta:
+                raise MeasureError(f"{self.name or 'sampler-backed law'} declares no mean")
             return float(self.meta["declared_mean"])
-        pos = self.moment(1.0, "positive")
-        neg = self.moment(1.0, "negative")
+        pos, neg = self.moment(1.0, "positive"), self.moment(1.0, "negative")
         if math.isinf(pos) and math.isinf(neg):
             raise MeasureError("mean undefined: both tails have infinite mass")
         return pos - neg
 
     def drift_sign(self) -> int:
         """-1, 0 or 1 as the drift is down, centred or up (:func:`_drift_sign`);
-        a declared mean stands for both drift moments."""
-        if "declared_mean" in self.meta:
-            mean = self.mean()
-            return _drift_sign(max(mean, 0.0), max(-mean, 0.0))
+        a sampler-backed law's declared mean stands for both drift moments."""
+        if self.is_lattice and not self.has_atoms:
+            return _drift_sign(max(self.mean(), 0.0), max(-self.mean(), 0.0))
         return _drift_sign(self.moment(1.0, "positive"), self.moment(1.0, "negative"))
 
     def moment(self, p: float, part: str = "full") -> float:
@@ -740,6 +747,7 @@ class LatticeSumSampler:
     def sample(self, counts, rng) -> np.ndarray:
         """Sum of ``counts[i]`` i.i.d. draws for each row ``i``."""
         counts = np.asarray(counts, dtype=np.int64)
+        _at_least("counts", counts.min(initial=0), 0)
         while int(counts.max(initial=0)) >> len(self._levels):
             self._grow()
         out = np.zeros(len(counts), dtype=np.int64)
@@ -997,12 +1005,12 @@ def wiener_hopf_log_tail(cutoff: int = 1_000_000) -> Measure1D:
 def subordinated(alpha: float) -> Measure1D:
     """Law of one subordinated-walk increment (symmetric, heavy-tailed).
 
-    Sampler-backed: atoms are not tabulated.  Symmetric by construction and
-    centred whenever the first absolute moment is finite (``alpha > 1/2``).
+    Sampler-backed: atoms are not tabulated.  Symmetric by construction; mean 0
+    is declared where ``E|Y|`` is finite (``alpha > 1/2``), none elsewhere.
     """
     return Measure1D.lattice_sampler(
         functools.partial(subordinated_increment_sampler, alpha), symmetric=True,
-        mean=0.0, name=f"subordinated(alpha={alpha})",
+        mean=0.0 if alpha > 0.5 else None, name=f"subordinated(alpha={alpha})",
         meta={"alpha": alpha, "subordinator": SubordinatorAlpha(alpha)})
 
 

@@ -104,9 +104,7 @@ class WalkSpec:
                 raise MeasureError(f"{name}: {message}")
 
     def check_start(self, start) -> np.ndarray:
-        start = np.atleast_1d(np.asarray(start, dtype=float))
-        if start.shape != (self.dim,):
-            raise MeasureError(f"start must have {self.dim} coordinates")
+        start = measures._coords("start", start, self.dim)
         if np.any(start[:self.r] < 0):
             raise MeasureError("reflected coordinates must start >= 0")
         if any(start[i] != round(start[i]) for i in self.law.lattice_coords()):
@@ -538,16 +536,13 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
                            "exists for continuous coordinates)")
     _require_positive_recurrent(spec)
     rng = make_rng(rng)
-    parity = tuple(int(p) & 1 for p in np.atleast_1d(parity))
-    if len(parity) != r1:
-        raise MeasureError(f"parity vector needs {r1} entries")
+    cls, cols = measures._coords("parity", parity, r1, np.int64) & 1, np.arange(r1)
     marginals = spec.reflected_marginals()
     if any(m.min_support() < 0 or not math.isfinite(m.max_support()) for m in marginals):
         raise MeasureError("backward sampling needs nonnegative bounded supports: "
                            "no window is closed under this walk, so no sample "
                            "could be certified")
     xs = np.arange(max(2, *(int(m.max_support()) for m in marginals)) + 1)[:, None]
-    cls, cols = np.array(parity), np.arange(r1)     # b[:, cls, cols]: least class points
     off_class = (xs & 1) != cls
     cap = max(1, measures._BLOCK_DRAWS // (len(xs) * r1))   # samples walked at once
     fresh = np.broadcast_to(xs.astype(np.int32), (cap, len(xs), r1))   # b at time 0
@@ -583,7 +578,7 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
             at = live[end]
             blocks_used[at] += 1
             b_end = b[end]
-            top = b_end[:, cls, cols]
+            top = b_end[:, cls, cols]                # the least class points
             coal = ((b_end == top[:, None, :]) | off_class).all(axis=(1, 2))
             stop = coal | (blocks_used[at] == horizon)
             values[at[stop]], converged[at[stop]] = top[stop], coal[stop]
@@ -596,7 +591,7 @@ def backward_sample(spec: WalkSpec, parity, horizon: int, rng,
         if done.any():
             live, b, born = live[~done], b[~done], born[~done]
     return BackwardResult(values=values, converged=converged, blocks_used=blocks_used,
-                          parity=parity, guard_fired=guard_fired)
+                          parity=tuple(cls.tolist()), guard_fired=guard_fired)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,31 @@ def test_symmetrization_holds_the_block_budget(monkeypatch, traced_peak, budget)
     assert peak <= 16 * 8 * ms._BLOCK_DRAWS
 
 
+def test_exact_symmetrization_holds_the_block_budget(traced_peak):
+    # 2^20 words of 20 steps, enumerated _BLOCK_DRAWS // 20 at a time
+    j = ms.JointMeasure.product((0, 0, 1, 0), [PM1])
+    d, peak = traced_peak(lambda: dg.symmetrization_check(j, [1.0], 20, "exact_enumeration"))
+    assert d < 1e-12
+    assert peak <= 16 * 8 * ms._BLOCK_DRAWS
+
+
+def test_exact_symmetrization_blocks_merge_to_the_one_block_discrepancy(monkeypatch):
+    # one block's table alone is far from zero (its words' reflected and free
+    # states differ); only the merged tables of all blocks cancel
+    pm2 = ms.Measure1D.lattice({-2: .25, -1: .25, 1: .25, 2: .25})
+    j = ms.JointMeasure.product((0, 0, 2, 0), [PM1, pm2])
+    d = dg.symmetrization_check(j, [1.0, 2.0], 5, "exact_enumeration")
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 64)        # 12 words per block
+    d_blocks = dg.symmetrization_check(j, [1.0, 2.0], 5, "exact_enumeration")
+    assert d < 1e-12 and d_blocks == pytest.approx(d, abs=1e-15)
+
+
+def test_exact_symmetrization_of_the_point_mass_at_long_horizons():
+    # one word of 100 steps: more digits than an array has dimensions
+    j = ms.JointMeasure.product((0, 0, 1, 0), [ms.Measure1D.lattice({0: 1.0})])
+    assert dg.symmetrization_check(j, [1.0], 100, "exact_enumeration") == 0.0
+
+
 def test_symmetrization_rejects_asymmetric():
     j = ms.JointMeasure.finite((0, 0, 2, 0), [((-1, 1), 0.5), ((1, -1), 0.5)])
     with pytest.raises(ms.MeasureError):
@@ -596,6 +621,11 @@ BAD_SIZES = {   # name: (the size the message names, the call)
         spec_of(M12), [0], [1], -1, 1)),
     "witness_range": ("verified_range", lambda: ls.constant_map_witness(
         M12, verified_range=-1)),
+    # two's-complement bits of a negative count would select every level
+    "lattice_sum_counts": ("counts", lambda: ms.LatticeSumSampler(PM1).sample(
+        [-1, -3, 2], np.random.default_rng(1))),
+    "subordinator_sum_counts": ("counts", lambda: dg.SubordinatorSumSampler(0.6).sample_sum(
+        -5, 3, np.random.default_rng(1))),
 }
 
 
@@ -628,6 +658,12 @@ BAD_INPUTS = {   # name: (words of the message, the call); none may broadcast
                                           2000, 2, 1, wald_cycles=2))),
     "dimension_radius": ("radius", lambda: dg.dimension_transience_probe(
         PLANE, 10_000, 4, 1, window_radius=-1)),
+    "dimension_radius_infinite": ("radius", lambda: dg.dimension_transience_probe(
+        PLANE, 10_000, 4, 1, window_radius=math.inf)),
+    # E|Y| is infinite for alpha <= 1/2, so the Wald identity has no drift to check
+    "free_experiment_no_mean": ("mean", lambda: dg.reflected_plus_free_experiment(
+        spec_of(M12, ms.subordinated(0.3), dims=(1, 0, 1, 0)), 2000, 4, 1,
+        wald_cycles=2000)),
 }
 
 

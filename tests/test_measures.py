@@ -105,8 +105,18 @@ def test_drift_sign_is_the_relative_centring_rule():
     # mean -5e-10 is a drift, 1e-12 relative to max(1, E(Y+)) is not
     assert lattice({-1: .5 + 2.5e-10, 1: .5 - 2.5e-10}).drift_sign() == -1
     assert lattice({-100: .5 + 2.5e-14, 100: .5 - 2.5e-14}).drift_sign() == 0
-    assert ms.subordinated(0.5).drift_sign() == 0          # declared mean
+    assert ms.subordinated(0.7).drift_sign() == 0          # declared mean
+    with pytest.raises(ms.MeasureError, match="mean"):     # E|Y| infinite: none declared
+        ms.subordinated(0.5).drift_sign()
     assert ms.wiener_hopf_log_tail(1000).drift_sign() == 1
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5])
+def test_subordinated_declares_no_mean_where_none_exists(alpha):
+    # E|S_T| < inf iff E sqrt(T) < inf iff alpha > 1/2
+    with pytest.raises(ms.MeasureError, match="declares no mean"):
+        ms.subordinated(alpha).mean()
+    assert ms.subordinated(0.5 + 1e-9).mean() == 0.0
 
 
 def test_non_integer_lattice_atoms_raise():
@@ -987,9 +997,9 @@ def test_bulk_results_are_private_mappings_beside_one_block(monkeypatch, traced_
     assert peak <= 16 * 8 * ms._BLOCK_DRAWS
 
 
-def test_tailed_draws_invert_their_uniforms_in_place(traced_peak):
-    # the n uniforms are the result's buffer: the call holds neither beside
-    # its blocks and its one tail draw (about 2% of the draws here)
+def test_tailed_draws_hold_their_result_plus_one_block(traced_peak):
+    # uniforms are drawn and inverted one block at a time: the call holds its
+    # result, one block and its one tail draw (about 2% of the draws here)
     law = ms.wiener_hopf_log_tail(10 ** 5)
     law.sample(np.random.default_rng(0), 10)                # builds the tables
     out, peak = traced_peak(lambda: law.sample(np.random.default_rng(101), 10 ** 6))
