@@ -155,6 +155,24 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
 # occupation vs invariant law
 # ---------------------------------------------------------------------------
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` for the distinct rows of a 2-D numeric array.
+
+    Rows are grouped by one stable sort of their columns (``np.lexsort``, or
+    a plain sort of a single column): ``first[g]`` is the index of the first
+    row of group ``g``, groups in sorted order, and ``inverse[i]`` is row
+    ``i``'s group.
+    """
+    order = (np.argsort(rows[:, 0], kind="stable") if rows.shape[1] == 1
+             else np.lexsort(rows.T))
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def occupation_vs_invariant(spec: WalkSpec, exact, steps: int, burn_in: int,
                             rng) -> tuple[float, dict]:
     """Total-variation distance of the empirical occupation law to ``exact``.
@@ -185,12 +203,10 @@ def occupation_vs_invariant(spec: WalkSpec, exact, steps: int, burn_in: int,
     kept = 0
     for done, _, block in _walk_blocks(spec.law, np.zeros((1, r)), rng, steps):
         post = block[max(0, burn_in - done):, 0]
-        # distinct states in order of first visit, with their visit counts; rows
-        # compare as raw bytes (fast), exact since states are never -0.0 or NaN
-        rows = np.ascontiguousarray(post).view(np.dtype((np.void, post.itemsize * r)))
-        _, first, counts = np.unique(rows.ravel(), return_index=True, return_counts=True)
+        # distinct states in order of first visit, with their visit counts
+        first, inverse = _unique_rows(post)
         order = np.argsort(first)
-        for row, c in zip(post[first[order]], counts[order].tolist()):
+        for row, c in zip(post[first[order]], np.bincount(inverse)[order].tolist()):
             key = tuple(int(v) if v == int(v) else round(v, 9) for v in row)
             occ[key] = occ.get(key, 0) + c
             if key in ref:
@@ -277,8 +293,7 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
     else:
         rng, total = make_rng(rng), samples
     # per block, a weighted histogram: reflected mass minus folded free mass per
-    # state, rows compared as raw bytes (fast; exact, since states are never
-    # -0.0 or NaN); the block tables merge once at the end
+    # state; the block tables merge once at the end
     keys, masses = [], []
     for lo in range(0, total, per):
         k = min(per, total - lo)
@@ -292,11 +307,10 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
         for y in steps:
             refl, free = np.abs(refl - y), free + y
         rows = np.round(np.concatenate([refl, np.abs(free)]), 9)
-        key, state = np.unique(rows.view(np.dtype((np.void, rows.itemsize * d))).ravel(),
-                               return_inverse=True)
-        keys.append(key)
+        first, state = _unique_rows(rows)
+        keys.append(rows[first])
         masses.append(np.bincount(state, np.concatenate([weights, -weights])))
-    _, state = np.unique(np.concatenate(keys), return_inverse=True)
+    _, state = _unique_rows(np.concatenate(keys))
     diff = np.abs(np.bincount(state, np.concatenate(masses)))
     if mode == "exact_enumeration":
         return float(diff.max())
@@ -524,17 +538,18 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
     behaves like ``1 - log b / log B``), so a 10% burn-in would label them
     escaping and erase the dimension contrast the probe exists to show.
 
-    The walk skips ahead exactly.  The sup distance ``D`` moves by at most
-    ``reach = max |y|`` per step, so a replica at ``D`` whose next
-    ``(D - lim) // reach`` positions all stay at or beyond
-    ``lim = max(floor(r) + 1, running minimum)`` can neither enter the window
-    nor lower its minimum there: it jumps over them and the next step in one
-    draw, observed at the end.  A jump of ``k`` steps is the exact law of ``k``
-    increments, ``multinomial(k, probs) @ atoms`` (once per factor of a
-    product law, once for a finite joint law); the burn-in is one jump and no
-    jump runs past the budget.  ``jumps`` counts the replica jumps drawn,
-    against ``budget * replicas`` single steps.  Laws with unbounded support,
-    and budgets that do not exceed the burn-in, are refused.
+    The walk skips ahead exactly.  Only a position below the running minimum
+    changes the reported minima, and the escape fraction is read from them.
+    The sup distance ``D`` moves by at most ``reach = max |y|`` per step, so
+    the next ``(D - minimum) // reach`` positions of a replica at ``D`` all
+    stay at or beyond its minimum: it jumps over them and the next step in
+    one draw, observed at the end.  A replica whose minimum reaches 0 is
+    done.  A jump of ``k`` steps is the exact law of ``k`` increments,
+    ``multinomial(k, probs) @ atoms`` (once per factor of a product law, once
+    for a finite joint law); the burn-in is one jump and no jump runs past
+    the budget.  ``jumps`` counts the replica jumps drawn, against
+    ``budget * replicas`` single steps.  Laws with unbounded support, and
+    budgets that do not exceed the burn-in, are refused.
     """
     if not j.is_fully_symmetric():
         raise MeasureError("dimension probe needs a fully symmetric law")
@@ -560,7 +575,6 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
             else _at_least("burn_in", burn_in, 0))
     budget = _at_least("budget", budget, burn + 1)   # steps observed after the burn-in
     replicas = _at_least("replicas", replicas)
-    free = math.floor(window_radius) + 1       # the least distance outside the window
     mindist = np.full(replicas, np.inf)
     live = np.arange(replicas)
     pos = jump(np.full(live.size, burn))
@@ -568,15 +582,15 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
     dist = np.abs(pos).max(axis=1, initial=0)
     jumps = live.size if burn > 0 else 0
     while live.size:
+        low = mindist[live]
         # an infinite minimum (nothing observed yet) allows one step
-        lim = np.maximum(free, mindist[live])
-        k = np.minimum(np.maximum(dist - lim, 0) // reach + 1, budget - t).astype(np.int64)
+        k = np.minimum(np.maximum(dist - low, 0) // reach + 1, budget - t).astype(np.int64)
         pos += jump(k)
         t += k
         jumps += live.size
         dist = np.abs(pos).max(axis=1)
-        mindist[live] = np.minimum(mindist[live], dist)
-        going = t < budget
+        mindist[live] = low = np.minimum(low, dist)
+        going = (t < budget) & (low > 0)
         live, pos, t, dist = live[going], pos[going], t[going], dist[going]
     return {
         "dimension": j.dim,

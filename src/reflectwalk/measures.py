@@ -843,12 +843,20 @@ class SubordinatorAlpha:
     """The heavy-tailed renewal-time law driving subordinated walks.
 
     ``pmf(k) = alpha Gamma(k - alpha) / (k! Gamma(1 - alpha))`` for ``k >= 1``
-    (Sibuya's law), a Beta-mixed geometric: ``P[T > k] = E (1 - B)^k`` with
-    ``B ~ Beta(alpha, 1 - alpha)``, and given ``T > h``, ``T - h`` is
-    geometric given ``B' ~ Beta(alpha, 1 - alpha + h)``.  So every draw is
-    exact: one Beta and one geometric draw.  ``B`` is floored at ``1 / CAP``
-    (a Beta draw can be 0.0) and draws are clipped at ``CAP`` to keep
-    downstream integer arithmetic exact; the affected mass is of order
+    (Sibuya's law), with ``tail(k) = P[T > k] = Gamma(k + 1 - alpha) /
+    (k! Gamma(1 - alpha))``.  A draw conditioned on ``T > h`` inverts the tail
+    at one uniform ``V`` on ``(0, 1]``: ``T = min{k > h : tail(k) <= V tail(h)}``.
+    Gautschi's inequality, ``(k + 1)^(-alpha) < Gamma(1 - alpha) tail(k) <
+    k^(-alpha)`` for ``k >= 1``, puts ``T`` at ``floor(x)`` or ``floor(x) + 1``
+    for ``x = (V tail(h) Gamma(1 - alpha))^(-1/alpha)``, and one comparison of
+    log tails picks between them (below ``k = 16`` from a 16-entry table of
+    ``sum_j log(1 - alpha / j)``, beyond from Stirling's series).  Each value
+    of ``x`` where ``T`` steps lies strictly between two integers (near
+    ``k + (1 - alpha) / 2`` for large ``k``), so the rounding of ``x`` does
+    not move the pick: draws are exact for ``T`` below 2^40 (checked at 50
+    digits), and beyond within the rounding of ``x``.  Draws are floored at
+    ``h + 1`` and clipped at ``CAP`` after the comparison, to keep downstream
+    integer arithmetic exact; the affected mass is of order
     ``CAP^(-alpha) = 2^(-62 alpha)`` per draw (2.5e-6 at ``alpha = 0.3``).
     The clip sits far beyond any reachable walk scale: clipping inside that
     range would give the increments finite variance and turn a transient
@@ -868,41 +876,57 @@ class SubordinatorAlpha:
     def tail(self, k):
         return subordinator_tail(self.alpha, k)
 
-    def _mixing(self, rng, size, threshold: int = 0) -> np.ndarray:
-        """Success probabilities ``B ~ Beta(alpha, 1 - alpha + threshold)``."""
-        b = rng.beta(self.alpha, 1.0 - self.alpha + threshold, int(size))
-        return np.maximum(b, 1.0 / self.CAP)
-
     def sample(self, rng, size) -> np.ndarray:
         """Exact tau_alpha increments: :meth:`conditional_tail_sample` at 0."""
         return self.conditional_tail_sample(rng, size, 0)
 
     def conditional_tail_sample(self, rng, size, threshold: int) -> np.ndarray:
-        """Draw ``T`` conditioned on ``T > threshold``, exactly: per block of
-        ``_BLOCK_DRAWS``, the Beta draws and then the geometric ones."""
+        """Draw ``T`` conditioned on ``T > threshold``, exactly: one uniform
+        per draw, ``_BLOCK_DRAWS`` at a time."""
         rng = make_rng(rng)
-        h = int(threshold)
-        return _fill(int(size), lambda lo, hi: h + np.minimum(
-            rng.geometric(self._mixing(rng, hi - lo, h)), self.CAP - h))
+        a, h = self.alpha, int(threshold)
+        head = np.append(0.0, np.cumsum(np.log1p(-a / np.arange(1, 16))))
+
+        def log_tails(k):                 # log tail(k) for int64 k >= 0
+            out = _log_tail(a, np.maximum(k, 15))
+            small = np.flatnonzero(k < 16)
+            out[small] = head[k[small]]
+            return out
+
+        log_h = log_tails(np.array([h]))[0]
+        shift = log_h + math.lgamma(1.0 - a)
+
+        def draw(lo, hi):
+            log_w = np.log1p(-rng.random(hi - lo))           # log V, V = 1 - U
+            x = np.exp(np.minimum((log_w + shift) / -a, math.log(self.CAP)))
+            log_w += log_h                                    # log (V tail(h))
+            t = x.astype(np.int64)                            # floor(x)
+            t += log_tails(t) > log_w                         # tail(t) > V tail(h)
+            np.maximum(t, h + 1, out=t)
+            return np.minimum(t, self.CAP, out=t)
+
+        return _fill(int(size), draw)
 
 
 def subordinated_increment_sampler(alpha: float, rng, size=None):
     """One increment ``S_T`` of the subordinated +-1 walk, drawn without ``T``.
 
-    Given the mixing variable ``B`` of :class:`SubordinatorAlpha`, ``S_T`` has
-    pgf ``B phi / (1 - (1 - B) phi)``, ``phi`` the pgf of one fair step.  That
+    tau_alpha is a Beta-mixed geometric, ``P[T > k] = E (1 - B)^k`` with
+    ``B ~ Beta(alpha, 1 - alpha)``.  Given ``B``, ``S_T`` has pgf
+    ``B phi / (1 - (1 - B) phi)``, ``phi`` the pgf of one fair step.  That
     is ``phi`` times the pgf of ``G - G'`` for ``G, G'`` i.i.d. geometric on
     ``{0, 1, ...}`` with success probability ``p = (B + r) / (1 + r)``,
     ``r = sqrt(B (2 - B))``: one fair step plus ``G - G'``, where
     ``|G - G'| = floor(log(U (1 + q) / 2) / log q)``, ``U`` uniform on ``(0, 1]``,
     inverts ``P(|G - G'| >= k) = 2 q^k / (1 + q)`` (``k >= 1``, ``q = 1 - p``);
-    one draw in ``{0, 1, 2, 3}`` gives the step and the sign.  The floor
-    ``B >= 1 / CAP`` keeps ``p > 2^-31``, so ``|G - G'|`` stays far inside int64.
+    one draw in ``{0, 1, 2, 3}`` gives the step and the sign.  ``B`` is floored
+    at ``1 / CAP`` (a Beta draw can be 0.0), which keeps ``p > 2^-31``, so
+    ``|G - G'|`` stays far inside int64.
     """
     rng = make_rng(rng)
     scalar = size is None
     n = 1 if scalar else int(np.prod(size))
-    p = SubordinatorAlpha(alpha)._mixing(rng, n)        # B, until p replaces it
+    p = np.maximum(rng.beta(alpha, 1.0 - alpha, n), 1.0 / SubordinatorAlpha.CAP)
     r = np.sqrt(p * (2.0 - p))
     p = (p + r) / (r + 1.0)
     k = np.log((1.0 - rng.random(n)) * (1.0 - 0.5 * p))     # log(U (1 + q) / 2)
@@ -1088,9 +1112,10 @@ class JointMeasure:
     @classmethod
     def finite(cls, dims, atoms) -> "JointMeasure":
         """Finite-support joint law from ``[(point, prob)]`` pairs."""
-        pts = np.array([np.atleast_1d(np.asarray(p, dtype=float)) for p, _ in atoms])
+        dims = tuple(int(d) for d in dims)
+        pts = np.array([_coords("support point", p, sum(dims)) for p, _ in atoms])
         probs = np.array([float(w) for _, w in atoms])
-        return cls(tuple(int(d) for d in dims), points=pts, probs=probs)
+        return cls(dims, points=pts, probs=probs)
 
     @classmethod
     def product(cls, dims, factors: Sequence[Measure1D]) -> "JointMeasure":

@@ -61,3 +61,25 @@ def test_summary_refuses_unpaired_values():
         bp.summarize([1.0, 2.0], [1.0], "lower", 0.1)
     with pytest.raises(ValueError):
         bp.summarize([], [], "lower", 0.1)
+
+
+def test_per_job_rows_read_memory_once_and_time_the_warm_rounds(monkeypatch):
+    # a fake clock: each job moves it by its next duration, the warm-up first
+    clock = [0.0]
+    durations = {"a": [9.0, 1.0, 3.0, 2.0], "b": [7.0, 4.0, 6.0, 5.0]}
+    calls = {"a": 0, "b": 0}
+
+    def job(name, fail=False):
+        def run():
+            clock[0] += durations[name][calls[name]]
+            calls[name] += 1
+            if fail:
+                raise RuntimeError("refused")
+        return run
+
+    monkeypatch.setattr(bp.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(bp, "_rss_mb", lambda: (10.0 + clock[0], 20.0 + clock[0]))
+    rows = bp.time_jobs([("a", job("a")), ("b", job("b", fail=True))], rounds=3)
+    assert calls == {"a": 4, "b": 4}
+    # memory after each job of the warm-up round; the median of the timed rounds
+    assert rows == [["a", 19.0, 29.0, 2.0], ["b (raised RuntimeError)", 26.0, 36.0, 5.0]]

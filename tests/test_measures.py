@@ -98,6 +98,16 @@ def test_nan_joint_probabilities_raise():
         ms.JointMeasure.finite((0, 0, 2, 0), [((1, 2), .5), ((2, 1), float("inf"))])
 
 
+def test_joint_finite_points_of_unequal_length_raise():
+    # each point is checked on its own, before numpy sees a ragged list
+    with pytest.raises(ms.MeasureError, match="support point must have 2 coordinates"):
+        ms.JointMeasure.finite((0, 0, 2, 0), [((1, 2), .5), ((1,), .5)])
+    with pytest.raises(ms.MeasureError, match="support point must have 2 coordinates"):
+        ms.JointMeasure.finite((0, 0, 2, 0), [((1, 2, 3), .5), ((1, 2, 3), .5)])
+    with pytest.raises(ms.MeasureError, match="support point must have 1 coordinates"):
+        ms.joint_from_config({"dims": [1, 0, 0, 0], "atoms": [[[1], .5], [[1, 2], .5]]})
+
+
 def test_drift_sign_is_the_relative_centring_rule():
     assert lattice({-1: .5, 1: .5}).drift_sign() == 0
     assert lattice({-1: .4, 1: .6}).drift_sign() == 1
@@ -712,6 +722,58 @@ def test_tau_conditional_tail_sample_matches_tail_ratio(alpha):
     base = ms.subordinator_tail(alpha, h)
     for k in (h + 1, 2 * h, 1 << 16, 1 << 24, 1 << 40):
         _within_5se(np.count_nonzero(t > k), n, ms.subordinator_tail(alpha, k) / base, k)
+
+
+class _FixedUniforms(np.random.Generator):
+    """A generator whose ``random`` draws are ``u``, in order: fixes the uniforms."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u, self.at = np.asarray(u, dtype=float), 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        got = self.u[self.at:self.at + size]
+        self.at += size
+        return got.copy()
+
+
+@pytest.mark.parametrize("h", [0, 4096, 1 << 20])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95])
+def test_tau_inversion_is_exact_at_chosen_uniforms(alpha, h):
+    # T = min{k > h : tail(k) <= V tail(h)} for V = 1 - U, checked at 50 digits
+    # where T < 2^40.  The uniforms put x = (V tail(h) Gamma(1 - alpha))^(-1/alpha)
+    # 1e-12 from an integer or on it (within about 1e-11 for x below 5000; the
+    # rounding of U moves a larger x further); put V at 1 - alpha (= tail(1),
+    # the step from T = 1 to 2 at h = 0), 1e-12 either side of the step from
+    # T = h + 1 to h + 2, and at 2^-53, whose x lies beyond CAP when h > 0 or
+    # alpha < 0.95.
+    mp = pytest.importorskip("mpmath")
+    cap = ms.SubordinatorAlpha.CAP
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+
+        def tail(k):
+            return mp.exp(_mp_log_tail(mp, alpha, k))
+
+        scale = tail(h) * mp.gamma(1 - a)
+        u = [alpha, alpha / (h + 1) - 1e-12, alpha / (h + 1) + 1e-12, 1 - 2.0 ** -53, 0.0]
+        for n in (h + 1, h + 2, h + 3, h + 17, 2 * h + 5, 1 << 30, (1 << 40) - 1):
+            for off in (-1e-12, 0, 1e-12):
+                v = (n + off) ** -a / scale
+                if v <= 1:
+                    u.append(float(1 - v))
+        u += np.random.default_rng(int(alpha * 100) + h).random(200).tolist()
+        t = ms.SubordinatorAlpha(alpha).conditional_tail_sample(_FixedUniforms(u), len(u), h)
+        assert t.dtype == np.int64 and np.all((h < t) & (t <= cap))
+        for ui, ti in zip(u, t.tolist()):
+            w = (1 - mp.mpf(ui)) * tail(h)
+            if ti < 1 << 40:           # the slack absorbs mpmath's rounding at V = tail(1)
+                assert tail(ti) <= w * (1 + mp.mpf(10) ** -40), (ui, ti)
+                assert ti - 1 == h or w < tail(ti - 1), (ui, ti)
+            elif tail(cap) > w:
+                assert ti == cap, (ui, ti)
+    if h > 0 or alpha < 0.95:
+        assert t[3] == cap
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])

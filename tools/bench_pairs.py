@@ -22,10 +22,11 @@ the change's wins and ties, and three verdicts:
 * ``steady``: on each side the interquartile range is at most that bound;
   runs that spread wider cannot tell a change of the bound's size.
 
-``--per-job`` instead runs one round of one workload in a fresh process per
-tree and prints the current and peak resident memory after set-up and after
-each job; it imports ``perfbench/workloads.py`` of each tree and changes
-nothing there.
+``--per-job`` instead runs one workload in a fresh process per tree: one
+warm-up round, which reads the current and peak resident memory after set-up
+and after each job, then ``WARM_ROUNDS`` timed rounds, and prints beside the
+memory each job's median seconds over the timed rounds.  It imports
+``perfbench/workloads.py`` of each tree and changes nothing there.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("lattice_walks", "heavy_tails", "exact_analysis")
+WARM_ROUNDS = 5          # timed rounds of --per-job, after its warm-up round
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +155,37 @@ def _rss_mb() -> tuple[float, float]:
     return current, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
+def time_jobs(jobs, rounds: int = WARM_ROUNDS) -> list:
+    """``[name, current MB, peak MB, median s]`` per ``(name, job)`` pair.
+
+    One warm-up round reads the memory after each job; ``rounds`` more
+    rounds time the jobs, in the same order.  A job that raises is timed all
+    the same, and its name says what it raised.
+    """
+    rows, times = [], [[] for _ in jobs]
+    for r in range(rounds + 1):
+        for i, (name, job) in enumerate(jobs):
+            t0 = time.perf_counter()
+            try:
+                job()
+                raised = ""
+            except Exception as e:       # a failing job still shows its memory
+                raised = f" (raised {type(e).__name__})"
+            if r:
+                times[i].append(time.perf_counter() - t0)
+            else:
+                rows.append([name + raised, *_rss_mb()])
+    return [row + [statistics.median(t)] for row, t in zip(rows, times)]
+
+
 def probe_jobs(tree: Path, workload: str, seed: int) -> None:
-    """In this process: one round of ``workload``, one JSON line per job."""
+    """In this process: :func:`time_jobs` on ``workload``, one JSON line per job."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
     jobs = [(s["name"], workloads.build(s)) for s in workloads.generate(workload, seed)]
     print(json.dumps(["set-up", *_rss_mb(), 0.0]), flush=True)
-    for name, job in jobs:
-        t0 = time.perf_counter()
-        try:
-            job()
-        except Exception as e:       # a failing job still shows its memory
-            name = f"{name} (raised {type(e).__name__})"
-        print(json.dumps([name, *_rss_mb(), time.perf_counter() - t0]), flush=True)
+    for row in time_jobs(jobs):
+        print(json.dumps(row), flush=True)
 
 
 def per_job(trees: dict, workload: str, seed: int) -> None:
@@ -175,7 +195,8 @@ def per_job(trees: dict, workload: str, seed: int) -> None:
                               str(tree), "--workload", workload, "--seed", str(seed)],
                              capture_output=True, text=True, check=True)
         rows[side] = [json.loads(line) for line in out.stdout.splitlines()]
-    print(f"{workload} seed {seed}: current / peak RSS (MB) after each job, job seconds")
+    print(f"{workload} seed {seed}: current / peak RSS (MB) after each job of the "
+          f"warm-up round, median job seconds over {WARM_ROUNDS} more rounds")
     print(f"{'job':42s} {'base cur':>9s} {'peak':>7s} {'s':>6s}  {'change cur':>10s} "
           f"{'peak':>7s} {'s':>6s}")
     for b, h in zip(rows["base"], rows["change"]):
