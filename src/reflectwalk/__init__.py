@@ -27,7 +27,6 @@ from .measures import (
     joint_from_config,
     measure_from_config,
     subordinated,
-    subordinated_increment_sampler,
     subordinator_pmf,
     subordinator_tail,
     uniform,

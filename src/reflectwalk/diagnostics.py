@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .measures import (JointMeasure, LatticeSumSampler, Measure1D, MeasureError,
-                       SubordinatorAlpha, _at_least, _fill, subordinator_tail)
+                       SubordinatorAlpha, _at_least, subordinated)
 from . import measures
 from .reflect_core import WalkSpec, _first_hits, _walk_blocks
 from .exact_1d import InvariantMeasure1D
@@ -468,7 +468,7 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
     y = measures._coords("target", y, len(factors), np.int64)
     ns = np.asarray(sorted(int(n) for n in n_grid), dtype=np.int64)
     for m in factors:
-        if not (m.is_lattice and m.has_atoms and not m.has_analytic_tail):
+        if not (m.is_lattice and not m.has_analytic_tail):
             raise MeasureError("probe needs finite lattice laws")
         if m.drift_sign() != 0:
             raise MeasureError("probe needs centred laws")
@@ -504,7 +504,7 @@ def _factor_return_indicators(m: Optional[Measure1D], y: int, ns: np.ndarray,
 
     ``jumps`` is ``None`` for the reflected walk of ``m``; otherwise ``m`` is
     unread and the folded free walk jumps once per grid gap by
-    ``jumps.sample(counts, rng)`` (a lattice or subordinator sum sampler).
+    ``jumps.sample(counts, rng)`` (a :class:`LatticeSumSampler`).
     """
     if jumps is not None:
         s = np.zeros(replicas, dtype=np.int64)
@@ -545,8 +545,9 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
     stay at or beyond its minimum: it jumps over them and the next step in
     one draw, observed at the end.  A replica whose minimum reaches 0 is
     done.  A jump of ``k`` steps is the exact law of ``k`` increments,
-    ``multinomial(k, probs) @ atoms`` (once per factor of a product law, once
-    for a finite joint law); the burn-in is one jump and no jump runs past
+    ``multinomial(k, probs) @ atoms``: one call for a finite joint law, and
+    one per distinct factor of a product law, its counts broadcast over the
+    coordinates that share it; the burn-in is one jump and no jump runs past
     the budget.  ``jumps`` counts the replica jumps drawn, against
     ``budget * replicas`` single steps.  Laws with unbounded support, and
     budgets that do not exceed the burn-in, are refused.
@@ -559,16 +560,22 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
         raise MeasureError(f"window radius must be finite and >= 0, got {window_radius}")
     rng = make_rng(rng)
     if j.is_finite:
-        parts = [(j.probs, j.points.astype(np.int64))]
-    elif all(f.has_atoms and not f.has_analytic_tail for f in j.factors):
-        eye = np.eye(j.dim, dtype=np.int64)
-        parts = [(f.probs, f.support[:, None] * eye[i]) for i, f in enumerate(j.factors)]
+        parts = [(j.probs, j.points.astype(np.int64), slice(None))]
+    elif all(f.is_lattice and not f.has_analytic_tail for f in j.factors):
+        groups = {}                     # coordinates that share a factor law
+        for i, f in enumerate(j.factors):
+            groups.setdefault((f.support.tobytes(), f.probs.tobytes()), (f, []))[1].append(i)
+        parts = [(f.probs, f.support, cols) for f, cols in groups.values()]
     else:
         raise MeasureError("dimension probe needs laws with bounded support")
-    reach = max(1, max(int(np.abs(atoms).max()) for _, atoms in parts))
+    reach = max(1, max(int(np.abs(atoms).max()) for _, atoms, _ in parts))
 
     def jump(k):
-        return sum(rng.multinomial(k, probs) @ atoms for probs, atoms in parts)
+        out = np.empty((len(k), j.dim), dtype=np.int64)
+        for probs, atoms, cols in parts:
+            counts = k if atoms.ndim == 2 else np.broadcast_to(k[:, None], (len(k), len(cols)))
+            out[:, cols] = rng.multinomial(counts, probs) @ atoms
+        return out
 
     budget = int(budget)
     burn = (max(1000, budget // 1000) if burn_in is None
@@ -608,60 +615,24 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
 # subordinated walks: exact hierarchical sum sampling and the exponent probe
 # ---------------------------------------------------------------------------
 
-class SubordinatorSumSampler:
-    """Exact sampler of sums of many tau_alpha increments.
-
-    Splits each increment at ``HEAD_CUT``: the number of large increments in
-    a sum of ``m`` is binomial, large values come from the exact conditional
-    tail (:meth:`SubordinatorAlpha.conditional_tail_sample`), and the sum of
-    the bounded remainder comes from a :class:`LatticeSumSampler` of the head
-    law.  This gives per-replica exact samples of a sum of ``2^15``
-    heavy-tailed variables in a handful of vectorized operations.  Rows are
-    summed ``_BLOCK_DRAWS`` at a time and each row block's tail values are
-    drawn ``_BLOCK_DRAWS`` at a time, so a call holds its result plus
-    ``O(_BLOCK_DRAWS)`` however many large increments it draws.
-    """
+class SubordinatorSumSampler(LatticeSumSampler):
+    """Exact sums of many tau_alpha increments: the :class:`LatticeSumSampler`
+    of tau_alpha as a tailed law, its table ``1..HEAD_CUT`` and its tail
+    drawn by :meth:`SubordinatorAlpha.conditional_tail_sample`."""
 
     HEAD_CUT = 4096      # increments above this come from the exact tail
 
     def __init__(self, alpha: float):
-        self.alpha = float(alpha)
-        self.sub = SubordinatorAlpha(alpha)
-        self.q_tail = float(subordinator_tail(alpha, self.HEAD_CUT))
+        sub = SubordinatorAlpha(alpha)
         ks = np.arange(1, self.HEAD_CUT + 1)
-        pmf = np.asarray(self.sub.pmf(ks), dtype=float)
-        self.head = LatticeSumSampler(Measure1D.lattice_arrays(ks, pmf / pmf.sum()))
+        super().__init__(Measure1D.lattice_tailed(
+            ks, sub.pmf(ks), sub.tail, pmf_fn=sub.pmf,
+            tail_sampler=lambda rng, n: sub.conditional_tail_sample(rng, n, self.HEAD_CUT)))
 
     def sample_sum(self, m, replicas: int, rng) -> np.ndarray:
         """``replicas`` independent sums of ``m`` increments (an int, or one
         count per replica)."""
-        m = np.broadcast_to(np.asarray(m, dtype=np.int64), (replicas,))
-        _at_least("counts", m.min(initial=0), 0)
-        return _fill(replicas, lambda lo, hi: self._row_block_sum(m[lo:hi], rng))
-
-    def _row_block_sum(self, m: np.ndarray, rng) -> np.ndarray:
-        n_large = rng.binomial(m, self.q_tail)
-        total = self.head.sample(m - n_large, rng)
-        # row i's large values are draws ends[i-1]:ends[i] of one stream, read
-        # block by block: its running sum at the row ends, differenced
-        ends = np.cumsum(n_large)
-        at_ends = np.zeros(len(m), dtype=np.int64)
-        carry, count = 0, int(n_large.sum())
-        for lo in range(0, count, measures._BLOCK_DRAWS):
-            hi = min(lo + measures._BLOCK_DRAWS, count)
-            cs = np.cumsum(self.sub.conditional_tail_sample(rng, hi - lo, self.HEAD_CUT))
-            cs += carry            # int64 wraps alike in cs and at_ends: differences hold
-            i, j = np.searchsorted(ends, [lo, hi], side="right")
-            at_ends[i:j] = cs[ends[i:j] - lo - 1]
-            carry = cs[-1]
-        total += np.diff(at_ends, prepend=0)
-        return total
-
-    def sample(self, counts, rng) -> np.ndarray:
-        """Subordinated fair walk displacement after ``counts[i]`` increments
-        per row ``i``: ``2 Bin(dt, 1/2) - dt`` given the accrued time ``dt``."""
-        dt = self.sample_sum(counts, len(counts), rng)
-        return 2 * rng.binomial(dt, 0.5) - dt
+        return self.sample(np.broadcast_to(np.asarray(m, dtype=np.int64), (replicas,)), rng)
 
 
 def subordinated_return_exponent(alpha: float, rng, n_max: int = 1 << 14,
@@ -671,8 +642,9 @@ def subordinated_return_exponent(alpha: float, rng, n_max: int = 1 << 14,
 
     Each replica is one path of the subordinated fair walk observed on the
     doubling grid ``n = 2^6 .. n_max``, ``chunk`` replicas at a time: the
-    grid walker of the null probe jumps it through
-    :meth:`SubordinatorSumSampler.sample` once per grid gap.  The log return
+    grid walker of the null probe jumps it once per grid gap by an exact sum
+    of the gap's increments ``S_T``, drawn by the :class:`LatticeSumSampler`
+    of :func:`measures.subordinated`, whose law has a closed form.  The log return
     frequency at ``2n`` is regressed on ``log n``; the theoretical slope is
     ``-1/(2 alpha)``.
     """
@@ -680,7 +652,7 @@ def subordinated_return_exponent(alpha: float, rng, n_max: int = 1 << 14,
     ns = np.asarray([1 << k for k in range(6, int(n_max).bit_length())], dtype=np.int64)
     replicas = _at_least("replicas", replicas)
     chunk = _at_least("chunk", chunk)
-    sampler = SubordinatorSumSampler(alpha)
+    sampler = LatticeSumSampler(subordinated(alpha))
     hits = np.zeros(len(ns), dtype=np.int64)
     for done in range(0, replicas, chunk):
         hits += _factor_return_indicators(None, 0, 2 * ns, min(chunk, replicas - done),

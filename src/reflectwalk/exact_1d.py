@@ -89,8 +89,6 @@ def invariant_measure_nonneg(m: Measure1D) -> InvariantMeasure1D:
         mass = m.moment(1.0, "full")
         return InvariantMeasure1D("continuous", density=lambda x: m.tail(x),
                                   total_mass=mass)
-    if not m.has_atoms:
-        raise MeasureError("invariant measure needs an atom table or a tail")
     if not m.normalized:
         raise MeasureError("lattice law must be gcd-normalized")
     top = int(m.support[-1])
@@ -138,7 +136,7 @@ def reflected_kernel_matrix(m: Measure1D, size: Optional[int] = None) -> np.ndar
     ``p(x, 0) = mu(x)`` and ``p(x, y) = mu(x-y) + mu(x+y)`` for ``y >= 1``,
     the two atoms added in that order.
     """
-    if not (m.is_lattice and m.has_atoms and not m.has_analytic_tail):
+    if not (m.is_lattice and not m.has_analytic_tail):
         raise MeasureError("kernel oracle needs a finite lattice law")
     if m.min_support() < 0:
         raise MeasureError("kernel oracle covers nonnegative laws only")
@@ -343,7 +341,7 @@ def ladder_exact_skip_free(m: Measure1D) -> LadderDecomposition:
     Positive-drift laws with descents have a defective descending ladder and
     no such closed form; they are routed to :func:`ladder_monte_carlo`.
     """
-    if not (m.is_lattice and m.has_atoms and not m.has_analytic_tail):
+    if not (m.is_lattice and not m.has_analytic_tail):
         raise MeasureError("exact ladder inversion needs a finite lattice law")
     if m.min_support() < -1:
         raise MeasureError("support below -1: use ladder_monte_carlo")
@@ -374,12 +372,8 @@ def ladder_monte_carlo(m: Measure1D, samples: int, rng,
     """
     if not m.is_lattice:
         raise MeasureError("Monte Carlo ladder needs a lattice law")
-    try:
-        drift = m.drift_sign()
-    except MeasureError:
-        if m.has_atoms:
-            raise
-        drift = 0  # sampler-backed law: a drift shows as capped excursions
+    # a symmetric walk oscillates, with or without a mean: records always come
+    drift = 0 if m.is_symmetric() else m.drift_sign()
     if drift < 0:
         raise MeasureError(f"drift {m.mean():.4g} < 0: weak records dry up "
                            "and excursions do not terminate")
@@ -442,7 +436,7 @@ def wiener_hopf_construct(mbar: Measure1D) -> Measure1D:
     The result always has total mass 1, finite first absolute moment and mean
     exactly 0.
     """
-    if not (mbar.is_lattice and mbar.has_atoms and not mbar.has_analytic_tail):
+    if not (mbar.is_lattice and not mbar.has_analytic_tail):
         raise MeasureError("construction needs a finite lattice ladder law")
     if mbar.min_support() < 0:
         raise MeasureError("ladder law must live on N_0")
@@ -554,7 +548,7 @@ def symmetric_equivalence_check(m: Measure1D, horizon: int, window: float, rng,
     """
     if not m.is_symmetric():
         raise MeasureError("law is not symmetric")
-    if m.has_atoms and len(m.support) == 1 and m.support[0] == 0:
+    if m.is_lattice and len(m.support) == 1 and m.support[0] == 0:
         raise MeasureError("degenerate law delta_0")
     from .diagnostics import _run_return_experiment  # it imports exact_1d
     rng = make_rng(rng)

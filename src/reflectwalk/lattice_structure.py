@@ -79,10 +79,8 @@ def _parity_generators(j: JointMeasure) -> np.ndarray:
     codes = np.zeros(1, dtype=np.int64)
     for i in range(r1):
         f = j.factors[i]
-        if not (f.has_atoms or f._symmetric is not None):
-            raise MeasureError("parity generators need factor atom tables")
-        par = (set((f.support & 1).tolist()) if f.has_atoms and not f.has_analytic_tail
-               else {0, 1})     # tailed and sampler-backed laws: full parity support
+        par = (set((f.support & 1).tolist()) if not f.has_analytic_tail
+               else {0, 1})     # tailed laws: full parity support
         codes = (2 * codes[:, None] + np.array(sorted(par))).ravel()
     return codes
 
@@ -129,7 +127,7 @@ def hypercube_chain(j: JointMeasure):
         odd = np.empty(r1)
         for i in range(r1):
             f = j.factors[i]
-            if not f.has_atoms or f.has_analytic_tail:
+            if f.has_analytic_tail:
                 raise MeasureError("parity kernel needs finite factor atoms")
             odd[i] = f.probs[(f.support & 1) == 1].sum()
         bits = (np.arange(1 << r1) >> np.arange(r1)[:, None]) & 1    # [i, code]
@@ -305,7 +303,7 @@ def constant_map_witness(m: Measure1D, verified_range: int = 50) -> ConstantMapW
     ``k`` acts like reflection at ``d_k`` on ``{0..d_k}``.  Stage three
     squares the final word and verifies the full parity table exactly.
     """
-    if not (m.is_lattice and m.has_atoms and not m.has_analytic_tail):
+    if not (m.is_lattice and not m.has_analytic_tail):
         raise MeasureError("witness construction needs a finite lattice law")
     if not m.normalized:
         raise MeasureError("support gcd must be 1")

@@ -92,7 +92,7 @@ class WalkSpec:
                f"r={r1 + r2}: at least one reflected coordinate required")
         for i in range(r1):
             m = law.marginal(i)
-            if m.has_atoms and not m.has_analytic_tail:
+            if m.is_lattice and not m.has_analytic_tail:
                 kappa = measures.gcd_normalize(m)[1]
                 yield (f"normalized_{i}", kappa == 1, "support gcd is 1" if kappa == 1
                        else f"support gcd is {kappa}; auto-normalization would "
@@ -245,7 +245,7 @@ def _walk_states(law: JointMeasure, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.empty(y.shape, dtype=np.result_type(y, x))
     r = min(law.n_reflected, y.shape[2])
     laws = [law.marginal(i) for i in range(r)] if r <= law.dims[0] else []
-    plan = laws and all(m.has_atoms and not m.has_analytic_tail for m in laws) and _table_plan(
+    plan = laws and all(m.is_lattice and not m.has_analytic_tail for m in laws) and _table_plan(
         y.shape[0], y.shape[1] * r, int(min(m.support[0] for m in laws)),
         int(max(m.support[-1] for m in laws)), int(x[:, :r].max(initial=0)))
     if plan:

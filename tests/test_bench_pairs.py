@@ -1,6 +1,7 @@
 """The summary arithmetic of tools/bench_pairs.py."""
 
 import importlib.util
+from types import SimpleNamespace
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,10 @@ def test_per_job_rows_read_memory_once_and_time_the_warm_rounds(monkeypatch):
     assert calls == {"a": 4, "b": 4}
     # memory after each job of the warm-up round; the median of the timed rounds
     assert rows == [["a", 19.0, 29.0, 2.0], ["b (raised RuntimeError)", 26.0, 36.0, 5.0]]
+
+
+def test_peak_rss_is_never_below_the_current_rss(monkeypatch):
+    # a lagging ru_maxrss (here 1 KB) reads as the current value
+    monkeypatch.setattr(bp.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=1))
+    current, peak = bp._rss_mb()
+    assert current > 1e-3 and peak == current

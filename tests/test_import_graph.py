@@ -40,7 +40,8 @@ def test_lattice_series_loads_no_scipy_integrate():
 
 
 def test_heavy_tailed_laws_load_no_scipy():
-    # the log-gammas below k = 16 and the lower-branch Lambert W are in-house
+    # the log-gammas below k = 16, the subordinated law's constants and tail,
+    # and the lower-branch Lambert W are in-house
     code = ("import sys\n"
             "import numpy as np\n"
             "from reflectwalk import diagnostics, measures\n"
@@ -49,6 +50,11 @@ def test_heavy_tailed_laws_load_no_scipy():
             "measures.subordinator_pmf(0.6, 3), measures.subordinator_tail(0.6, 2)\n"
             "diagnostics.SubordinatorSumSampler(0.6).sample_sum(1000, 50, np.random.default_rng(1))\n"
             "measures.wiener_hopf_log_tail(10).sample(np.random.default_rng(2), 1000)\n"
+            "s = measures.subordinated(0.3)\n"
+            "s.tail(5), s.tail(10 ** 6), s.prob(-3), s.prob(10 ** 5), s.moment(0.4)\n"
+            "s.sample(np.random.default_rng(4), 10 ** 5)\n"
+            "measures.LatticeSumSampler(measures.subordinated(0.6)).sample(\n"
+            "    np.full(2000, 1000), np.random.default_rng(5))\n"
             "diagnostics.subordinated_return_exponent(0.6, 3, n_max=2 ** 10, replicas=20000,\n"
             "                                         chunk=20000)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

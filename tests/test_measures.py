@@ -3,7 +3,6 @@
 import math
 import mmap
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -776,63 +775,124 @@ def test_tau_inversion_is_exact_at_chosen_uniforms(alpha, h):
         assert t[3] == cap
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9, 0.95])
 def test_subordinated_increment_matches_binomial_mixture(alpha):
-    # P(S_T = y) = sum_k pmf(k) C(k, (k + y)/2) / 2^k, truncated at K = 2^22; the
-    # omitted mass is at most tail(K) * max_k>K P(S_k = y) <= tail(K) sqrt(2 / (pi K))
-    n, big_k = 10 ** 6, 1 << 22
-    y = ms.subordinated_increment_sampler(alpha, np.random.default_rng(47), size=n)
-    assert (y.dtype, y.shape) == (np.int64, (n,))
+    # P(S_T = y) = sum_k pmf(k) C(k, (k + y)/2) / 2^k, truncated at K = 2^22, is a
+    # lower bound; the omitted mass is at most tail(K) * max_k>K P(S_k = y) <=
+    # tail(K) sqrt(2 / (pi K)).  P(S > y) = (1 - P(0)) / 2 - sum_{v=1}^y P(v).
+    big_k = 1 << 22
+    law = ms.subordinated(alpha)
     ks = np.arange(big_k + 1)
     log_fact = gammaln(ks + 1.0)
     pmf = ms.subordinator_pmf(alpha, ks[1:].astype(float))
     omitted = ms.subordinator_tail(alpha, big_k) * math.sqrt(2 / (math.pi * big_k))
-    for v in (0, 1, 2, 5):
+    mixture = {}
+    for v in range(6):
         k = ks[v or 2::2]                   # k >= max(v, 1) of the parity of v
         j = (k + v) // 2
         binom = np.exp(log_fact[k] - log_fact[j] - log_fact[k - j] - k * math.log(2.0))
-        exact = float(np.dot(pmf[k - 1], binom))
-        emp = np.count_nonzero(y == v) / n
-        se = math.sqrt(exact * (1 - exact) / n)
-        assert abs(emp - exact) <= 5 * se + omitted, (v, emp, exact)
+        mixture[v] = float(np.dot(pmf[k - 1], binom))
+        for y in (v, -v):
+            assert mixture[v] - 1e-13 <= law.prob(y) <= mixture[v] + omitted + 1e-13, (y, alpha)
+    for y in range(6):
+        ref = (1 - mixture[0]) / 2 - sum(mixture[v] for v in range(1, y + 1))
+        assert abs(law.tail(y) - ref) <= (y + 1) * omitted + 1e-13, (y, alpha)
+        assert law.tail(-y - 1) == pytest.approx(1 - law.tail(y), abs=1e-14)
 
 
-class _FixedMixing(np.random.Generator):
-    """A generator whose Beta draws all return ``b``: fixes the mixing variable."""
-
-    def __init__(self, b, seed):
-        super().__init__(np.random.PCG64(seed))
-        self.b = b
-
-    def beta(self, a, b, size=None):
-        return np.full(size, self.b)
+def _mp_subordinated(mp, alpha, k):
+    """``(P(S = k), P(S > k))`` of the subordinated increment, ``k >= 1``, in closed form."""
+    a = mp.mpf(alpha)
+    c = 2 ** -a * mp.gamma(2 * a + 1) * mp.sin(mp.pi * a) / mp.pi
+    k = mp.mpf(k)
+    return (c * mp.exp(mp.loggamma(k - a) - mp.loggamma(k + a + 1)),
+            c / (2 * a) * mp.exp(mp.loggamma(k + 1 - a) - mp.loggamma(k + 1 + a)))
 
 
-@pytest.mark.parametrize("b", [1e-4, 0.05, 0.3, 0.9])
-def test_subordinated_increment_two_sided_geometric_law(b):
-    # given B, the draw is a fair step plus G - G', where
-    # P(|G - G'| = k) = 2 p q^k / (1 + q) for k >= 1 and p / (1 + q) at k = 0
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.6, 0.95])
+def test_subordinated_law_matches_mpmath(alpha):
+    # atoms by their ratio recurrence in the table, the Stirling tail beyond,
+    # mirrored on the negative side
+    mp = pytest.importorskip("mpmath")
+    law = ms.subordinated(alpha)
+    top = ms.SUBORDINATED_TABLE
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        p0 = 1 - 2 ** -a * mp.gamma(2 * a + 1) / mp.gamma(a + 1) ** 2
+        assert law.prob(0) == pytest.approx(float(p0), rel=1e-14)
+        for k in (1, 2, 17, top - 1, top, top + 1, 3001, 10 ** 6, 10 ** 12, 1 << 62):
+            pmf, tail = _mp_subordinated(mp, alpha, k)
+            assert law.prob(k) == law.prob(-k) == pytest.approx(float(pmf), rel=1e-12), k
+            if k >= top:
+                assert law.tail(k) == pytest.approx(float(tail), rel=1e-13), k
+                assert law.tail(-k - 1) == 1 - law.tail(k)
+    assert law.min_support() == -math.inf and law.max_support() == math.inf
+    assert law.is_symmetric() and law.is_nontrivial_positive()
+    assert law.probs.sum() + 2 * law.tail(top) == pytest.approx(1.0, abs=1e-14)
+    assert law.meta["clipped_mass"] == pytest.approx(2 * law.tail(ms.SubordinatorAlpha.CAP))
+
+
+def test_subordinated_moments_mirror_the_tail():
+    law = ms.subordinated(0.3)          # E|S|^p < inf iff p < 2 alpha
+    pos, neg = law.moment(0.4, "positive"), law.moment(0.4, "negative")
+    assert pos == pytest.approx(neg, rel=1e-14)
+    assert law.moment(0.4) == pytest.approx(2 * pos, rel=1e-14)
+    assert math.isfinite(pos) and math.isinf(law.moment(1.0, "negative"))
+    with pytest.raises(ms.MeasureError, match="below the table"):
+        next(law.tail_block_sums([-5000, 0], 1))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95])
+def test_subordinated_draws_match_the_closed_form(alpha):
     n = 10 ** 6
-    r = math.sqrt(b * (2 - b))
-    p = (b + r) / (1 + r)
-    q = 1 - p
-
-    def two_sided(d):
-        return p * q ** abs(d) / (1 + q)
-
-    y = ms.subordinated_increment_sampler(0.3, _FixedMixing(b, 59), size=n)
-    for v in (0, 1, 2, 5):
-        exact = 0.5 * (two_sided(v - 1) + two_sided(v + 1))
-        _within_5se(np.count_nonzero(y == v), n, exact, v)
-        _within_5se(np.count_nonzero(y == -v), n, exact, -v)
+    law = ms.subordinated(alpha)
+    y = law.sample(np.random.default_rng(47), n)
+    assert (y.dtype, y.shape) == (np.int64, (n,))
+    assert np.abs(y).max() <= ms.SubordinatorAlpha.CAP
+    for v in (-3, -1, 0, 1, 2, 5):
+        _within_5se(np.count_nonzero(y == v), n, law.prob(v), v)
+    for k in (10, ms.SUBORDINATED_TABLE - 1, ms.SUBORDINATED_TABLE, 10 ** 4, 10 ** 6, 1 << 30):
+        _within_5se(np.count_nonzero(y > k), n, law.tail(k), k)
+        _within_5se(np.count_nonzero(y < -k), n, law.tail(k), -k)
 
 
-def test_subordinated_increment_at_mixing_one_is_a_fair_step():
-    # B = 1 gives p = 1 and log q = -inf: G - G' = 0, without a warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        y = ms.subordinated_increment_sampler(0.3, _FixedMixing(1.0, 61), size=10 ** 4)
-    assert set(np.unique(y).tolist()) == {-1, 1}
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95])
+def test_subordinated_inversion_is_exact_at_chosen_uniforms(alpha):
+    # M = min{k > K : R(k) <= V R(K)}, R(k) = Gamma(k + 1 - alpha) / Gamma(k + 1 + alpha),
+    # for one uniform u: the sign from u >= 1/2, V = 1 - (2u mod 1), checked at
+    # 50 digits where M < 2^40.  The uniforms put V 1e-12 either side of the
+    # steps R(n) / R(K), and x, the root of x (x + alpha) = (V R(K))^(-1/alpha),
+    # on an integer or 1e-12 from it; then V = 1 and the ends.
+    mp = pytest.importorskip("mpmath")
+    top, cap = ms.SUBORDINATED_TABLE, ms.SubordinatorAlpha.CAP
+    law = ms.subordinated(alpha)
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+
+        def ratio(k):
+            return mp.exp(mp.loggamma(k + 1 - a) - mp.loggamma(k + 1 + a))
+
+        u = [0.0, 0.5, 0.5 - 2.0 ** -54, 1 - 2.0 ** -53]
+        for n in (top + 1, top + 2, top + 3, 2 * top + 5, 10 ** 6, 1 << 30, (1 << 40) - 1):
+            for off in (-1e-12, 1e-12):
+                x = n + off
+                for v in (ratio(n) / ratio(top) * (1 + off),
+                          (x * (x + a)) ** -a / ratio(top), (n * (n + a)) ** -a / ratio(top)):
+                    if 2.0 ** -52 <= v <= 1:           # u below 1
+                        u += [float(1 - v) / 2, 0.5 + float(1 - v) / 2]
+        u += np.random.default_rng(int(alpha * 100)).random(200).tolist()
+        got = law._tail_sampler(_FixedUniforms(u), len(u))
+        assert got.dtype == np.int64 and np.all((np.abs(got) > top) & (np.abs(got) <= cap))
+        for ui, mi in zip(u, got.tolist()):
+            assert (mi > 0) == (ui >= 0.5), (ui, mi)
+            m = abs(mi)
+            w = (1 - (2 * mp.mpf(ui) - (ui >= 0.5))) * ratio(top)
+            if m < 1 << 40:
+                assert ratio(m) <= w * (1 + mp.mpf(10) ** -40), (ui, mi)
+                assert m - 1 == top or w < ratio(m - 1), (ui, mi)
+            elif ratio(cap) > w:
+                assert m == cap, (ui, mi)
+    assert got[0] == -(top + 1) and got[1] == top + 1     # V = 1: the first atoms beyond
 
 
 def test_log_tail_sampler_atoms_beyond_the_cutoff():
@@ -853,17 +913,14 @@ def test_subordinated_sampler_parity_and_mean():
     t = sub.sample(rng, 100_000)
     y = 2 * rng.binomial(t, 0.5) - t
     assert np.all((y & 1) == (t & 1))  # parity of the sum equals parity of T
-    draws = ms.subordinated_increment_sampler(0.6, np.random.default_rng(3),
-                                              size=100_000)
+    draws = ms.subordinated(0.6).sample(np.random.default_rng(3), 100_000)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean()) < 4 * se
 
 
 def test_subordinated_tail_heaviness_ordering():
-    heavy = ms.subordinated_increment_sampler(0.3, np.random.default_rng(11),
-                                              size=100_000)
-    light = ms.subordinated_increment_sampler(0.9, np.random.default_rng(11),
-                                              size=100_000)
+    heavy = ms.subordinated(0.3).sample(np.random.default_rng(11), 100_000)
+    light = ms.subordinated(0.9).sample(np.random.default_rng(11), 100_000)
     assert (np.abs(heavy) > 100).mean() > (np.abs(light) > 100).mean()
 
 
@@ -1125,9 +1182,37 @@ def test_lattice_sum_sampler_levels_are_convolution_squares(law):
                                                   np.random.default_rng(9)))
 
 
+@pytest.mark.parametrize("budget", [None, 64])
+@pytest.mark.parametrize("alpha", [0.3, 0.6])
+def test_tailed_lattice_sums_match_brute_force(monkeypatch, alpha, budget):
+    # sums of the subordinated law's own draws, against its sum sampler: the
+    # head from the levels, Bin(m, q_tail) tail terms from the tail sampler,
+    # rows and tail values in blocks of 64 when the budget is patched
+    n, m = 20_000, 256
+    law = ms.subordinated(alpha)
+    brute = law.sample(np.random.default_rng(4), n * m).reshape(n, m).sum(axis=1)
+    if budget is not None:
+        monkeypatch.setattr(ms, "_BLOCK_DRAWS", budget)
+    sampler = ms.LatticeSumSampler(law)
+    assert sampler.q_tail == pytest.approx(2 * law.tail(ms.SUBORDINATED_TABLE), rel=1e-15)
+    rows = np.full(n, m)
+    rows[::7] = 0
+    fast = sampler.sample(rows, np.random.default_rng(3))
+    assert fast.dtype == np.int64 and not fast[::7].any()
+    fast = np.delete(fast, np.s_[::7])
+    n = len(fast)
+    for t in np.quantile(np.abs(brute), [0.1, 0.5, 0.9, 0.99, 0.999]):
+        for got, want in (((fast > t).mean(), (brute > t).mean()),
+                          ((fast < -t).mean(), (brute < -t).mean()),
+                          ((fast == 0).mean(), (brute == 0).mean())):
+            p = (got + want) / 2
+            assert abs(got - want) < 5 * math.sqrt(2 * p * (1 - p) / n), (t, got, want)
+
+
 def test_lattice_sum_sampler_refuses_infinite_support():
-    with pytest.raises(ms.MeasureError):
-        ms.LatticeSumSampler(ms.subordinated(0.5))
+    # a tailed law without a tail sampler, and a continuous law
+    with pytest.raises(ms.MeasureError, match="tail sampler"):
+        ms.LatticeSumSampler(power_tail_family(1.5, cutoff=100))
     with pytest.raises(ms.MeasureError):
         ms.LatticeSumSampler(ms.uniform(-1.0, 1.0))
 

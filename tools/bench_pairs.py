@@ -149,10 +149,15 @@ def summary(raw: dict, spec: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _rss_mb() -> tuple[float, float]:
-    """Current and peak resident memory of this process, in MB (10^6 bytes)."""
+    """Current and peak resident memory of this process, in MB (10^6 bytes).
+
+    The kernel raises ``ru_maxrss`` only at some events, so it can lag the
+    current value by a few hundred KB; the peak is at least the current.
+    """
     pages = int(Path("/proc/self/statm").read_text().split()[1])
     current = pages * resource.getpagesize() / 1e6
-    return current, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    return current, max(current, peak)
 
 
 def time_jobs(jobs, rounds: int = WARM_ROUNDS) -> list:
