@@ -2,8 +2,8 @@
 
 Everything here produces *evidence*, not proofs: occupation laws against
 exact invariant measures, return-time statistics with fixed decision rules,
-exact symmetrization identities at enumeration scale, product and dimension
-probes, and the reflected-plus-free experiments.
+exact symmetrization identities over the reachable states, product and
+dimension probes, and the reflected-plus-free experiments.
 
 Decision rules (fixed, recorded in every report): with four nested budgets
 ``B/8, B/4, B/2, B`` and the mean-return-time estimate ``total observed time
@@ -155,22 +155,16 @@ def _run_return_experiment(law: JointMeasure, start: np.ndarray, in_target,
 # occupation vs invariant law
 # ---------------------------------------------------------------------------
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)`` for the distinct rows of a 2-D numeric array.
-
-    Rows are grouped by one stable sort of their columns (``np.lexsort``, or
-    a plain sort of a single column): ``first[g]`` is the index of the first
-    row of group ``g``, groups in sorted order, and ``inverse[i]`` is row
-    ``i``'s group.
-    """
-    order = (np.argsort(rows[:, 0], kind="stable") if rows.shape[1] == 1
-             else np.lexsort(rows.T))
+def _state_table(rows: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D numeric array, sorted, and the summed
+    ``weights`` of each (its count when ``weights`` is ``None``), added in
+    their order in ``rows``: one stable sort of the columns groups them."""
+    order = np.lexsort(rows.T)
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
     np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+    return ranked[new], np.bincount(np.cumsum(new), None if weights is None
+                                    else weights[order])[1:]     # groups from 1
 
 
 def occupation_vs_invariant(spec: WalkSpec, exact, steps: int, burn_in: int,
@@ -189,34 +183,26 @@ def occupation_vs_invariant(spec: WalkSpec, exact, steps: int, burn_in: int,
     steps, burn_in = int(steps), int(burn_in)
     if burn_in >= steps:
         raise MeasureError(f"burn_in {burn_in} leaves none of the {steps} steps")
-    if isinstance(exact, InvariantMeasure1D):
-        if not (math.isfinite(exact.total_mass) and exact.total_mass > 0):
-            raise MeasureError("reference invariant measure must have finite mass")
-        ref = {(xx,): mm / exact.total_mass for xx, mm in exact.as_dict().items()}
+    if isinstance(exact, InvariantMeasure1D):     # refused unless of finite mass
+        ref = {(int(xx),): float(pp) for xx, pp in
+               zip(exact.support, exact.normalized_probabilities())}
     else:
         ref = {tuple(int(v) for v in np.atleast_1d(k)): float(p)
                for k, p in dict(exact).items()}
-    r = spec.r
     if spec.s:
         raise MeasureError("occupation comparison applies to reflected-only specs")
-    occ: dict = {}
-    kept = 0
-    for done, _, block in _walk_blocks(spec.law, np.zeros((1, r)), rng, steps):
-        post = block[max(0, burn_in - done):, 0]
-        # distinct states in order of first visit, with their visit counts
-        first, inverse = _unique_rows(post)
-        order = np.argsort(first)
-        for row, c in zip(post[first[order]], np.bincount(inverse)[order].tolist()):
-            key = tuple(int(v) if v == int(v) else round(v, 9) for v in row)
-            occ[key] = occ.get(key, 0) + c
-            if key in ref:
-                kept += c
+    tables = [_state_table(np.round(block[max(0, burn_in - done):, 0], 9))
+              for done, _, block in _walk_blocks(spec.law, np.zeros((1, spec.r)), rng, steps)]
+    states, visits = _state_table(*map(np.concatenate, zip(*tables)))
+    occ = {tuple(int(v) if v == int(v) else v for v in row): int(c)
+           for row, c in zip(states.tolist(), visits.tolist())}
+    kept = sum(c for key, c in occ.items() if key in ref)
     total = sum(occ.values())
     if kept < 0.5 * total:
         raise MeasureError("walk escaped the reference support: occupation "
                            "comparison refused for non-recurrent behaviour")
-    states = set(ref) | set(occ)
-    tv = 0.5 * sum(abs(occ.get(st, 0) / total - ref.get(st, 0.0)) for st in states)
+    tv = 0.5 * sum(abs(occ.get(st, 0) / total - ref.get(st, 0.0))
+                   for st in set(ref) | set(occ))
     return float(tv), occ
 
 
@@ -256,19 +242,44 @@ def return_time_stats(spec: WalkSpec, start, window, budget: int,
 # symmetrization identity
 # ---------------------------------------------------------------------------
 
+def _push_forward(start, pts, probs, n: int, move) -> tuple[np.ndarray, np.ndarray]:
+    """The state table of the law of ``n`` steps ``s -> move(s, y)`` from
+    ``start``, ``y`` drawn from ``(pts, probs)``.  A step moves ``_BLOCK_DRAWS
+    // len(pts)`` states at a time, holding its table, a few copies while it
+    merges the chunk tables, and ``O(_BLOCK_DRAWS)``; chunk tables of more
+    than ``16 * _BLOCK_DRAWS`` states in all raise before they merge."""
+    rows, mass = start[None, :], np.ones(1)
+    per = max(1, measures._BLOCK_DRAWS // len(pts))
+    cap = 16 * measures._BLOCK_DRAWS
+    for _ in range(n):
+        tables = []
+        for lo in range(0, len(rows), per):
+            moved = np.round(move(rows[lo:lo + per, None], pts), 9).reshape(-1, len(start))
+            tables.append(_state_table(moved, np.outer(mass[lo:lo + per], probs).ravel()))
+            if sum(len(t[1]) for t in tables) > cap:
+                raise MeasureError(f"a step holds more than {cap} states; use monte_carlo")
+        del rows, mass, moved           # the merge coexists with none of these,
+        rows, mass = map(np.concatenate, zip(*tables))
+        tables = None                   # nor with the chunk tables
+        rows, mass = _state_table(rows, mass)
+    return rows, mass
+
+
 def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
                          samples: int = 100_000):
     """Compare the law of the reflected walk with the folded free walk.
 
     For fully symmetric increment laws the reflected walk started at ``|x|``
     has, at every fixed time, the law of the componentwise absolute value of
-    the free walk started at ``x``.  Exact mode enumerates all increment
-    words (finite-support laws) and returns the largest state discrepancy;
-    Monte Carlo mode returns ``(tv, se)``, the estimated total-variation
-    distance and its standard error.  Both walk ``_BLOCK_DRAWS // n`` words or
-    samples (at least one) per block and merge the blocks' state tables at
-    the end, holding ``O(_BLOCK_DRAWS)`` steps plus the tables.  At ``n = 0``
-    both laws are the point mass at ``|x|``, so the result is 0.
+    the free walk started at ``x``.  Exact mode (named ``exact_enumeration``,
+    though it enumerates no words) pushes both laws of a finite-support law
+    forward, the free one folded at the end, and returns the largest state
+    discrepancy; a step of more than ``16 * _BLOCK_DRAWS`` states (2^19 by
+    default) raises ``MeasureError`` (:func:`_push_forward`).  Monte Carlo
+    mode returns ``(tv, se)``, the estimated total-variation distance and its
+    standard error, from ``_BLOCK_DRAWS // n`` samples (at least one) per
+    block.  Both merge state tables of reflected minus folded free mass.  At
+    ``n = 0`` both laws are the point mass at ``|x|``.
     """
     if mode not in ("exact_enumeration", "monte_carlo"):
         raise MeasureError(f"unknown mode {mode!r}")
@@ -279,39 +290,29 @@ def symmetrization_check(j: JointMeasure, x, n: int, mode: str, rng=None,
         samples = _at_least("samples", samples)
     if not j.is_fully_symmetric():
         raise MeasureError("symmetrization needs a fully symmetric law")
-    d = j.dim
-    x = measures._coords("start", x, d)
+    x = measures._coords("start", x, j.dim)
     if n == 0:
         return 0.0 if mode == "exact_enumeration" else (0.0, 0.0)
-    per = max(1, measures._BLOCK_DRAWS // n)           # words or samples per block
     if mode == "exact_enumeration":
         pts, probs = j.atoms()
-        total = len(pts) ** n
-        if total > 2_000_000:
-            raise MeasureError("enumeration too large; use monte_carlo mode")
-        place = len(pts) ** np.arange(n - 1, -1, -1)[:, None]    # step i: digit i of a word
+        tables = [_push_forward(np.abs(x), pts, probs, n, lambda s, y: np.abs(s - y)),
+                  _push_forward(x, pts, probs, n, np.add)]
+        np.abs(tables[1][0], out=tables[1][0])      # fold the free walk
+        np.negative(tables[1][1], out=tables[1][1])
     else:
-        rng, total = make_rng(rng), samples
-    # per block, a weighted histogram: reflected mass minus folded free mass per
-    # state; the block tables merge once at the end
-    keys, masses = [], []
-    for lo in range(0, total, per):
-        k = min(per, total - lo)
-        if mode == "exact_enumeration":
-            words = np.arange(lo, lo + k) // place % len(pts)     # [step, word]
-            steps, weights = pts[words], np.prod(probs[words], axis=0)
-        else:
-            steps = j.sample(rng, k * n).reshape(k, n, d).swapaxes(0, 1)
-            weights = np.full(k, 1.0 / samples)
-        refl, free = np.abs(x), x
-        for y in steps:
-            refl, free = np.abs(refl - y), free + y
-        rows = np.round(np.concatenate([refl, np.abs(free)]), 9)
-        first, state = _unique_rows(rows)
-        keys.append(rows[first])
-        masses.append(np.bincount(state, np.concatenate([weights, -weights])))
-    _, state = _unique_rows(np.concatenate(keys))
-    diff = np.abs(np.bincount(state, np.concatenate(masses)))
+        rng, tables = make_rng(rng), []
+        per = max(1, measures._BLOCK_DRAWS // n)           # samples per block
+        for lo in range(0, samples, per):
+            k = min(per, samples - lo)
+            steps = j.sample(rng, k * n).reshape(k, n, j.dim).swapaxes(0, 1)
+            refl, free = np.abs(x), x
+            for y in steps:
+                refl, free = np.abs(refl - y), free + y
+            tables.append(_state_table(np.round(np.concatenate([refl, np.abs(free)]), 9),
+                                       np.repeat([1.0, -1.0], k) / samples))
+    rows, masses = map(np.concatenate, zip(*tables))
+    tables = None                   # so the merge does not hold the parts
+    diff = np.abs(_state_table(rows, masses)[1])
     if mode == "exact_enumeration":
         return float(diff.max())
     return float(0.5 * diff.sum()), math.sqrt(len(diff) / (4.0 * samples))
@@ -335,17 +336,16 @@ def cesaro_lower_bound(nu1: InvariantMeasure1D, nu2: InvariantMeasure1D,
     p1 = nu1.mass_of(set1) / nu1.total_mass
     p2 = nu2.mass_of(set2) / nu2.total_mass
     bound = p1 + p2 - 1.0
-    s1 = {int(v) for v in set1}
-    s2 = {int(v) for v in set2}
-    r = spec.r
-    if r != 2 or spec.s:
+    s1 = [int(v) for v in set1]
+    s2 = [int(v) for v in set2]
+    if spec.r != 2 or spec.s:
         raise MeasureError("the product bound experiment runs on 2-D "
                            "reflected-only specs")
     steps = _at_least("steps", steps)
     hits, totals = 0, []     # totals: hits at each batch end
     per_batch = max(1, steps // 10)
     for done, _, block in _walk_blocks(spec.law, np.zeros((1, 2)), rng, steps):
-        inside = np.isin(block[:, 0, 0], list(s1)) & np.isin(block[:, 0, 1], list(s2))
+        inside = np.isin(block[:, 0, 0], s1) & np.isin(block[:, 0, 1], s2)
         running = hits + np.cumsum(inside)
         ends = np.nonzero((np.arange(done + 1, done + len(block) + 1) % per_batch) == 0)[0]
         totals.extend(running[ends].tolist())
@@ -385,18 +385,15 @@ def reflected_plus_free_experiment(spec: WalkSpec, budget: int, replicas: int,
                            "continuous one never returns exactly to its start")
     wald_cycles = _at_least("wald_cycles", wald_cycles, 2)     # the SE needs two
     rng = make_rng(rng)
-    r1, r2, sl1, sl2 = spec.law.dims
-    r, s = spec.r, spec.s
-    start = np.zeros(spec.dim)
+    _, _, sl1, sl2 = spec.law.dims
     free_radius = np.array([0.0] * sl1 + [0.5] * sl2)
-    xc = start[:r]
 
-    def in_target(x, z):
-        return (x == xc).all(axis=-1) & (np.abs(z) <= free_radius).all(axis=-1)
+    def in_target(x, z):        # the start: reflected part at 0, free part near it
+        return (x == 0).all(axis=-1) & (np.abs(z) <= free_radius).all(axis=-1)
 
-    drift = np.array([spec.law.marginal(r + i).mean() for i in range(s)])
-    ev = _run_return_experiment(spec.law, start, in_target, budget, replicas, rng,
-                                record=False)[0]
+    drift = np.array([spec.law.marginal(spec.r + i).mean() for i in range(spec.s)])
+    ev = _run_return_experiment(spec.law, np.zeros(spec.dim), in_target, budget, replicas,
+                                rng, record=False)[0]
     wald = _wald_cycle_check(spec, wald_cycles, drift, rng)
     return ev, wald
 
@@ -478,23 +475,17 @@ def product_null_recurrence_probe(factors: Sequence[Measure1D], y, n_grid,
         raise MeasureError(f"n_grid needs at least three distinct positive times, "
                            f"got {ns.tolist()}")
     replicas = _at_least("replicas", replicas)
-    hits = np.ones((len(ns), replicas), dtype=bool)
     per_factor = []
     samplers = {}                       # equal symmetric factors share their levels
     for fi, m in enumerate(factors):
-        jumps = None
-        if m.is_symmetric():
-            key = (m.support.tobytes(), m.probs.tobytes())
-            if key not in samplers:
-                samplers[key] = LatticeSumSampler(m)
-            jumps = samplers[key]
-        ind = _factor_return_indicators(m, int(y[fi]), ns, replicas, rng, jumps)
-        per_factor.append(ind)
-        hits &= ind
+        jumps = (samplers.setdefault((m.support.tobytes(), m.probs.tobytes()),
+                                     LatticeSumSampler(m)) if m.is_symmetric() else None)
+        per_factor.append(_factor_return_indicators(m, int(y[fi]), ns, replicas, rng, jumps))
     out = {"grid": ns.tolist(), "replicas": replicas,
            "factors": [_slope_fit(ns, ind.mean(axis=1), replicas) for ind in per_factor]}
     if len(factors) > 1:
-        out["joint"] = _slope_fit(ns, hits.mean(axis=1), replicas)
+        joint = np.logical_and.reduce(per_factor)          # every factor at its target
+        out["joint"] = _slope_fit(ns, joint.mean(axis=1), replicas)
     return out
 
 

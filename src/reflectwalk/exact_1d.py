@@ -58,11 +58,12 @@ class InvariantMeasure1D:
     total_mass: float = math.nan
 
     def mass_of(self, points) -> float:
-        """Mass of a set of lattice points."""
+        """Mass of a set of lattice points, looked up in the sorted ``support``."""
         if self.kind != "lattice":
             raise MeasureError("mass_of needs the lattice version")
-        table = self.as_dict()
-        return sum(table.get(int(p), 0.0) for p in points)
+        pts = np.array([int(p) for p in points], dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.support, pts), len(self.support) - 1)
+        return float(sum(self.masses[at[self.support[at] == pts]].tolist()))
 
     def as_dict(self) -> dict[int, float]:
         if self.kind != "lattice":

@@ -421,7 +421,9 @@ class Measure1D:
         dyadic-block test: the series is declared divergent when the block
         sums over ``[2^m, 2^(m+1))`` fail to decay geometrically (ratio above
         ``DIVERGENCE_DECAY``) for ``DIVERGENCE_BLOCKS`` consecutive blocks;
-        each block beyond the table is one :func:`_series_block_sum`.
+        each block beyond the table is one :func:`_series_block_sum`.  With a
+        declared ``meta["tail_exponent"] = e`` the moment is ``inf`` exactly
+        for ``p >= e``, and below ``e`` a divergent verdict raises.
         """
         if p < 0:
             raise MeasureError("moment order must be nonnegative")
@@ -443,7 +445,12 @@ class Measure1D:
             finite_part += float(vals.sum())
         if not self.has_analytic_tail or (part == "negative" and not self._mirrored):
             return finite_part
+        e = self.meta.get("tail_exponent")
+        if e is not None and p >= e:
+            return math.inf
         tail = self._tail_block_series(p)
+        if e is not None and math.isinf(tail):
+            raise MeasureError(f"moment {p} reads as divergent below tail exponent {e}")
         return finite_part + (2.0 * tail if part == "full" and self._mirrored else tail)
 
     def _tail_block_series(self, p: float) -> float:

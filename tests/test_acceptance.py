@@ -107,7 +107,9 @@ def test_criterion_04_witness_tables():
 
 
 def test_criterion_05_symmetrization_exact():
-    """Reflected law equals folded free law, enumeration scale, < 1e-12."""
+    """Reflected law equals folded free law, both pushed forward exactly
+    over their reachable states (the mode keeps its name
+    ``exact_enumeration``), < 1e-12."""
     rng = np.random.default_rng(55)
     worst = 0.0
     cases = 0

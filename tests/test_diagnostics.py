@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo recurrence laboratory."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import reflectwalk.diagnostics as dg
 
 PM1 = ms.Measure1D.lattice({-1: 0.5, 1: 0.5})
 M12 = ms.Measure1D.lattice({1: 0.5, 2: 0.5})
+PM2 = ms.Measure1D.lattice({-2: .25, -1: .25, 1: .25, 2: .25})
 
 
 def spec_of(*factors, dims=None):
@@ -204,35 +206,153 @@ def test_symmetrization_blocks_merge_to_the_one_block_histogram(monkeypatch):
 def test_symmetrization_holds_the_block_budget(monkeypatch, traced_peak, budget):
     if budget is not None:
         monkeypatch.setattr(ms, "_BLOCK_DRAWS", budget)
-    pm2 = ms.Measure1D.lattice({-2: .25, -1: .25, 1: .25, 2: .25})
-    j = ms.JointMeasure.product((0, 0, 2, 0), [PM1, pm2])
+    j = ms.JointMeasure.product((0, 0, 2, 0), [PM1, PM2])
     (tv, se), peak = traced_peak(lambda: dg.symmetrization_check(
         j, [1, 0], 6, "monte_carlo", rng=3, samples=100_000))
     assert tv <= 3 * se
     assert peak <= 16 * 8 * ms._BLOCK_DRAWS
 
 
+def enumerated_symmetrization(j, x, n):
+    """``(reflected law, folded free law)`` after ``n`` steps, as ``{state:
+    mass}``, by enumerating every increment word: an oracle that shares no
+    code with the push-forward.  Word ``w`` takes step ``i`` from digit ``i``
+    of ``w`` in base ``K``, and each state's mass is the exactly rounded sum
+    (``math.fsum``) of its words' weights."""
+    pts, probs = j.atoms()
+    k = len(pts)
+    words = np.arange(k ** n)
+    refl, free, w = np.abs(np.asarray(x, float)), np.asarray(x, float), np.ones(len(words))
+    for i in range(n):
+        digit = words // k ** (n - 1 - i) % k
+        refl, free, w = np.abs(refl - pts[digit]), free + pts[digit], w * probs[digit]
+
+    def law(rows):
+        keys, inverse = np.unique(np.round(rows, 9), axis=0, return_inverse=True)
+        order = np.argsort(inverse.ravel(), kind="stable")
+        parts = np.split(w[order], np.cumsum(np.bincount(inverse.ravel()))[:-1])
+        return {tuple(key): math.fsum(part) for key, part in zip(keys.tolist(), parts)}
+    return law(np.broadcast_to(refl, (len(words), j.dim))), law(np.abs(free))
+
+
+def _gap(a, b):
+    return max(abs(a.get(s, 0.0) - b.get(s, 0.0)) for s in set(a) | set(b))
+
+
+def _c5_cases():
+    # the ten laws, starts and horizons of acceptance criterion C5
+    from family_helpers import random_symmetric_joint
+    rng = np.random.default_rng(55)
+    for dim in (1, 2):
+        for _ in range(5):
+            j = random_symmetric_joint(rng, dim)
+            n = int(rng.integers(2, 7))
+            if len(j.atoms()[0]) ** n > 500_000:
+                n = 3
+            yield j, [float(rng.integers(0, 3)) for _ in range(dim)], n
+
+
+EXACT_CASES = [   # every exact case of the tier-1 tests and the CLI test
+    (ms.JointMeasure.product((0, 0, 1, 0), [PM1]), [0.0], 2),
+    (ms.JointMeasure.product((0, 0, 1, 0), [PM1]), [0.0], 3),
+    (ms.JointMeasure.product((0, 0, 1, 0), [PM1]), [1.0], 20),
+    (ms.JointMeasure.product((0, 0, 2, 0), [PM1, PM1]), [1.0, 2.0], 3),
+    (ms.JointMeasure.product((0, 0, 2, 0), [PM1, PM1]), [1.0, 2.0], 6),
+    (ms.JointMeasure.product((0, 0, 2, 0), [PM1, PM2]), [1.0, 2.0], 5),
+    (ms.JointMeasure.product((0, 0, 1, 0), [ms.Measure1D.lattice({0: 1.0})]), [1.0], 100),
+    *_c5_cases(),
+]
+
+
+def _table(rows, mass):
+    return {tuple(r): m for r, m in zip(rows.tolist(), mass.tolist())}
+
+
+@pytest.mark.parametrize("j, x, n", EXACT_CASES)
+def test_exact_symmetrization_equals_the_word_enumeration(j, x, n):
+    refl_want, free_want = enumerated_symmetrization(j, x, n)
+    assert dg.symmetrization_check(j, x, n, "exact_enumeration") == pytest.approx(
+        _gap(refl_want, free_want), abs=1e-15)
+    # each pushed-forward law against its enumeration, state by state
+    pts, probs = j.atoms()
+    x = np.asarray(x, float)
+    refl = _table(*dg._push_forward(np.abs(x), pts, probs, n, lambda s, y: np.abs(s - y)))
+    rows, mass = dg._push_forward(x, pts, probs, n, np.add)
+    free = {}
+    for row, m in zip(np.abs(rows).tolist(), mass.tolist()):
+        free[tuple(row)] = free.get(tuple(row), 0.0) + m
+    for got, want in ((refl, refl_want), (free, free_want)):
+        assert set(got) == set(want) and _gap(got, want) <= 1e-15
+
+
+@pytest.mark.parametrize("points", [
+    [((1,), 0.5), ((2,), 0.5)],
+    [((-1, 1), 0.5), ((1, -1), 0.5)],
+])
+def test_exact_symmetrization_sees_an_asymmetric_law(monkeypatch, points):
+    # negative control: past the symmetry check, the exact path reports the
+    # enumeration's discrepancy, far from 0
+    j = ms.JointMeasure.finite((0, 0, len(points[0][0]), 0), points)
+    monkeypatch.setattr(ms.JointMeasure, "is_fully_symmetric", lambda self: True)
+    x = [0.0] * j.dim
+    d = dg.symmetrization_check(j, x, 2, "exact_enumeration")
+    assert d > 0.1
+    assert d == pytest.approx(_gap(*enumerated_symmetrization(j, x, 2)), abs=1e-15)
+
+
+def test_exact_symmetrization_at_long_horizons():
+    # far beyond any word enumeration: 2^1000 and 4^200 words
+    one = ms.JointMeasure.product((0, 0, 1, 0), [PM1])
+    t0 = time.perf_counter()
+    assert dg.symmetrization_check(one, [1.0], 1000, "exact_enumeration") < 1e-15
+    t1 = time.perf_counter()
+    plane = ms.JointMeasure.product((0, 0, 2, 0), [PM1, PM1])
+    assert dg.symmetrization_check(plane, [1.0, 2.0], 200, "exact_enumeration") < 1e-15
+    t2 = time.perf_counter()
+    assert t1 - t0 < 5.0 and t2 - t1 < 5.0, (t1 - t0, t2 - t1)
+    # the reflected law from 1 is the folded law of 1 + S_1000, S binomial
+    rows, mass = dg._push_forward(np.array([1.0]), *one.atoms(), 1000,
+                                  lambda s, y: np.abs(s - y))
+    want = {}
+    for k in range(1001):
+        state = abs(1 + 2 * k - 1000)
+        want[(state,)] = want.get((state,), 0) + math.comb(1000, k)
+    want = {s: c / 2 ** 1000 for s, c in want.items()}
+    assert _gap(_table(rows, mass), want) < 1e-15
+
+
 def test_exact_symmetrization_holds_the_block_budget(traced_peak):
-    # 2^20 words of 20 steps, enumerated _BLOCK_DRAWS // 20 at a time
-    j = ms.JointMeasure.product((0, 0, 1, 0), [PM1])
-    d, peak = traced_peak(lambda: dg.symmetrization_check(j, [1.0], 20, "exact_enumeration"))
-    assert d < 1e-12
-    assert peak <= 16 * 8 * ms._BLOCK_DRAWS
+    # the largest table is the free walk's at n = 200: 201^2 states of 2
+    # coordinates and a mass
+    j = ms.JointMeasure.product((0, 0, 2, 0), [PM1, PM1])
+    d, peak = traced_peak(lambda: dg.symmetrization_check(
+        j, [1.0, 2.0], 200, "exact_enumeration"))
+    assert d < 1e-15
+    assert peak <= 201 ** 2 * 3 * 8 + 16 * 8 * ms._BLOCK_DRAWS
 
 
 def test_exact_symmetrization_blocks_merge_to_the_one_block_discrepancy(monkeypatch):
-    # one block's table alone is far from zero (its words' reflected and free
-    # states differ); only the merged tables of all blocks cancel
-    pm2 = ms.Measure1D.lattice({-2: .25, -1: .25, 1: .25, 2: .25})
-    j = ms.JointMeasure.product((0, 0, 2, 0), [PM1, pm2])
+    # at 64 draws per block each step moves 8 states at a time; the merged
+    # chunk tables hold the one-chunk law
+    j = ms.JointMeasure.product((0, 0, 2, 0), [PM1, PM2])
     d = dg.symmetrization_check(j, [1.0, 2.0], 5, "exact_enumeration")
-    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 64)        # 12 words per block
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 64)
     d_blocks = dg.symmetrization_check(j, [1.0, 2.0], 5, "exact_enumeration")
-    assert d < 1e-12 and d_blocks == pytest.approx(d, abs=1e-15)
+    assert d < 1e-15 and d_blocks == pytest.approx(d, abs=1e-15)
+
+
+def test_exact_symmetrization_refuses_a_table_beyond_the_cap(monkeypatch):
+    # at 2^8 draws per block the cap is 16 * 2^8 = 4096 states: the free walk
+    # of the plane holds (n + 1)^2 after n steps
+    monkeypatch.setattr(ms, "_BLOCK_DRAWS", 1 << 8)
+    j = ms.JointMeasure.product((0, 0, 2, 0), [PM1, PM1])
+    assert dg.symmetrization_check(j, [0.0, 0.0], 40, "exact_enumeration") < 1e-15
+    with pytest.raises(ms.MeasureError, match="monte_carlo"):
+        dg.symmetrization_check(j, [0.0, 0.0], 70, "exact_enumeration")
 
 
 def test_exact_symmetrization_of_the_point_mass_at_long_horizons():
-    # one word of 100 steps: more digits than an array has dimensions
+    # one state at each of 100 steps
     j = ms.JointMeasure.product((0, 0, 1, 0), [ms.Measure1D.lattice({0: 1.0})])
     assert dg.symmetrization_check(j, [1.0], 100, "exact_enumeration") == 0.0
 

@@ -48,6 +48,17 @@ def test_invariant_measure_tailed_law_above_zero():
     assert nu.total_mass == pytest.approx(2.0, rel=1e-9)      # the mean
 
 
+def test_mass_of_looks_points_up_in_the_support(traced_peak):
+    # a million-point support: no table of it is built per call
+    nu = ex.invariant_measure_nonneg(ms.wiener_hopf_log_tail(10 ** 6))
+    points = [0, 5, 999_999, 10 ** 6, 10 ** 7, -3, 5]
+    mass, peak = traced_peak(lambda: nu.mass_of(points))
+    table = nu.as_dict()
+    assert mass == sum(table.get(p, 0.0) for p in points)
+    assert peak < 64 * 1024
+    assert nu.mass_of({10 ** 7}) == 0.0 and nu.mass_of([]) == 0.0
+
+
 def test_invariant_measure_balance_against_kernel_oracle():
     # brute-force oracle: explicit reflected kernel on {0..N}
     rng = np.random.default_rng(99)

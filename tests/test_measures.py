@@ -842,6 +842,28 @@ def test_subordinated_moments_mirror_the_tail():
         next(law.tail_block_sums([-5000, 0], 1))
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.52, 0.7])
+def test_subordinated_moment_reads_the_declared_tail_exponent(alpha):
+    # E|S|^p < inf exactly for p < e = 2 alpha: inf from e up, and below e a
+    # finite value or a refusal that names p and e, never inf
+    law = ms.subordinated(alpha)
+    e = law.meta["tail_exponent"]
+    for part in ("full", "positive", "negative"):
+        assert math.isinf(law.moment(e, part)) and math.isinf(law.moment(e + 0.5, part))
+        assert math.isfinite(law.moment(e / 2, part))
+        for p in (e - 0.1, e - 0.01):
+            try:
+                assert math.isfinite(law.moment(p, part))
+            except ms.MeasureError as err:
+                assert f"moment {p} " in str(err) and f"exponent {e}" in str(err)
+
+
+@pytest.mark.parametrize("alpha, p", [(0.7, 1.39), (0.52, 1.0)])
+def test_subordinated_moment_just_below_the_exponent_is_refused_not_inf(alpha, p):
+    with pytest.raises(ms.MeasureError, match=f"moment {p} .*exponent {2 * alpha}"):
+        ms.subordinated(alpha).moment(p)
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95])
 def test_subordinated_draws_match_the_closed_form(alpha):
     n = 10 ** 6
