@@ -535,13 +535,16 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
     the next ``(D - minimum) // reach`` positions of a replica at ``D`` all
     stay at or beyond its minimum: it jumps over them and the next step in
     one draw, observed at the end.  A replica whose minimum reaches 0 is
-    done.  A jump of ``k`` steps is the exact law of ``k`` increments,
-    ``multinomial(k, probs) @ atoms``: one call for a finite joint law, and
-    one per distinct factor of a product law, its counts broadcast over the
-    coordinates that share it; the burn-in is one jump and no jump runs past
-    the budget.  ``jumps`` counts the replica jumps drawn, against
-    ``budget * replicas`` single steps.  Laws with unbounded support, and
-    budgets that do not exceed the burn-in, are refused.
+    done; the loop keeps each live replica's running minimum and compresses
+    its arrays only when replicas retire.  A jump of ``k`` steps is the exact
+    law of ``k`` increments: ``multinomial(k, probs) @ atoms``, one call, for
+    a finite joint law, and for a product law one
+    :class:`~reflectwalk.measures.LatticeSumSampler` per distinct factor,
+    its counts repeated over the coordinates that share it.  The burn-in is
+    one jump and no jump runs past the budget.  ``jumps`` counts the replica
+    jumps drawn, against ``budget * replicas`` single steps.  Laws with
+    unbounded support, and budgets that do not exceed the burn-in, are
+    refused.
     """
     if not j.is_fully_symmetric():
         raise MeasureError("dimension probe needs a fully symmetric law")
@@ -551,45 +554,63 @@ def dimension_transience_probe(j: JointMeasure, budget: int, replicas: int,
         raise MeasureError(f"window radius must be finite and >= 0, got {window_radius}")
     rng = make_rng(rng)
     if j.is_finite:
-        parts = [(j.probs, j.points.astype(np.int64), slice(None))]
+        atoms = j.points.astype(np.int64)
+        reach = int(np.abs(atoms).max())
+
+        def jump(k):                    # (coordinate, replica), as below
+            return atoms.T @ rng.multinomial(k, j.probs).T
     elif all(f.is_lattice and not f.has_analytic_tail for f in j.factors):
         groups = {}                     # coordinates that share a factor law
         for i, f in enumerate(j.factors):
             groups.setdefault((f.support.tobytes(), f.probs.tobytes()), (f, []))[1].append(i)
-        parts = [(f.probs, f.support, cols) for f, cols in groups.values()]
+        sums = [(LatticeSumSampler(f), cols) for f, cols in groups.values()]
+        reach = max(int(np.abs(f.support).max()) for f in j.factors)
+
+        def jump(k):
+            parts = [s.sample(np.concatenate([k] * len(cols)), rng).reshape(len(cols), -1)
+                     for s, cols in sums]
+            if len(parts) == 1:         # one law: its coordinates in order
+                return parts[0]
+            out = np.empty((j.dim, len(k)), dtype=np.int64)
+            for (_, cols), part in zip(sums, parts):
+                out[cols] = part
+            return out
     else:
         raise MeasureError("dimension probe needs laws with bounded support")
-    reach = max(1, max(int(np.abs(atoms).max()) for _, atoms, _ in parts))
-
-    def jump(k):
-        out = np.empty((len(k), j.dim), dtype=np.int64)
-        for probs, atoms, cols in parts:
-            counts = k if atoms.ndim == 2 else np.broadcast_to(k[:, None], (len(k), len(cols)))
-            out[:, cols] = rng.multinomial(counts, probs) @ atoms
-        return out
+    reach = max(1, reach)
 
     budget = int(budget)
     burn = (max(1000, budget // 1000) if burn_in is None
             else _at_least("burn_in", burn_in, 0))
     budget = _at_least("budget", budget, burn + 1)   # steps observed after the burn-in
     replicas = _at_least("replicas", replicas)
-    mindist = np.full(replicas, np.inf)
+    mindist = np.empty(replicas)
     live = np.arange(replicas)
-    pos = jump(np.full(live.size, burn))
-    t = np.full(live.size, burn)
-    dist = np.abs(pos).max(axis=1, initial=0)
-    jumps = live.size if burn > 0 else 0
-    while live.size:
-        low = mindist[live]
-        # an infinite minimum (nothing observed yet) allows one step
-        k = np.minimum(np.maximum(dist - low, 0) // reach + 1, budget - t).astype(np.int64)
+    # the burn-in jump, then the first observed step: its distance starts
+    # each replica's running minimum
+    pos = jump(np.full(replicas, burn)) + jump(np.ones(replicas, dtype=np.int64))
+    left = np.full(replicas, budget - burn - 1)        # steps still to observe
+    dist = np.abs(pos).max(axis=0)
+    low = dist.copy()                                  # running minimum per live replica
+    jumps = 2 * replicas if burn > 0 else replicas
+    while True:
+        going = np.minimum(left, low)                  # 0 once a replica is done
+        if not going.all():
+            going = going > 0
+            mindist[live[~going]] = low[~going]
+            live, left, dist, low = (a[going] for a in (live, left, dist, low))
+            pos = pos[:, going]
+            if not live.size:
+                break
+        k = dist - low
+        k //= reach
+        k += 1
+        np.minimum(k, left, out=k)
         pos += jump(k)
-        t += k
+        left -= k
         jumps += live.size
-        dist = np.abs(pos).max(axis=1)
-        mindist[live] = low = np.minimum(low, dist)
-        going = (t < budget) & (low > 0)
-        live, pos, t, dist = live[going], pos[going], t[going], dist[going]
+        dist = np.abs(pos).max(axis=0)
+        np.minimum(low, dist, out=low)
     return {
         "dimension": j.dim,
         "escape_fraction": float(np.mean(mindist > window_radius)),

@@ -43,6 +43,7 @@ CENTRED_RTOL = 1e-12  # a law is centred when E(Y+) and E(Y-) agree to this, rel
 DIVERGENCE_BLOCKS = 20
 DIVERGENCE_DECAY = 0.95
 _TERMWISE_MAX = 1 << 12  # blocks up to this many points are summed term by term
+_DIRECT_CONVOLVE = 64     # pmfs with a factor this short are convolved directly
 _MAX_BLOCK_EXP = 64
 # The one memory budget of every bulk draw, walk and atom-table pass: draws
 # are made, walks stepped and atom tables walked in blocks of at most this many
@@ -668,34 +669,65 @@ def gcd_normalize(m: Measure1D) -> tuple[Measure1D, int]:
 
 
 class GuideTable:
-    """``np.searchsorted(cdf, u, side="right")``: the package's one cdf inversion.
+    """``np.searchsorted(cdfs[row], u, side="right")`` over one cdf or a stack
+    of them: the package's one cdf inversion.
 
-    Up to ``SHORT`` entries, a count of the entries at or below ``u``; beyond,
-    Chen and Asau's guide table (Devroye, *Non-Uniform Random Variate
-    Generation*, 1986, section III.2.4): ``[cdf[0], cdf[-1]]`` is cut into
+    One cdf of up to ``SHORT`` entries is searched by a count of the entries
+    at or below ``u``.  Otherwise each row is searched through Chen and Asau's
+    guide table (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+    section III.2.4): the row's ``[cdf[0], cdf[-1]]`` is cut into
     ``len(cdf)`` equal buckets, and bucket ``b`` stores the number of
     entries whose own bucket lies below ``b``.  The bucket map is monotone in
     floating point too, so every such entry is below every ``u`` in bucket
     ``b``: the stored count is a lower bound of the answer, whatever the
-    rounding, and a search steps forward from it.  Values not settled after
-    ``STEPS`` steps (buckets holding many entries) fall back to
-    ``np.searchsorted``, so the result equals it bit for bit for every ``u``.
-    ``cdf`` is any nondecreasing array.
+    rounding.  A search takes one step forward from it, and the values still
+    short of their answer (buckets holding several entries) fall back to
+    ``np.searchsorted`` on their row, so the result equals it bit for bit for
+    every ``u``.  The rows lie end to end in one array, each followed by an
+    infinite sentinel that stops every step, and a search addresses its row
+    by index: the cdf values are never offset, which would cost their low
+    bits.  Each cdf is any nondecreasing array.
     """
 
     SHORT = 16
-    STEPS = 4
 
-    def __init__(self, cdf):
-        padded = np.append(np.asarray(cdf, dtype=float), np.inf)
-        self.cdf = padded[:-1]
-        self._padded = padded                  # the sentinel stops every step
-        span = self.cdf[-1] - self.cdf[0]
-        self._scale = len(self.cdf) / span if span > 0 else 0.0
-        self._guide = np.searchsorted(self._bucket(self.cdf), np.arange(len(self.cdf)))
+    def __init__(self, *cdfs):
+        sizes = np.array([len(c) for c in cdfs])
+        self._starts = np.append(0, np.cumsum(sizes + 1)[:-1])
+        self._flat = np.concatenate([x for c in cdfs for x in (c, [np.inf])], dtype=float)
+        self.cdfs = [self._flat[s:s + n] for s, n in zip(self._starts.tolist(), sizes.tolist())]
+        self.cdf = self.cdfs[0]
+        self._short = len(cdfs) == 1 and sizes[0] <= self.SHORT
+        # row r's buckets are the slots of its entries, ``start + b``: the map
+        # u -> start + (u - cdf[0]) len / span, clipped to the row
+        self._tops = sizes - 1
+        self._ends = self._starts + self._tops
+        firsts = self._flat[self._starts]
+        self._lasts = self._flat[self._ends]
+        span = self._lasts - firsts
+        self._scales = sizes / np.where(span > 0, span, np.inf)
+        self._bias = self._starts - firsts * self._scales
+        slot_rows = np.repeat(np.arange(len(cdfs)), sizes + 1)
+        # the guide at a bucket's slot: the slot of the first entry of the row
+        # in that bucket or a later one, the exclusive running count of
+        # entries per slot plus the row's index for the sentinels before it
+        entries = np.flatnonzero(np.isfinite(self._flat))
+        rows = slot_rows[entries]
+        slots = np.bincount(self._bucket(self._flat[entries], rows), minlength=len(self._flat))
+        self._guide = np.cumsum(slots) - slots + slot_rows
+        # stacked rows fall back to one search of (row, value) pairs, which
+        # numpy orders as complex numbers: lexicographically, and exactly
+        self._keys = None
+        if len(cdfs) > 1:
+            self._keys = np.empty(len(self._flat), dtype=complex)
+            self._keys.real, self._keys.imag = slot_rows, self._flat
 
-    def _bucket(self, u):
-        return np.clip((u - self.cdf[0]) * self._scale, 0, len(self.cdf) - 1).astype(np.intp)
+    def _bucket(self, u, rows):
+        b = u * self._scales[rows]
+        b += self._bias[rows]
+        np.maximum(b, self._starts[rows], out=b)      # np.clip costs more per call
+        np.minimum(b, self._ends[rows], out=b)
+        return b.astype(np.intp)
 
     @staticmethod
     def _count(u, cdf) -> np.ndarray:
@@ -704,47 +736,100 @@ class GuideTable:
             idx += (u >= c).view(np.uint8)
         return idx.astype(np.intp)
 
-    def search(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if len(self.cdf) <= self.SHORT:
-            return self._count(u, self.cdf)
-        i = self._guide[self._bucket(u)]
-        todo = np.nonzero(self._padded[i] <= u)[0]
-        for _ in range(self.STEPS):
-            if todo.size == 0:
-                return i
-            i[todo] += 1
-            todo = todo[self._padded[i[todo]] <= u[todo]]
-        i[todo] = np.searchsorted(self.cdf, u[todo], side="right")
+    def _slots(self, u, rows) -> np.ndarray:
+        """The slot in the stacked array of each ``u``'s answer in its row."""
+        i = self._guide[self._bucket(u, rows)]
+        i += self._flat[i] <= u
+        todo = np.flatnonzero(self._flat[i] <= u)
+        if todo.size == 0:
+            return i
+        if self._keys is None:
+            i[todo] = np.searchsorted(self.cdf, u[todo], side="right")
+        else:
+            keys = np.empty(todo.size, dtype=complex)
+            keys.real, keys.imag = rows[todo] if np.ndim(rows) else rows, u[todo]
+            i[todo] = np.searchsorted(self._keys, keys, side="right")
         return i
 
-    def draw(self, rng, n: int) -> np.ndarray:
-        """``n`` indices by inversion, capped at the last one (``u`` may round up)."""
-        u = rng.random(n) * self.cdf[-1]
-        if len(self.cdf) <= self.SHORT:
+    def search(self, u, rows=0) -> np.ndarray:
+        """The position of each ``u`` in its row: ``rows`` is one row index or
+        one per value."""
+        u = np.asarray(u, dtype=float)
+        if self._short:
+            return self._count(u, self.cdf)
+        return self._slots(u, rows) - self._starts[rows]
+
+    def draw(self, rng, n: int, rows=0) -> np.ndarray:
+        """``n`` indices by inversion in ``rows`` (one row index or one per
+        draw), capped at the row's last one (``u`` may round up)."""
+        u = rng.random(n)
+        u *= self._lasts[rows]
+        if self._short:
             return self._count(u, self.cdf[:-1])
-        return np.minimum(self.search(u), len(self.cdf) - 1)
+        return np.minimum(self._slots(u, rows) - self._starts[rows], self._tops[rows])
+
+
+def _convolve(a, b) -> np.ndarray:
+    """``np.convolve(a, b)`` of two pmfs: directly when a factor has at most
+    ``_DIRECT_CONVOLVE`` entries, which keeps exact zeros exact, else by a
+    real FFT padded to a power of two (pocketfft is slow at awkward lengths)
+    and clipped at 0, within about 1e-16 per atom."""
+    if min(len(a), len(b)) <= _DIRECT_CONVOLVE:
+        return np.convolve(a, b)
+    n = len(a) + len(b) - 1
+    size = 1 << (n - 1).bit_length()
+    fa = np.fft.rfft(a, size)
+    out = np.fft.irfft(fa * (fa if b is a else np.fft.rfft(b, size)), size)[:n]
+    return np.maximum(out, 0.0, out=out)
+
+
+def _stack_height(width: int) -> int:
+    """``K``: the largest power of two whose sums of ``0 .. K - 1`` draws from a
+    ``width``-entry pmf, ``(width - 1) K (K - 1) / 2 + K`` entries in all, fit
+    in ``2 * _BLOCK_DRAWS``; 1 for a one-atom law, whose sums need no table."""
+    k = 1
+    while width > 1 and (width - 1) * k * (2 * k - 1) + 2 * k <= 2 * _BLOCK_DRAWS:
+        k *= 2                                                     # rows of 2K fit
+    return k
 
 
 class LatticeSumSampler:
     """Sums of many i.i.d. draws from a lattice law: finite, or tailed with a
     tail sampler.
 
-    Level ``j`` holds the law of a sum of ``2^j`` draws from the atom table
-    as an offset and a cdf: the convolution square of level ``j - 1`` by a
-    real FFT padded to a power of two, trimmed at mass 1e-15 per side.  A
-    sum of ``c`` table draws takes one level draw per binary digit of ``c``,
-    inverted through the level's :class:`GuideTable`.  Levels are built on
-    demand, up to the largest count asked for, so a sampler belongs to its
-    caller rather than to the shared measure.
+    The atom table is a pmf on ``lo + step * j``, ``step`` the gcd of the
+    atoms' gaps (2 for the +-1 law), so no table stores the impossible sums
+    between.  A sum of ``c`` draws from it is split at ``K``
+    (:func:`_stack_height`: the largest power of two whose small-count rows
+    fit in ``2 * _BLOCK_DRAWS`` cdf entries, 256 for the +-1 law, 4 for the
+    4097 atoms of :func:`subordinated`).  The *stacked table* holds, in row
+    ``k < K``, the law of a sum of ``k`` draws, the ``k``-th convolution
+    power of the atom table (:func:`_convolve`), as one
+    :class:`GuideTable`: ``c mod K`` draws cost one search of their row, and
+    a row with ``c mod K = 0`` draws nothing.  Level ``j`` holds the law of
+    a sum of ``K 2^j`` draws: level 0 is the ``K``-th power, and level ``j``
+    the convolution square of level ``j - 1``, each trimmed at mass 1e-15
+    per side.  Each set bit ``j`` of ``c // K`` adds one draw from level ``j``;
+    only the levels that some count uses are visited, by the rows of at
+    least ``K`` draws alone, addressed by index.  A block whose rows share
+    one count draws its stacked row and each of its levels once for all of
+    them, with no per-row indexing.  Levels are built on demand, up to the
+    largest count asked for, so a sampler belongs to its caller rather than
+    to the shared measure.
 
-    A tailed law leaves its table with probability ``q_tail``: of a sum of
-    ``m`` draws, ``Bin(m, q_tail)`` come from the law's tail sampler and the
-    rest from the levels of the table, renormalised.  Rows are summed
-    ``_BLOCK_DRAWS`` at a time (:func:`_fill`), and a row block's tail values
-    are drawn ``_BLOCK_DRAWS`` at a time and read off one running sum at the
-    row ends, so a call holds its result, the levels and ``O(_BLOCK_DRAWS)``
-    however many tail values it draws.
+    A tailed law leaves its table with probability ``q_tail``.  The draws of
+    a row block, its rows end to end, hold their tail draws as one
+    Bernoulli(``q_tail``) process: geometric gaps, mapped to rows by their
+    row ends, so a row of ``c`` draws has ``Bin(c, q_tail)`` of them exactly.
+    Those come from the law's tail sampler and the rest from the table,
+    renormalised.  When at most half of a block's rows hold a tail draw,
+    every row first draws its whole count from the table and those rows then
+    draw their ``c - Bin(c, q_tail)`` table draws afresh: the sums set aside
+    depend on the tail positions alone, so the law is kept, and the other
+    rows keep one count where the block had one.  Rows are summed
+    ``_BLOCK_DRAWS`` at a time (:func:`_fill`), and a row block's gaps and
+    tail values ``_BLOCK_DRAWS`` at a time, so a call holds its result, the
+    tables and ``O(_BLOCK_DRAWS)`` however many tail values it draws.
     """
 
     def __init__(self, m: Measure1D):
@@ -752,27 +837,49 @@ class LatticeSumSampler:
             raise MeasureError("sum sampler needs a finite lattice law or a tailed "
                                "lattice law with a tail sampler")
         lo = int(m.support[0])
-        pmf = np.zeros(int(m.support[-1]) - lo + 1)
-        pmf[m.support - lo] = m.probs
+        step = int(np.gcd.reduce(m.support - lo)) or 1
+        pmf = np.zeros((int(m.support[-1]) - lo) // step + 1)
+        pmf[(m.support - lo) // step] = m.probs
         self.q_tail = 0.0
         if m.has_analytic_tail:
             self.q_tail = m.tail(int(m.support[-1])) * (2.0 if m._mirrored else 1.0)
             pmf /= pmf.sum()
         self._tail_sampler = m._tail_sampler
-        self._top = pmf                       # pmf of the last level
-        self._levels = [(lo, GuideTable(np.cumsum(pmf)))]  # (offset, table) per level
+        k = _stack_height(len(pmf))
+        rows = [np.ones(1)]
+        for _ in range(1, k):
+            rows.append(_convolve(rows[-1], pmf))
+        self._lo, self._step, self._k, self._shift = lo, step, k, k.bit_length() - 1
+        self._small = GuideTable(*map(np.cumsum, rows))
+        self._top = (k * lo, _convolve(rows[-1], pmf))   # (offset, pmf) of the last level
+        self._levels = []                                  # (offset, table) per level
 
     def _grow(self):
-        n = 2 * len(self._top) - 1
-        size = 1 << (n - 1).bit_length()     # pocketfft is slow at awkward lengths
-        nxt = np.fft.irfft(np.fft.rfft(self._top, size) ** 2, size)[:n]
-        np.maximum(nxt, 0.0, out=nxt)
-        cs = np.cumsum(nxt)
+        offset, pmf = self._top
+        if self._levels:
+            offset, pmf = 2 * offset, _convolve(pmf, pmf)
+        cs = np.cumsum(pmf)
         lo = int(np.searchsorted(cs, 1e-15))
         hi = int(np.searchsorted(cs, cs[-1] - 1e-15)) + 1
-        self._top = nxt[lo:hi]
-        self._levels.append((2 * self._levels[-1][0] + lo,
-                             GuideTable(np.cumsum(self._top))))
+        self._top = (offset + self._step * lo, pmf[lo:hi])
+        self._levels.append((self._top[0], GuideTable(np.cumsum(pmf[lo:hi]))))
+
+    def _small_draw(self, n: int, rows, rng) -> np.ndarray:
+        """``n`` sums of ``rows`` draws (one count, or one per sum) below ``K``."""
+        out = self._small.draw(rng, n, rows)
+        out *= self._step
+        out += self._lo * rows
+        return out
+
+    def _level_draw(self, j: int, n: int, rng) -> np.ndarray:
+        """``n`` draws from level ``j``, built first if need be."""
+        while j >= len(self._levels):
+            self._grow()
+        offset, table = self._levels[j]
+        out = table.draw(rng, n)
+        out *= self._step
+        out += offset
+        return out
 
     def sample(self, counts, rng) -> np.ndarray:
         """Sum of ``counts[i]`` i.i.d. draws for each row ``i``."""
@@ -781,32 +888,73 @@ class LatticeSumSampler:
         return _fill(len(counts), lambda lo, hi: self._row_block_sum(counts[lo:hi], rng))
 
     def _table_sum(self, counts, rng) -> np.ndarray:
-        while int(counts.max(initial=0)) >> len(self._levels):
-            self._grow()
+        k, shift = self._k, self._shift
+        least, top = int(counts.min(initial=0)), int(counts.max(initial=0))
+        if least == top:                              # one count: scalar rows
+            if top & (k - 1):
+                total = self._small_draw(len(counts), top & (k - 1), rng)
+            else:
+                total = np.zeros(len(counts), dtype=np.int64)
+            for j in range((top >> shift).bit_length()):
+                if top >> shift >> j & 1:
+                    total += self._level_draw(j, len(counts), rng)
+            return total
+        if 0 < least and top < k:                     # every row in the stack
+            return self._small_draw(len(counts), counts, rng)
+        small = counts & (k - 1)
         total = np.zeros(len(counts), dtype=np.int64)
-        for j, (offset, table) in enumerate(self._levels):
-            mask = (counts >> j) & 1 == 1
-            total[mask] += offset + table.draw(rng, int(np.count_nonzero(mask)))
+        at = np.flatnonzero(small)
+        total[at] = self._small_draw(at.size, small[at], rng)
+        if top < k:
+            return total
+        high = counts >> shift
+        at = np.flatnonzero(high)
+        high = high[at]
+        present = int(np.bitwise_or.reduce(high))
+        for j in range(present.bit_length()):
+            if present >> j & 1:
+                rows = at[(high >> j) & 1 == 1]
+                total[rows] += self._level_draw(j, rows.size, rng)
         return total
 
     def _row_block_sum(self, counts, rng) -> np.ndarray:
         if not self.q_tail:
             return self._table_sum(counts, rng)
-        n_tail = rng.binomial(counts, self.q_tail)
-        total = self._table_sum(counts - n_tail, rng)
-        # row i's tail values are draws ends[i-1]:ends[i] of one stream, read
-        # block by block: its running sum at the row ends, differenced
-        ends = np.cumsum(n_tail)
-        at_ends = np.zeros(len(counts), dtype=np.int64)
-        carry, count = 0, int(n_tail.sum())
-        for lo in range(0, count, _BLOCK_DRAWS):
-            hi = min(lo + _BLOCK_DRAWS, count)
-            cs = np.cumsum(self._tail_sampler(rng, hi - lo))
-            cs += carry            # int64 wraps alike in cs and at_ends: differences hold
-            i, j = np.searchsorted(ends, [lo, hi], side="right")
-            at_ends[i:j] = cs[ends[i:j] - lo - 1]
-            carry = cs[-1]
-        total += np.diff(at_ends, prepend=0)
+        # tail draws at positions pos + cumsum(gaps) of the block's draws end
+        # to end; each block of them adds its values to its rows, in order
+        ends = np.cumsum(counts)
+        n = int(ends[-1]) if len(ends) else 0
+        rows, n_tail, tails = [], [], []
+        pos = -1
+        while pos < n - 1:
+            mean = self.q_tail * (n - 1 - pos)
+            size = min(_BLOCK_DRAWS, int(mean + 5.0 * math.sqrt(mean)) + 16)
+            at = pos + np.cumsum(rng.geometric(self.q_tail, size))
+            at = at[at < n]
+            if at.size:
+                row = np.searchsorted(ends, at, side="right")
+                first = np.flatnonzero(np.diff(row, prepend=-1))
+                rows.append(row[first])
+                n_tail.append(np.diff(first, append=at.size))
+                tails.append(np.add.reduceat(self._tail_sampler(rng, at.size), first))
+                pos = int(at[-1])
+            if at.size < size:
+                break
+        if not rows:
+            return self._table_sum(counts, rng)
+        # a row split across two blocks of positions appears twice, in order
+        rows, n_tail, tails = map(np.concatenate, (rows, n_tail, tails))
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        rows, n_tail = rows[first], np.add.reduceat(n_tail, first)
+        tails = np.add.reduceat(tails, first)
+        if 2 * len(rows) <= len(counts):     # few rows with tails draw again
+            total = self._table_sum(counts, rng)
+            total[rows] = self._table_sum(counts[rows] - n_tail, rng)
+        else:
+            counts = counts.copy()
+            counts[rows] -= n_tail
+            total = self._table_sum(counts, rng)
+        total[rows] += tails
         return total
 
 
@@ -897,6 +1045,23 @@ def subordinator_tail(alpha: float, k) -> float | np.ndarray:
     return out
 
 
+def _fill_unresolved(rng, x, t) -> None:
+    """Complete, in place, the draws ``t ~ floor(x)`` whose float ``x`` is at
+    least 2^53, where ``x`` holds no bits below its spacing: those bits of
+    ``t`` are drawn uniformly, so their parity is fair, and a draw at or
+    beyond ``SubordinatorAlpha.CAP`` becomes ``CAP`` or ``CAP - 1`` with
+    equal chance.  Only those draws take random numbers, so a stream of
+    draws below 2^53 is unchanged."""
+    big = np.flatnonzero(x >= 2.0 ** 53)
+    if big.size:
+        xb = x[big]
+        fill = rng.integers(0, np.spacing(xb).astype(np.int64))
+        tb = xb.astype(np.int64) + fill
+        over = xb >= SubordinatorAlpha.CAP
+        tb[over] = SubordinatorAlpha.CAP - (fill[over] & 1)
+        t[big] = tb
+
+
 @dataclass
 class SubordinatorAlpha:
     """The heavy-tailed renewal-time law driving subordinated walks.
@@ -913,9 +1078,12 @@ class SubordinatorAlpha:
     of ``x`` where ``T`` steps lies strictly between two integers (near
     ``k + (1 - alpha) / 2`` for large ``k``), so the rounding of ``x`` does
     not move the pick: draws are exact for ``T`` below 2^40 (checked at 50
-    digits), and beyond within the rounding of ``x``.  Draws are floored at
-    ``h + 1`` and clipped at ``CAP`` after the comparison, to keep downstream
-    integer arithmetic exact; the affected mass is of order
+    digits), and beyond within the rounding of ``x``; from 2^53 on, where
+    ``x`` holds no bits below its spacing, those bits are drawn uniformly
+    (:func:`_fill_unresolved`).  Draws are floored at ``h + 1`` and clipped
+    at ``CAP`` (``CAP`` or ``CAP - 1``, with equal chance, so their parity
+    is fair) after the comparison, to keep downstream integer arithmetic
+    exact; the affected mass is of order
     ``CAP^(-alpha) = 2^(-62 alpha)`` per draw (2.5e-6 at ``alpha = 0.3``).
     The clip sits far beyond any reachable walk scale: clipping inside that
     range would give the increments finite variance and turn a transient
@@ -961,6 +1129,7 @@ class SubordinatorAlpha:
             log_w += log_h                                    # log (V tail(h))
             t = x.astype(np.int64)                            # floor(x)
             t += log_tails(t) > log_w                         # tail(t) > V tail(h)
+            _fill_unresolved(rng, x, t)
             np.maximum(t, h + 1, out=t)
             return np.minimum(t, self.CAP, out=t)
 
@@ -1080,8 +1249,10 @@ def subordinated(alpha: float) -> Measure1D:
     (:func:`_log_gamma_ratio`, shift ``2 alpha``) picks between them.  The
     step points of ``x`` lie strictly between integers (near ``k + (1 -
     alpha) / 2``), so as for :class:`SubordinatorAlpha` draws are exact below
-    about 2^40, and beyond within the rounding of ``x``.  They are clipped at
-    ``SubordinatorAlpha.CAP`` after the comparison: ``meta["clipped_mass"]``
+    about 2^40, and beyond within the rounding of ``x``, their bits below the
+    spacing of ``x`` drawn from 2^53 on (:func:`_fill_unresolved`).  They are
+    clipped at ``SubordinatorAlpha.CAP``, to ``CAP`` or ``CAP - 1`` with
+    equal chance, after the comparison: ``meta["clipped_mass"]``
     is the clipped mass ``2 P(S > CAP)`` per draw (2e-12 at ``alpha = 0.3``,
     0.0125 at 0.05).  ``meta["tail_exponent"]`` is ``2 alpha``, so
     :meth:`Measure1D.mean` is 0 exactly when ``alpha > 1/2``.  No scipy is
@@ -1121,6 +1292,7 @@ def subordinated(alpha: float) -> Measure1D:
             x = 2.0 * y / (a + np.sqrt(a * a + 4.0 * y))    # x (x + a) = y
             m = x.astype(np.int64)
             m += log_ratio(m) > log_t                  # R(m) > V R(K)
+            _fill_unresolved(rng, x, m)
             np.maximum(m, K + 1, out=m)
             np.minimum(m, cap, out=m)
             return np.where(up, m, -m)

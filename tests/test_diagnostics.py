@@ -469,7 +469,8 @@ def test_null_probe_general_centred_law():
 
 def test_null_probe_equal_factors_share_sum_levels(monkeypatch):
     # two equal laws (distinct objects) get one sampler: only the first
-    # factor grows convolution levels, as many as a one-factor probe does
+    # factor grows convolution levels, as many as a one-factor probe does;
+    # the grid's last gap, 512, reaches past the 256 stacked rows of +-1 sums
     grown = []
     grow = ms.LatticeSumSampler._grow
 
@@ -478,7 +479,7 @@ def test_null_probe_equal_factors_share_sum_levels(monkeypatch):
         grow(self)
 
     monkeypatch.setattr(ms.LatticeSumSampler, "_grow", counting_grow)
-    grid = [2 << i for i in range(6)]
+    grid = [2 << i for i in range(10)]
     dg.product_null_recurrence_probe([PM1], [0], grid, 2000, rng=3)
     alone = len(grown)
     grown.clear()
@@ -591,6 +592,26 @@ def test_dimension_probe_matches_exact_law(j):
     assert res["escape_fraction"] == np.mean(mins > radius)
     # the walk skipped steps: fewer draws than one burn-in jump plus single steps
     assert res["jumps"] < n * (1 + budget - burn)
+
+
+@pytest.mark.parametrize("j", [
+    ms.JointMeasure.product((2, 0, 0, 0), [PM1, PM1]),
+    ms.JointMeasure.product((2, 0, 0, 0), [PM12, PM1]),
+], ids=["pm1_2d", "two_laws_2d"])
+def test_dimension_probe_matches_exact_law_across_a_short_stack(j, monkeypatch):
+    # with a stack of K = 4 rows, jumps of up to 11 steps take c mod 4 from
+    # the stack and the rest from the levels of 4 and 8 steps
+    grown = []
+    grow = ms.LatticeSumSampler._grow
+
+    def counting_grow(self):
+        grown.append(self._k)
+        grow(self)
+
+    monkeypatch.setattr(ms, "_stack_height", lambda width: 4)
+    monkeypatch.setattr(ms.LatticeSumSampler, "_grow", counting_grow)
+    test_dimension_probe_matches_exact_law(j)
+    assert grown and set(grown) == {4}
 
 
 # ---------------------------------------------------------------------------

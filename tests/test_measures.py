@@ -745,7 +745,7 @@ def test_tau_inversion_is_exact_at_chosen_uniforms(alpha, h):
     # rounding of U moves a larger x further); put V at 1 - alpha (= tail(1),
     # the step from T = 1 to 2 at h = 0), 1e-12 either side of the step from
     # T = h + 1 to h + 2, and at 2^-53, whose x lies beyond CAP when h > 0 or
-    # alpha < 0.95.
+    # alpha < 0.95: a clipped draw is CAP or CAP - 1.
     mp = pytest.importorskip("mpmath")
     cap = ms.SubordinatorAlpha.CAP
     with mp.workdps(50):
@@ -769,10 +769,31 @@ def test_tau_inversion_is_exact_at_chosen_uniforms(alpha, h):
             if ti < 1 << 40:           # the slack absorbs mpmath's rounding at V = tail(1)
                 assert tail(ti) <= w * (1 + mp.mpf(10) ** -40), (ui, ti)
                 assert ti - 1 == h or w < tail(ti - 1), (ui, ti)
-            elif tail(cap) > w:
-                assert ti == cap, (ui, ti)
+            elif tail(cap) > w:             # clipped, with a fair parity
+                assert ti in (cap - 1, cap), (ui, ti)
     if h > 0 or alpha < 0.95:
-        assert t[3] == cap
+        assert t[3] in (cap - 1, cap)
+
+
+@pytest.mark.parametrize("law", ["tau", "subordinated"])
+def test_huge_draws_keep_their_parity(law):
+    # a float above 2^53 holds no parity bit: the bits below its spacing are
+    # drawn, and a clipped draw is CAP or CAP - 1.  At alpha = 0.05 about 15%
+    # of tau draws and 3% of subordinated ones reach 2^53; P(odd) = 2^(alpha - 1)
+    # for both laws (E (-1)^T = 1 - 2^alpha, and E (-1)^S = E cos(pi)^T)
+    alpha, n = 0.05, 10 ** 6
+    if law == "tau":
+        x = ms.SubordinatorAlpha(alpha).sample(np.random.default_rng(2), n)
+    else:
+        x = np.abs(ms.subordinated(alpha).sample(np.random.default_rng(1), n))
+    cap = ms.SubordinatorAlpha.CAP
+    assert x.max() <= cap and np.any(x == cap) and np.any(x == cap - 1)
+    odd = x % 2 == 1
+    p = 2.0 ** (alpha - 1.0)
+    assert abs(odd.mean() - p) < 5 * math.sqrt(p * (1 - p) / n)
+    big = x >= 1 << 53
+    assert big.mean() > 0.02
+    assert abs(odd[big].mean() - 0.5) < 5 * math.sqrt(0.25 / big.sum())
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9, 0.95])
@@ -912,8 +933,8 @@ def test_subordinated_inversion_is_exact_at_chosen_uniforms(alpha):
             if m < 1 << 40:
                 assert ratio(m) <= w * (1 + mp.mpf(10) ** -40), (ui, mi)
                 assert m - 1 == top or w < ratio(m - 1), (ui, mi)
-            elif ratio(cap) > w:
-                assert m == cap, (ui, mi)
+            elif ratio(cap) > w:            # clipped, with a fair parity
+                assert m in (cap - 1, cap), (ui, mi)
     assert got[0] == -(top + 1) and got[1] == top + 1     # V = 1: the first atoms beyond
 
 
@@ -1043,6 +1064,30 @@ def test_guide_table_branches_equal_searchsorted(short, monkeypatch):
         assert np.array_equal(got, np.minimum(ref, n - 1)), n
 
 
+def test_guide_table_stacked_rows_equal_searchsorted():
+    # rows of 1 to 300 entries end to end, with flat runs, heavy jumps and
+    # negative entries: each value searches its own row, and a draw inverts
+    # its row, capped at the row's last entry
+    rng = np.random.default_rng(71)
+    cdfs = []
+    for n in [1, 2, 3, 17, 40, 300, 5, 64, 1, 128]:
+        w = rng.pareto(0.3, n) if n % 2 else rng.random(n)
+        w[rng.random(n) < 0.3] = 0.0
+        w[0] += 1e-3
+        cdfs.append(np.cumsum(w) - (2.0 if n == 17 else 0.0))
+    table = ms.GuideTable(*cdfs)
+    rows = rng.integers(0, len(cdfs), 20_000)
+    u = np.array([rng.choice([rng.random() * cdfs[r][-1], rng.choice(cdfs[r]),
+                              np.nextafter(rng.choice(cdfs[r]), -np.inf), -3.0, 1e9])
+                  for r in rows.tolist()])
+    want = np.array([np.searchsorted(cdfs[r], x, side="right") for r, x in zip(rows, u)])
+    assert np.array_equal(table.search(u, rows), want)
+    assert np.array_equal(table.search(u[rows == 5], 5), want[rows == 5])
+    got = table.draw(np.random.default_rng(3), rows.size, rows)
+    u = np.random.default_rng(3).random(rows.size)
+    assert np.array_equal(got, [_searchsorted_draws(cdfs[r], x) for r, x in zip(rows, u)])
+
+
 def _searchsorted_draws(cdf, u):
     return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
 
@@ -1155,31 +1200,100 @@ def test_guide_table_on_the_subordinator_tail_table():
     assert np.array_equal(table.search(u), np.searchsorted(table.cdf, u, side="right"))
 
 
-def _searchsorted_sums(levels, counts, rng):
-    """Sums drawn by the plain inversion of each level's cdf from one stream."""
+def _searchsorted_sums(sampler, counts, rng):
+    """Sums drawn by the plain inversion of each stacked row's and each
+    level's cdf from one stream: first ``c mod K`` draws for every row with
+    one, by its own row of the stacked table, then the set bits of ``c // K``
+    level by level, each level's rows in order."""
+    k, lo, step = sampler._k, sampler._lo, sampler._step
     want = np.zeros(len(counts), dtype=np.int64)
-    for j, (offset, table) in enumerate(levels):
-        mask = (counts >> j) & 1 == 1
+    small = counts % k
+    at = np.flatnonzero(small)
+    for i, u in zip(at.tolist(), rng.random(at.size).tolist()):
+        want[i] = small[i] * lo + step * _searchsorted_draws(sampler._small.cdfs[small[i]], u)
+    for j, (offset, table) in enumerate(sampler._levels):
+        mask = (counts // k >> j) & 1 == 1
         if mask.any():
-            idx = np.searchsorted(table.cdf, rng.random(int(mask.sum())) * table.cdf[-1],
-                                  side="right")
-            want[mask] += offset + np.minimum(idx, len(table.cdf) - 1)
+            u = rng.random(int(mask.sum()))
+            want[mask] += offset + step * _searchsorted_draws(table.cdf, u)
     return want
 
 
 def test_lattice_sum_sampler_draws_equal_searchsorted_inversion():
+    # counts of 0, K - 1, K and K + 1 straddle the stacked table
     law = _random_law(2, -4, 5)
-    counts = np.random.default_rng(0).integers(0, 5000, 3000)
     sampler = ms.LatticeSumSampler(law)
+    k = sampler._k
+    counts = np.random.default_rng(0).integers(0, 5000, 3000)
+    counts[:8] = [0, k - 1, k, k + 1, 0, 2 * k, 1, 3 * k + 1]
     got = sampler.sample(counts, np.random.default_rng(9))
-    assert np.array_equal(got, _searchsorted_sums(sampler._levels, counts,
-                                                  np.random.default_rng(9)))
+    assert np.array_equal(got, _searchsorted_sums(sampler, counts, np.random.default_rng(9)))
+    assert got[0] == got[4] == 0
 
 
-# level 0 pmfs of 3, 6, 10 and 24 entries: 2 len - 1 = 5, 11, 19, 47
+@pytest.mark.parametrize("count", [0, 5, 256, 11 * 256 + 3])
+def test_lattice_sum_sampler_one_count_equals_searchsorted_inversion(count):
+    # a block of one count draws its stacked row and each level once for all
+    # rows: the same stream as the rows drawn one by one
+    sampler = ms.LatticeSumSampler(lattice({-1: 0.5, 1: 0.5}))
+    counts = np.full(3000, count)
+    got = sampler.sample(counts, np.random.default_rng(9))
+    assert np.array_equal(got, _searchsorted_sums(sampler, counts, np.random.default_rng(9)))
+
+
+def test_lattice_sum_sampler_stores_the_lattice_step():
+    # +-1 sums of k draws have k's parity: the tables hold every second atom,
+    # and the sums keep their parity and the exact law of 2 Bin(c, 1/2) - c
+    sampler = ms.LatticeSumSampler(lattice({-1: 0.5, 1: 0.5}))
+    assert (sampler._lo, sampler._step, sampler._k) == (-1, 2, 256)
+    counts = np.tile([0, 1, 255, 256, 257, 1000], 20_000)
+    got = sampler.sample(counts, np.random.default_rng(5))
+    assert np.all((got - counts) % 2 == 0) and np.all(np.abs(got) <= counts)
+    for c in (255, 257, 1000):
+        heads = (got[counts == c] + c) // 2
+        mean, var = heads.mean(), heads.var()
+        assert abs(mean - c / 2) < 5 * math.sqrt(c / 4 / 20_000)
+        assert abs(var - c / 4) < 5 * (c / 4) * math.sqrt(2 / 20_000)
+
+
+# pmfs of 3 (2 on the lattice 2Z - 1), 6, 10 and 24 entries: stacks of K = 256,
+# 128, 64 and 64 rows
 SUM_LAWS = {"pm1": lattice({-1: 0.5, 1: 0.5}), "three_point": lattice({-2: .3, 0: .3, 3: .4}),
             "random": _random_law(2, -4, 5),
             "uniform_24": ms.Measure1D.lattice_arrays(np.arange(1, 25), np.full(24, 1 / 24))}
+
+
+def _law_pmf(law):
+    pmf = np.zeros(law.support[-1] - law.support[0] + 1)
+    pmf[law.support - law.support[0]] = law.probs
+    return pmf / pmf.sum()
+
+
+def _spread(cdf, step):
+    """The pmf of a table's cdf, its atoms ``step`` apart."""
+    out = np.zeros((len(cdf) - 1) * step + 1)
+    out[::step] = np.diff(cdf, prepend=0.0)
+    return out
+
+
+@pytest.mark.parametrize("law, k", zip([*SUM_LAWS.values(), ms.subordinated(0.6)],
+                                       [256, 128, 64, 64, 4]),
+                         ids=[*SUM_LAWS.keys(), "subordinated"])
+def test_lattice_sum_sampler_stacked_rows_are_convolution_powers(law, k):
+    # row r of the stacked table is the r-th np.convolve power within 1e-15 per
+    # atom, its cdf unshifted; K is the largest power of two whose rows fit
+    # in 2 _BLOCK_DRAWS entries
+    sampler = ms.LatticeSumSampler(law)
+    pmf, step = _law_pmf(law), sampler._step
+    width = (len(pmf) - 1) // step + 1
+    assert sampler._k == k and ms._stack_height(width) == k
+    size = lambda rows: sum(r * (width - 1) + 1 for r in range(rows))     # noqa: E731
+    assert size(k) <= 2 * ms._BLOCK_DRAWS < size(2 * k) and k & (k - 1) == 0
+    power = np.ones(1)
+    for row, cdf in enumerate(sampler._small.cdfs):
+        assert np.abs(_spread(cdf, step) - power).max() <= 1e-15, row
+        power = np.convolve(power, pmf)
+    assert row == k - 1
 
 
 @pytest.mark.parametrize("law", SUM_LAWS.values(), ids=SUM_LAWS.keys())
@@ -1187,7 +1301,16 @@ def test_lattice_sum_sampler_levels_are_convolution_squares(law):
     counts = np.random.default_rng(0).integers(0, 1 << 12, 3000)
     sampler = ms.LatticeSumSampler(law)
     got = sampler.sample(counts, np.random.default_rng(9))
-    assert len(sampler._levels) == 12
+    k, step = sampler._k, sampler._step
+    assert len(sampler._levels) == 12 - k.bit_length() + 1        # K 2^j up to 2^11
+    power = np.ones(1)
+    for _ in range(k):
+        power = np.convolve(power, _law_pmf(law))
+    offset, table = sampler._levels[0]                 # level 0: the K-th power, trimmed
+    level = np.zeros_like(power)
+    i = offset - k * law.support[0]
+    level[i:i + step * (len(table.cdf) - 1) + 1] = _spread(table.cdf, step)
+    assert np.abs(level - power).max() <= 1e-15
     for (lo, below), (offset, table) in zip(sampler._levels, sampler._levels[1:]):
         pmf = np.diff(below.cdf, prepend=0.0)
         square = np.maximum(np.convolve(pmf, pmf), 0.0)
@@ -1197,11 +1320,10 @@ def test_lattice_sum_sampler_levels_are_convolution_squares(law):
         want[a:b] = square[a:b]
         # rounding may move a trim point by a few atoms, each of mass below 1e-15
         level = np.zeros_like(square)
-        i = offset - 2 * lo
+        i = (offset - 2 * lo) // step
         level[i:i + len(table.cdf)] = np.diff(table.cdf, prepend=0.0)
         assert np.abs(level - want).max() <= 1e-15
-    assert np.array_equal(got, _searchsorted_sums(sampler._levels, counts,
-                                                  np.random.default_rng(9)))
+    assert np.array_equal(got, _searchsorted_sums(sampler, counts, np.random.default_rng(9)))
 
 
 @pytest.mark.parametrize("budget", [None, 64])
@@ -1229,6 +1351,30 @@ def test_tailed_lattice_sums_match_brute_force(monkeypatch, alpha, budget):
                           ((fast == 0).mean(), (brute == 0).mean())):
             p = (got + want) / 2
             assert abs(got - want) < 5 * math.sqrt(2 * p * (1 - p) / n), (t, got, want)
+
+
+@pytest.mark.parametrize("one_count", [False, True], ids=["mixed", "one_count"])
+@pytest.mark.parametrize("q", [1e-3, 0.05], ids=["few_tail_rows", "most_tail_rows"])
+def test_tailed_sums_split_each_row_between_table_and_tail(q, one_count):
+    # a table of one atom, 1, and tail values of 10^6 (its tail sampler
+    # stands in for any values beyond the table): a row of c draws sums to
+    # c - N + 10^6 N with N ~ Bin(c, q), whether the rows with a tail draw
+    # their table parts again (few of them) or once (most of them)
+    big = 10 ** 6
+    law = ms.Measure1D.lattice_tailed([1], [1 - q], lambda x: q / np.square(x),
+                                      tail_sampler=lambda rng, n: np.full(n, big))
+    sampler = ms.LatticeSumSampler(law)
+    assert sampler.q_tail == q
+    counts = np.random.default_rng(8).integers(0, 120, 20_000)
+    if one_count:
+        counts[:] = 100
+    got = sampler.sample(counts, np.random.default_rng(9))
+    n_tail = (got - counts) // (big - 1)
+    assert np.array_equal(got, counts + (big - 1) * n_tail)
+    assert np.all((0 <= n_tail) & (n_tail <= counts))
+    m = counts.sum()
+    assert abs(n_tail.sum() - q * m) < 5 * math.sqrt(q * (1 - q) * m)
+    assert (2 * np.count_nonzero(n_tail) <= len(counts)) == (q < 0.01)
 
 
 def test_lattice_sum_sampler_refuses_infinite_support():

@@ -77,9 +77,15 @@ def calls(rw) -> dict:
     refl_free = rc.WalkSpec(ms.JointMeasure.product((1, 0, 1, 0), [m12, pm1]))
     nu = ex.invariant_measure_nonneg(m12)
     free_plane = ms.JointMeasure.product((0, 0, 2, 0), [pm1, pm2])
+    diagonal = ms.JointMeasure.finite((2, 0, 0, 0), [((a, b), 0.125) for a in (-1, 1)
+                                                     for b in (-1, 1)]
+                                      + [((2 * a, 0), 0.125) for a in (-1, 1)]
+                                      + [((0, 2 * a), 0.125) for a in (-1, 1)])
     return {
         "Measure1D.sample[lattice]": lambda: two_sided.sample(g(1), 5000),
         "Measure1D.sample[subordinated]": lambda: ms.subordinated(0.6).sample(g(2), 5000),
+        "Measure1D.sample[subordinated(0.05)]":
+            lambda: ms.subordinated(0.05).sample(g(29), 5000),
         "Measure1D.sample[wiener_hopf_log_tail]":
             lambda: ms.wiener_hopf_log_tail(10 ** 4).sample(g(3), 5000),
         "Measure1D.sample[uniform]": lambda: unif.sample(g(4), 5000),
@@ -92,6 +98,8 @@ def calls(rw) -> dict:
             lambda: ms.LatticeSumSampler(two_sided).sample(np.arange(1, 2001), g(9)),
         "LatticeSumSampler.sample[tailed]": lambda: ms.LatticeSumSampler(
             ms.subordinated(0.6)).sample(np.arange(1, 2001), g(10)),
+        "LatticeSumSampler.sample[straddle]": lambda: ms.LatticeSumSampler(pm1).sample(
+            np.tile([0, 1, 255, 256, 257, 511, 512, 1000, 4097], 200), g(30)),
         "SubordinatorSumSampler.sample_sum":
             lambda: dg.SubordinatorSumSampler(0.6).sample_sum(300, 2000, g(11)),
         "simulate": lambda: rc.simulate(refl_free, [0, 0], 5000, 12),
@@ -123,6 +131,10 @@ def calls(rw) -> dict:
             [pm1, pm2], [0, 0], [64, 128, 256, 512], 2000, 26),
         "dimension_transience_probe": lambda: dg.dimension_transience_probe(
             ms.JointMeasure.product((2, 0, 0, 0), [pm1, pm1]), 10_000, 16, 27),
+        "dimension_transience_probe[product_3d]": lambda: dg.dimension_transience_probe(
+            ms.JointMeasure.product((3, 0, 0, 0), [pm1, pm2, pm1]), 10_000, 16, 31),
+        "dimension_transience_probe[finite]": lambda: dg.dimension_transience_probe(
+            diagonal, 10_000, 16, 32),
         "subordinated_return_exponent": lambda: dg.subordinated_return_exponent(
             0.6, 28, n_max=1024, replicas=5000, chunk=2000),
     }
