@@ -686,41 +686,61 @@ class GuideTable:
     every ``u``.  The rows lie end to end in one array, each followed by an
     infinite sentinel that stops every step, and a search addresses its row
     by index: the cdf values are never offset, which would cost their low
-    bits.  Each cdf is any nondecreasing array.
+    bits.  :meth:`append` stacks more rows after the last; the rows held
+    keep their index and their guide.  Each cdf is any nondecreasing array.
     """
 
     SHORT = 16
 
     def __init__(self, *cdfs):
+        self._flat, self._keys = np.empty(0), np.empty(0, dtype=complex)
+        self._guide = self._starts = self._tops = np.empty(0, dtype=np.intp)
+        self.append(*cdfs)
+
+    @property
+    def cdfs(self) -> list:
+        return [self._flat[s:e + 1] for s, e in zip(self._starts.tolist(), self._ends.tolist())]
+
+    def append(self, *cdfs):
+        """Stack ``cdfs`` after the rows held, as rows ``len(self.cdfs)`` on."""
+        base, first = len(self._flat), len(self._starts)
         sizes = np.array([len(c) for c in cdfs])
-        self._starts = np.append(0, np.cumsum(sizes + 1)[:-1])
-        self._flat = np.concatenate([x for c in cdfs for x in (c, [np.inf])], dtype=float)
-        self.cdfs = [self._flat[s:s + n] for s, n in zip(self._starts.tolist(), sizes.tolist())]
-        self.cdf = self.cdfs[0]
-        self._short = len(cdfs) == 1 and sizes[0] <= self.SHORT
+        flat = np.concatenate([x for c in cdfs for x in (c, [np.inf])], dtype=float)
+        self._flat = np.concatenate([self._flat, flat]) if base else flat
+        self._starts = np.append(self._starts, base + np.cumsum(sizes + 1) - sizes - 1)
+        self._tops = np.append(self._tops, sizes - 1)
+        self.cdf = self._flat[:self._tops[0] + 1]
+        self._short = len(self._starts) == 1 and self._tops[0] < self.SHORT
         # row r's buckets are the slots of its entries, ``start + b``: the map
         # u -> start + (u - cdf[0]) len / span, clipped to the row
-        self._tops = sizes - 1
         self._ends = self._starts + self._tops
         firsts = self._flat[self._starts]
         self._lasts = self._flat[self._ends]
         span = self._lasts - firsts
-        self._scales = sizes / np.where(span > 0, span, np.inf)
+        self._scales = (self._tops + 1) / np.where(span > 0, span, np.inf)
         self._bias = self._starts - firsts * self._scales
-        slot_rows = np.repeat(np.arange(len(cdfs)), sizes + 1)
+        slot_rows = np.repeat(np.arange(first, len(self._starts)), sizes + 1)
         # the guide at a bucket's slot: the slot of the first entry of the row
         # in that bucket or a later one, the exclusive running count of
         # entries per slot plus the row's index for the sentinels before it
-        entries = np.flatnonzero(np.isfinite(self._flat))
-        rows = slot_rows[entries]
-        slots = np.bincount(self._bucket(self._flat[entries], rows), minlength=len(self._flat))
-        self._guide = np.cumsum(slots) - slots + slot_rows
-        # stacked rows fall back to one search of (row, value) pairs, which
-        # numpy orders as complex numbers: lexicographically, and exactly
-        self._keys = None
-        if len(cdfs) > 1:
-            self._keys = np.empty(len(self._flat), dtype=complex)
-            self._keys.real, self._keys.imag = slot_rows, self._flat
+        entries = np.flatnonzero(np.isfinite(flat))
+        buckets = self._bucket(flat[entries], slot_rows[entries])
+        buckets -= base
+        slots = np.bincount(buckets, minlength=len(flat))
+        guide = np.cumsum(slots)
+        guide -= slots
+        guide += slot_rows
+        guide += base - first
+        self._guide = np.concatenate([self._guide, guide]) if base else guide
+        if len(self._starts) > 1:
+            # a stack's fallback for a search by rows: each slot's (row,
+            # value), which numpy orders as complex numbers, lexicographically
+            # and exactly; slots not keyed before ``base`` are those of row 0,
+            # the one row of a table appended to
+            keys = np.empty(len(self._flat) - len(self._keys), dtype=complex)
+            keys.real = np.concatenate([np.zeros(base - len(self._keys)), slot_rows])
+            keys.imag = self._flat[len(self._keys):]
+            self._keys = np.concatenate([self._keys, keys])
 
     def _bucket(self, u, rows):
         b = u * self._scales[rows]
@@ -743,11 +763,15 @@ class GuideTable:
         todo = np.flatnonzero(self._flat[i] <= u)
         if todo.size == 0:
             return i
-        if self._keys is None:
-            i[todo] = np.searchsorted(self.cdf, u[todo], side="right")
+        if len(self._starts) == 1:      # one row, whatever ``rows`` says
+            rows = 0
+        if np.ndim(rows) == 0:          # one row: its own cdf
+            start = self._starts[rows]
+            i[todo] = start + np.searchsorted(self._flat[start:self._ends[rows] + 1], u[todo],
+                                              side="right")
         else:
             keys = np.empty(todo.size, dtype=complex)
-            keys.real, keys.imag = rows[todo] if np.ndim(rows) else rows, u[todo]
+            keys.real, keys.imag = rows[todo], u[todo]
             i[todo] = np.searchsorted(self._keys, keys, side="right")
         return i
 
@@ -802,34 +826,35 @@ class LatticeSumSampler:
     between.  A sum of ``c`` draws from it is split at ``K``
     (:func:`_stack_height`: the largest power of two whose small-count rows
     fit in ``2 * _BLOCK_DRAWS`` cdf entries, 256 for the +-1 law, 4 for the
-    4097 atoms of :func:`subordinated`).  The *stacked table* holds, in row
-    ``k < K``, the law of a sum of ``k`` draws, the ``k``-th convolution
-    power of the atom table (:func:`_convolve`), as one
-    :class:`GuideTable`: ``c mod K`` draws cost one search of their row, and
-    a row with ``c mod K = 0`` draws nothing.  Level ``j`` holds the law of
-    a sum of ``K 2^j`` draws: level 0 is the ``K``-th power, and level ``j``
-    the convolution square of level ``j - 1``, each trimmed at mass 1e-15
-    per side.  Each set bit ``j`` of ``c // K`` adds one draw from level ``j``;
-    only the levels that some count uses are visited, by the rows of at
-    least ``K`` draws alone, addressed by index.  A block whose rows share
-    one count draws its stacked row and each of its levels once for all of
-    them, with no per-row indexing.  Levels are built on demand, up to the
-    largest count asked for, so a sampler belongs to its caller rather than
-    to the shared measure.
+    4097 atoms of :func:`subordinated`).  One :class:`GuideTable` holds every
+    law drawn: row ``k < K`` the law of a sum of ``k`` draws, the ``k``-th
+    convolution power of the atom table (:func:`_convolve`), and row
+    ``K + j`` level ``j``, the law of a sum of ``K 2^j`` draws: level 0 is
+    the ``K``-th power, and level ``j`` the convolution square of level
+    ``j - 1``, each trimmed at mass 1e-15 per side.  Levels are stacked on
+    demand, up to the largest count asked for, so a sampler belongs to its
+    caller rather than to the shared measure.  A sum of ``c`` draws is one
+    draw from row ``c mod K``, none if that is 0, plus one from level ``j``
+    for each set bit ``j`` of ``c // K``.  The (row, table row) pairs of a
+    block, in that order and level by level, are searched in one draw of
+    the table, up to ``_BLOCK_DRAWS`` pairs at a time; rows below ``K`` never
+    enter the level loop.  A block whose rows share one count draws each of
+    its table rows once for all of them, by one row index: the same stream,
+    without a row index per draw.
 
     A tailed law leaves its table with probability ``q_tail``.  The draws of
     a row block, its rows end to end, hold their tail draws as one
     Bernoulli(``q_tail``) process: geometric gaps, mapped to rows by their
     row ends, so a row of ``c`` draws has ``Bin(c, q_tail)`` of them exactly.
     Those come from the law's tail sampler and the rest from the table,
-    renormalised.  When at most half of a block's rows hold a tail draw,
-    every row first draws its whole count from the table and those rows then
-    draw their ``c - Bin(c, q_tail)`` table draws afresh: the sums set aside
-    depend on the tail positions alone, so the law is kept, and the other
-    rows keep one count where the block had one.  Rows are summed
-    ``_BLOCK_DRAWS`` at a time (:func:`_fill`), and a row block's gaps and
-    tail values ``_BLOCK_DRAWS`` at a time, so a call holds its result, the
-    tables and ``O(_BLOCK_DRAWS)`` however many tail values it draws.
+    renormalised.  Every row first draws its whole count from the table and
+    the rows with a tail draw then draw their ``c - Bin(c, q_tail)`` table
+    draws afresh: the sums set aside depend on the tail positions alone, so
+    the law is kept at any share of such rows, and the other rows keep one
+    count where the block had one.  Rows are summed ``_BLOCK_DRAWS`` at a
+    time (:func:`_fill`), and a row block's gaps and tail values
+    ``_BLOCK_DRAWS`` at a time, so a call holds its result, the tables and
+    ``O(_BLOCK_DRAWS)`` however many tail values it draws.
     """
 
     def __init__(self, m: Measure1D):
@@ -849,37 +874,22 @@ class LatticeSumSampler:
         rows = [np.ones(1)]
         for _ in range(1, k):
             rows.append(_convolve(rows[-1], pmf))
-        self._lo, self._step, self._k, self._shift = lo, step, k, k.bit_length() - 1
-        self._small = GuideTable(*map(np.cumsum, rows))
+        self._step, self._k, self._shift = step, k, k.bit_length() - 1
+        self._table = GuideTable(*map(np.cumsum, rows))
+        self._offsets = lo * np.arange(k)                 # the sum at index 0, per row
         self._top = (k * lo, _convolve(rows[-1], pmf))   # (offset, pmf) of the last level
-        self._levels = []                                  # (offset, table) per level
 
     def _grow(self):
+        """Stack the next level: the K-th power first, then the square of the last."""
         offset, pmf = self._top
-        if self._levels:
+        if len(self._offsets) > self._k:
             offset, pmf = 2 * offset, _convolve(pmf, pmf)
         cs = np.cumsum(pmf)
         lo = int(np.searchsorted(cs, 1e-15))
         hi = int(np.searchsorted(cs, cs[-1] - 1e-15)) + 1
         self._top = (offset + self._step * lo, pmf[lo:hi])
-        self._levels.append((self._top[0], GuideTable(np.cumsum(pmf[lo:hi]))))
-
-    def _small_draw(self, n: int, rows, rng) -> np.ndarray:
-        """``n`` sums of ``rows`` draws (one count, or one per sum) below ``K``."""
-        out = self._small.draw(rng, n, rows)
-        out *= self._step
-        out += self._lo * rows
-        return out
-
-    def _level_draw(self, j: int, n: int, rng) -> np.ndarray:
-        """``n`` draws from level ``j``, built first if need be."""
-        while j >= len(self._levels):
-            self._grow()
-        offset, table = self._levels[j]
-        out = table.draw(rng, n)
-        out *= self._step
-        out += offset
-        return out
+        self._table.append(np.cumsum(self._top[1]))
+        self._offsets = np.append(self._offsets, self._top[0])
 
     def sample(self, counts, rng) -> np.ndarray:
         """Sum of ``counts[i]`` i.i.d. draws for each row ``i``."""
@@ -889,39 +899,62 @@ class LatticeSumSampler:
 
     def _table_sum(self, counts, rng) -> np.ndarray:
         k, shift = self._k, self._shift
-        least, top = int(counts.min(initial=0)), int(counts.max(initial=0))
-        if least == top:                              # one count: scalar rows
-            if top & (k - 1):
-                total = self._small_draw(len(counts), top & (k - 1), rng)
-            else:
-                total = np.zeros(len(counts), dtype=np.int64)
-            for j in range((top >> shift).bit_length()):
-                if top >> shift >> j & 1:
-                    total += self._level_draw(j, len(counts), rng)
-            return total
-        if 0 < least and top < k:                     # every row in the stack
-            return self._small_draw(len(counts), counts, rng)
-        small = counts & (k - 1)
+        top = int(counts.max(initial=0))
+        least = int(counts.min(initial=top))
+        while len(self._offsets) < k + (top >> shift).bit_length():
+            self._grow()
         total = np.zeros(len(counts), dtype=np.int64)
-        at = np.flatnonzero(small)
-        total[at] = self._small_draw(at.size, small[at], rng)
-        if top < k:
+        if least == top:            # one count: each table row it uses, for all rows
+            small, high = top & (k - 1), top >> shift
+            for r in [small] * (small > 0) + [k + j for j in range(high.bit_length())
+                                               if high >> j & 1]:
+                values = self._table.draw(rng, len(counts), r)
+                values *= self._step
+                values += self._offsets[r]
+                total += values
             return total
-        high = counts >> shift
-        at = np.flatnonzero(high)
-        high = high[at]
-        present = int(np.bitwise_or.reduce(high))
-        for j in range(present.bit_length()):
-            if present >> j & 1:
-                rows = at[(high >> j) & 1 == 1]
-                total[rows] += self._level_draw(j, rows.size, rng)
+        small = counts & (k - 1)
+        rows = [np.flatnonzero(small)]
+        stack = [small[rows[0]]]
+        if top >= k:
+            at = np.flatnonzero(counts >= k)
+            high = counts[at] >> shift
+            for j in range(top.bit_length() - shift):
+                lit = at[(high >> j) & 1 == 1]
+                if sum(map(len, rows)) + lit.size > _BLOCK_DRAWS:    # a draw holds one block
+                    self._add_draws(total, rows, stack, rng)
+                rows.append(lit)
+                stack.append(np.full(lit.size, k + j))
+        self._add_draws(total, rows, stack, rng)
         return total
 
+    def _add_draws(self, total, rows, stack, rng):
+        """Add to ``total`` a draw from table row ``stack[i]`` at row
+        ``rows[i]``, for the pairs of the two lists of arrays, in order, by one
+        search; empties both lists."""
+        at, table_rows = np.concatenate(rows), np.concatenate(stack)
+        del rows[:], stack[:]
+        values = self._table.draw(rng, at.size, table_rows)
+        values *= self._step
+        values += self._offsets[table_rows]
+        np.add.at(total, at, values)
+
     def _row_block_sum(self, counts, rng) -> np.ndarray:
-        if not self.q_tail:
-            return self._table_sum(counts, rng)
-        # tail draws at positions pos + cumsum(gaps) of the block's draws end
-        # to end; each block of them adds its values to its rows, in order
+        tailed = self._tail_draws(counts, rng) if self.q_tail else None
+        total = self._table_sum(counts, rng)
+        if tailed is not None:
+            # every row drew its whole count from the table; the rows with a
+            # tail draw their c - Bin(c, q_tail) table draws afresh, so the
+            # others keep one count where the block had one
+            rows, n_tail, tails = tailed
+            total[rows] = self._table_sum(counts[rows] - n_tail, rng) + tails
+        return total
+
+    def _tail_draws(self, counts, rng):
+        """``(rows, n_tail, tails)``: the rows of a block that hold tail
+        draws, how many each and their sum, or None.  The tail draws lie at
+        positions ``pos + cumsum(gaps)`` of the block's draws end to end;
+        each block of them adds its values to its rows, in order."""
         ends = np.cumsum(counts)
         n = int(ends[-1]) if len(ends) else 0
         rows, n_tail, tails = [], [], []
@@ -941,21 +974,11 @@ class LatticeSumSampler:
             if at.size < size:
                 break
         if not rows:
-            return self._table_sum(counts, rng)
+            return None
         # a row split across two blocks of positions appears twice, in order
         rows, n_tail, tails = map(np.concatenate, (rows, n_tail, tails))
         first = np.flatnonzero(np.diff(rows, prepend=-1))
-        rows, n_tail = rows[first], np.add.reduceat(n_tail, first)
-        tails = np.add.reduceat(tails, first)
-        if 2 * len(rows) <= len(counts):     # few rows with tails draw again
-            total = self._table_sum(counts, rng)
-            total[rows] = self._table_sum(counts[rows] - n_tail, rng)
-        else:
-            counts = counts.copy()
-            counts[rows] -= n_tail
-            total = self._table_sum(counts, rng)
-        total[rows] += tails
-        return total
+        return rows[first], np.add.reduceat(n_tail, first), np.add.reduceat(tails, first)
 
 
 # ---------------------------------------------------------------------------

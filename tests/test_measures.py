@@ -1083,7 +1083,14 @@ def test_guide_table_stacked_rows_equal_searchsorted():
     want = np.array([np.searchsorted(cdfs[r], x, side="right") for r, x in zip(rows, u)])
     assert np.array_equal(table.search(u, rows), want)
     assert np.array_equal(table.search(u[rows == 5], 5), want[rows == 5])
+    single = ms.GuideTable(cdfs[5])                 # one row, searched by an index per value
+    assert np.array_equal(single.search(u[rows == 5], rows[rows == 5] - 5), want[rows == 5])
+    grown = ms.GuideTable(cdfs[0])                  # the same stack, appended in two steps
+    grown.append(*cdfs[1:4])
+    grown.append(*cdfs[4:])
+    assert np.array_equal(grown.search(u, rows), want)
     got = table.draw(np.random.default_rng(3), rows.size, rows)
+    assert np.array_equal(grown.draw(np.random.default_rng(3), rows.size, rows), got)
     u = np.random.default_rng(3).random(rows.size)
     assert np.array_equal(got, [_searchsorted_draws(cdfs[r], x) for r, x in zip(rows, u)])
 
@@ -1201,21 +1208,21 @@ def test_guide_table_on_the_subordinator_tail_table():
 
 
 def _searchsorted_sums(sampler, counts, rng):
-    """Sums drawn by the plain inversion of each stacked row's and each
-    level's cdf from one stream: first ``c mod K`` draws for every row with
-    one, by its own row of the stacked table, then the set bits of ``c // K``
-    level by level, each level's rows in order."""
-    k, lo, step = sampler._k, sampler._lo, sampler._step
+    """Sums drawn by the plain inversion of each table row's cdf from one
+    stream: first ``c mod K`` draws for every row with one, by table row
+    ``c mod K``, then each set bit ``j`` of ``c // K`` level by level, by
+    table row ``K + j``, each level's rows in order."""
+    k, step, cdfs, offsets = sampler._k, sampler._step, sampler._table.cdfs, sampler._offsets
     want = np.zeros(len(counts), dtype=np.int64)
     small = counts % k
     at = np.flatnonzero(small)
     for i, u in zip(at.tolist(), rng.random(at.size).tolist()):
-        want[i] = small[i] * lo + step * _searchsorted_draws(sampler._small.cdfs[small[i]], u)
-    for j, (offset, table) in enumerate(sampler._levels):
+        want[i] = offsets[small[i]] + step * _searchsorted_draws(cdfs[small[i]], u)
+    for j in range(len(cdfs) - k):
         mask = (counts // k >> j) & 1 == 1
         if mask.any():
             u = rng.random(int(mask.sum()))
-            want[mask] += offset + step * _searchsorted_draws(table.cdf, u)
+            want[mask] += offsets[k + j] + step * _searchsorted_draws(cdfs[k + j], u)
     return want
 
 
@@ -1232,20 +1239,29 @@ def test_lattice_sum_sampler_draws_equal_searchsorted_inversion():
 
 
 @pytest.mark.parametrize("count", [0, 5, 256, 11 * 256 + 3])
-def test_lattice_sum_sampler_one_count_equals_searchsorted_inversion(count):
-    # a block of one count draws its stacked row and each level once for all
-    # rows: the same stream as the rows drawn one by one
+def test_lattice_sum_sampler_one_count_equals_searchsorted_inversion(count, monkeypatch):
+    # a block of one count draws each of its table rows once for all rows,
+    # one row index per draw: the same stream as the rows drawn one by one
     sampler = ms.LatticeSumSampler(lattice({-1: 0.5, 1: 0.5}))
+    rows_seen = []
+    draw = ms.GuideTable.draw
+
+    def recording_draw(self, rng, n, rows=0):
+        rows_seen.append(np.ndim(rows))
+        return draw(self, rng, n, rows)
+
+    monkeypatch.setattr(ms.GuideTable, "draw", recording_draw)
     counts = np.full(3000, count)
     got = sampler.sample(counts, np.random.default_rng(9))
     assert np.array_equal(got, _searchsorted_sums(sampler, counts, np.random.default_rng(9)))
+    assert rows_seen == [0] * (count % 256 > 0) + [0] * (count // 256).bit_count()
 
 
 def test_lattice_sum_sampler_stores_the_lattice_step():
     # +-1 sums of k draws have k's parity: the tables hold every second atom,
     # and the sums keep their parity and the exact law of 2 Bin(c, 1/2) - c
     sampler = ms.LatticeSumSampler(lattice({-1: 0.5, 1: 0.5}))
-    assert (sampler._lo, sampler._step, sampler._k) == (-1, 2, 256)
+    assert (sampler._offsets[1], sampler._step, sampler._k) == (-1, 2, 256)
     counts = np.tile([0, 1, 255, 256, 257, 1000], 20_000)
     got = sampler.sample(counts, np.random.default_rng(5))
     assert np.all((got - counts) % 2 == 0) and np.all(np.abs(got) <= counts)
@@ -1290,7 +1306,7 @@ def test_lattice_sum_sampler_stacked_rows_are_convolution_powers(law, k):
     size = lambda rows: sum(r * (width - 1) + 1 for r in range(rows))     # noqa: E731
     assert size(k) <= 2 * ms._BLOCK_DRAWS < size(2 * k) and k & (k - 1) == 0
     power = np.ones(1)
-    for row, cdf in enumerate(sampler._small.cdfs):
+    for row, cdf in enumerate(sampler._table.cdfs):
         assert np.abs(_spread(cdf, step) - power).max() <= 1e-15, row
         power = np.convolve(power, pmf)
     assert row == k - 1
@@ -1302,17 +1318,18 @@ def test_lattice_sum_sampler_levels_are_convolution_squares(law):
     sampler = ms.LatticeSumSampler(law)
     got = sampler.sample(counts, np.random.default_rng(9))
     k, step = sampler._k, sampler._step
-    assert len(sampler._levels) == 12 - k.bit_length() + 1        # K 2^j up to 2^11
+    levels = list(zip(sampler._offsets[k:].tolist(), sampler._table.cdfs[k:]))
+    assert len(levels) == 12 - k.bit_length() + 1        # K 2^j up to 2^11
     power = np.ones(1)
     for _ in range(k):
         power = np.convolve(power, _law_pmf(law))
-    offset, table = sampler._levels[0]                 # level 0: the K-th power, trimmed
+    offset, cdf = levels[0]                            # level 0: the K-th power, trimmed
     level = np.zeros_like(power)
     i = offset - k * law.support[0]
-    level[i:i + step * (len(table.cdf) - 1) + 1] = _spread(table.cdf, step)
+    level[i:i + step * (len(cdf) - 1) + 1] = _spread(cdf, step)
     assert np.abs(level - power).max() <= 1e-15
-    for (lo, below), (offset, table) in zip(sampler._levels, sampler._levels[1:]):
-        pmf = np.diff(below.cdf, prepend=0.0)
+    for (lo, below), (offset, cdf) in zip(levels, levels[1:]):
+        pmf = np.diff(below, prepend=0.0)
         square = np.maximum(np.convolve(pmf, pmf), 0.0)
         cs = np.cumsum(square)
         a, b = np.searchsorted(cs, 1e-15), np.searchsorted(cs, cs[-1] - 1e-15) + 1
@@ -1321,7 +1338,7 @@ def test_lattice_sum_sampler_levels_are_convolution_squares(law):
         # rounding may move a trim point by a few atoms, each of mass below 1e-15
         level = np.zeros_like(square)
         i = (offset - 2 * lo) // step
-        level[i:i + len(table.cdf)] = np.diff(table.cdf, prepend=0.0)
+        level[i:i + len(cdf)] = np.diff(cdf, prepend=0.0)
         assert np.abs(level - want).max() <= 1e-15
     assert np.array_equal(got, _searchsorted_sums(sampler, counts, np.random.default_rng(9)))
 
@@ -1349,8 +1366,10 @@ def test_tailed_lattice_sums_match_brute_force(monkeypatch, alpha, budget):
         for got, want in (((fast > t).mean(), (brute > t).mean()),
                           ((fast < -t).mean(), (brute < -t).mean()),
                           ((fast == 0).mean(), (brute == 0).mean())):
+            # equal frequencies agree: at got = want = 0 the bound below is 0
             p = (got + want) / 2
-            assert abs(got - want) < 5 * math.sqrt(2 * p * (1 - p) / n), (t, got, want)
+            assert got == want or abs(got - want) < 5 * math.sqrt(2 * p * (1 - p) / n), (
+                t, got, want)
 
 
 @pytest.mark.parametrize("one_count", [False, True], ids=["mixed", "one_count"])
@@ -1358,8 +1377,8 @@ def test_tailed_lattice_sums_match_brute_force(monkeypatch, alpha, budget):
 def test_tailed_sums_split_each_row_between_table_and_tail(q, one_count):
     # a table of one atom, 1, and tail values of 10^6 (its tail sampler
     # stands in for any values beyond the table): a row of c draws sums to
-    # c - N + 10^6 N with N ~ Bin(c, q), whether the rows with a tail draw
-    # their table parts again (few of them) or once (most of them)
+    # c - N + 10^6 N with N ~ Bin(c, q), whether few or most rows hold a
+    # tail draw and draw their table parts afresh
     big = 10 ** 6
     law = ms.Measure1D.lattice_tailed([1], [1 - q], lambda x: q / np.square(x),
                                       tail_sampler=lambda rng, n: np.full(n, big))
